@@ -5,34 +5,32 @@
 namespace nxd::resolver {
 
 Zone& AuthoritativeServer::add_zone(dns::DomainName origin, dns::SoaData soa) {
-  zones_.push_back(std::make_unique<Zone>(std::move(origin), std::move(soa)));
-  return *zones_.back();
-}
-
-Zone* AuthoritativeServer::find_zone(const dns::DomainName& name) {
-  return const_cast<Zone*>(std::as_const(*this).find_zone(name));
+  auto& zone = zones_[origin.to_string()];
+  if (!zone) zone = std::make_unique<Zone>(std::move(origin), std::move(soa));
+  return *zone;
 }
 
 const Zone* AuthoritativeServer::find_zone(const dns::DomainName& name) const {
-  const Zone* best = nullptr;
-  for (const auto& zone : zones_) {
-    if (name.is_subdomain_of(zone->origin())) {
-      if (!best || zone->origin().label_count() > best->origin().label_count()) {
-        best = zone.get();
-      }
+  // Each tail of the text after a dot is an ancestor's text; "." is last.
+  const std::string text = name.to_string();
+  std::string_view suffix = text;
+  while (true) {
+    if (const auto it = zones_.find(suffix); it != zones_.end()) {
+      return it->second.get();
     }
+    if (suffix == ".") return nullptr;
+    const std::size_t dot = suffix.find('.');
+    suffix = dot == std::string_view::npos ? "." : suffix.substr(dot + 1);
   }
-  return best;
+}
+
+const Zone* AuthoritativeServer::zone_at(const dns::DomainName& origin) const {
+  const auto it = zones_.find(origin.to_string());
+  return it == zones_.end() ? nullptr : it->second.get();
 }
 
 bool AuthoritativeServer::remove_zone(const dns::DomainName& origin) {
-  for (auto it = zones_.begin(); it != zones_.end(); ++it) {
-    if ((*it)->origin() == origin) {
-      zones_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  return zones_.erase(origin.to_string()) > 0;
 }
 
 dns::Message AuthoritativeServer::answer(const dns::Message& query) const {

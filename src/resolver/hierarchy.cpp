@@ -57,7 +57,7 @@ DnsHierarchy::DnsHierarchy() {
   for (const auto& tld : kDefaultTlds) add_tld(tld);
 }
 
-void DnsHierarchy::add_tld(const std::string& tld) { tld_registry_[tld]; }
+void DnsHierarchy::add_tld(const std::string& tld) { tld_registry_.insert(tld); }
 
 bool DnsHierarchy::has_tld(const std::string& tld) const {
   return tld_registry_.contains(tld);
@@ -76,12 +76,9 @@ bool DnsHierarchy::register_domain(const dns::DomainName& domain,
                                    dns::IPv4 address, std::uint32_t ttl) {
   if (domain.label_count() < 2) return false;
   const dns::DomainName reg = domain.registered_domain();
-  if (zones_by_domain_.contains(reg)) return false;
+  if (auth_.zone_at(reg) != nullptr) return false;
 
-  const std::string tld(reg.tld());
-  add_tld(tld);
-  tld_registry_[tld].insert(reg);
-
+  add_tld(std::string(reg.tld()));
   Zone& zone = auth_.add_zone(reg, make_soa(reg));
   zone.add(dns::make_a(reg, address, ttl));
   if (const auto www = reg.child("www")) {
@@ -90,27 +87,19 @@ bool DnsHierarchy::register_domain(const dns::DomainName& domain,
   if (const auto ns1 = reg.child("ns1")) {
     zone.add(dns::make_ns(reg, *ns1));
   }
-  zones_by_domain_[reg] = auth_.find_zone(reg);
   return true;
 }
 
 void DnsHierarchy::deregister_domain(const dns::DomainName& domain) {
-  const dns::DomainName reg = domain.registered_domain();
-  const auto it = zones_by_domain_.find(reg);
-  if (it == zones_by_domain_.end()) return;
-  zones_by_domain_.erase(it);
-  auth_.remove_zone(reg);
-  const auto tld_it = tld_registry_.find(std::string(reg.tld()));
-  if (tld_it != tld_registry_.end()) tld_it->second.erase(reg);
+  auth_.remove_zone(domain.registered_domain());
 }
 
 bool DnsHierarchy::is_registered(const dns::DomainName& domain) const {
-  return zones_by_domain_.contains(domain.registered_domain());
+  return auth_.zone_at(domain.registered_domain()) != nullptr;
 }
 
 Zone* DnsHierarchy::zone_of(const dns::DomainName& domain) {
-  const auto it = zones_by_domain_.find(domain.registered_domain());
-  return it == zones_by_domain_.end() ? nullptr : it->second;
+  return auth_.zone_at(domain.registered_domain());
 }
 
 dns::Message DnsHierarchy::answer_at(ServerTier tier,
@@ -119,6 +108,15 @@ dns::Message DnsHierarchy::answer_at(ServerTier tier,
     return dns::make_response(query, dns::RCode::FormErr);
   }
   const dns::DomainName& qname = query.questions.front().name;
+  // The root and TLD servers' SOAs, parsed once.
+  static const dns::SoaData kRootSoa{
+      .mname = dns::DomainName::must("a.root-servers.net"),
+      .rname = dns::DomainName::must("nstld.verisign-grs.com"),
+      .minimum = 86'400};
+  static const dns::SoaData kTldSoa{
+      .mname = dns::DomainName::must("a.gtld-servers.net"),
+      .rname = kRootSoa.rname,
+      .minimum = 900};
 
   switch (tier) {
     case ServerTier::Root: {
@@ -129,17 +127,12 @@ dns::Message DnsHierarchy::answer_at(ServerTier tier,
       }
       const std::string tld(qname.tld());
       if (!tld_registry_.contains(tld)) {
-        dns::SoaData root_soa;
-        root_soa.mname = dns::DomainName::must("a.root-servers.net");
-        root_soa.rname = dns::DomainName::must("nstld.verisign-grs.com");
-        root_soa.minimum = 86'400;
         return dns::make_nxdomain(query,
-                                  dns::make_soa(dns::DomainName{}, root_soa));
+                                  dns::make_soa(dns::DomainName{}, kRootSoa));
       }
       dns::Message referral = dns::make_response(query, dns::RCode::NoError);
       referral.authorities.push_back(
-          dns::make_ns(dns::DomainName::must(tld),
-                       dns::DomainName::must("a.gtld-servers.net")));
+          dns::make_ns(dns::DomainName::must(tld), kTldSoa.mname));
       return referral;
     }
 
@@ -147,19 +140,14 @@ dns::Message DnsHierarchy::answer_at(ServerTier tier,
       // The TLD server knows which registered domains are delegated.
       ++tld_queries_;
       const std::string tld(qname.tld());
-      const auto tld_it = tld_registry_.find(tld);
-      if (tld_it == tld_registry_.end()) {
+      if (!tld_registry_.contains(tld)) {
         // Lame query for a TLD this server farm does not carry.
         return dns::make_response(query, dns::RCode::Refused);
       }
       const dns::DomainName reg = qname.registered_domain();
-      if (!tld_it->second.contains(reg)) {
-        dns::SoaData tld_soa;
-        tld_soa.mname = dns::DomainName::must("a.gtld-servers.net");
-        tld_soa.rname = dns::DomainName::must("nstld.verisign-grs.com");
-        tld_soa.minimum = 900;
+      if (auth_.zone_at(reg) == nullptr) {
         return dns::make_nxdomain(
-            query, dns::make_soa(dns::DomainName::must(tld), tld_soa));
+            query, dns::make_soa(dns::DomainName::must(tld), kTldSoa));
       }
       dns::Message referral = dns::make_response(query, dns::RCode::NoError);
       if (const auto ns1 = reg.child("ns1")) {

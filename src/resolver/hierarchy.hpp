@@ -15,8 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "dns/message.hpp"
 #include "net/sim_network.hpp"
@@ -89,10 +88,11 @@ class DnsHierarchy {
   void deregister_domain(const dns::DomainName& domain);
 
   bool is_registered(const dns::DomainName& domain) const;
-  std::size_t registered_count() const noexcept { return zones_by_domain_.size(); }
+  std::size_t registered_count() const noexcept { return auth_.zone_count(); }
 
   /// Access the authoritative zone for a registered domain (to add MX, TXT,
-  /// subdomain records, ...); nullptr when not registered.
+  /// subdomain records, ...); nullptr when not registered.  Stable until
+  /// the domain is deregistered.
   Zone* zone_of(const dns::DomainName& domain);
 
   /// Forwarded to the authoritative farm: attach NSEC range proofs to zone
@@ -123,12 +123,11 @@ class DnsHierarchy {
  private:
   dns::SoaData make_soa(const dns::DomainName& zone_origin) const;
 
-  // TLD -> set of registered-domain names under it.
-  std::unordered_map<std::string, std::set<dns::DomainName>> tld_registry_;
-  // Registered domain -> its authoritative zone (all zones live on one
-  // simulated authoritative server farm).
+  // TLDs the root delegates.
+  std::unordered_set<std::string> tld_registry_;
+  // One zone per registered domain, all on one simulated authoritative
+  // farm: its origin index is the registry of which domains exist.
   AuthoritativeServer auth_;
-  std::unordered_map<dns::DomainName, Zone*, dns::DomainNameHash> zones_by_domain_;
 
   mutable std::uint64_t root_queries_ = 0;
   mutable std::uint64_t tld_queries_ = 0;

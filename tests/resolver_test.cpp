@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "resolver/authoritative.hpp"
 #include "resolver/cache.hpp"
@@ -11,6 +13,7 @@
 #include "resolver/recursive.hpp"
 #include "resolver/udp_server.hpp"
 #include "resolver/zone.hpp"
+#include "util/rng.hpp"
 
 namespace nxd::resolver {
 namespace {
@@ -172,6 +175,129 @@ TEST(Authoritative, RemoveZone) {
   EXPECT_EQ(auth.find_zone(DomainName::must("www.example.com")), nullptr);
 }
 
+TEST(Authoritative, DuplicateAddZoneReturnsFirst) {
+  AuthoritativeServer auth;
+  Zone& first = auth.add_zone(DomainName::must("example.com"), test_soa());
+  first.add(dns::make_a(DomainName::must("www.example.com"), *IPv4::parse("192.0.2.2")));
+  dns::SoaData other = test_soa();
+  other.minimum = 60;
+  Zone& second = auth.add_zone(DomainName::must("example.com"), other);
+  EXPECT_EQ(&second, &first);
+  EXPECT_EQ(first.soa().minimum, 300u);
+  EXPECT_EQ(auth.zone_count(), 1u);
+  // No hidden second zone surfaces once the first is removed.
+  EXPECT_TRUE(auth.remove_zone(DomainName::must("example.com")));
+  EXPECT_EQ(auth.find_zone(DomainName::must("www.example.com")), nullptr);
+  EXPECT_FALSE(auth.remove_zone(DomainName::must("example.com")));
+  EXPECT_EQ(auth.zone_count(), 0u);
+}
+
+TEST(Authoritative, NestedOriginsAndNamesAboveEveryZone) {
+  AuthoritativeServer auth;
+  const Zone& outer = auth.add_zone(DomainName::must("example.com"), test_soa());
+  const Zone& middle = auth.add_zone(DomainName::must("b.example.com"), test_soa());
+  const Zone& inner = auth.add_zone(DomainName::must("a.b.example.com"), test_soa());
+  EXPECT_EQ(auth.find_zone(DomainName::must("x.a.b.example.com")), &inner);
+  EXPECT_EQ(auth.find_zone(DomainName::must("a.b.example.com")), &inner);
+  EXPECT_EQ(auth.find_zone(DomainName::must("b.example.com")), &middle);
+  EXPECT_EQ(auth.find_zone(DomainName::must("c.example.com")), &outer);
+  EXPECT_EQ(auth.find_zone(DomainName::must("a.example.com")), &outer);
+  EXPECT_EQ(auth.find_zone(DomainName::must("com")), nullptr);
+  EXPECT_EQ(auth.find_zone(DomainName{}), nullptr);
+  EXPECT_EQ(auth.zone_at(DomainName::must("b.example.com")), &middle);
+  EXPECT_EQ(auth.zone_at(DomainName::must("x.b.example.com")), nullptr);
+
+  const Zone& root = auth.add_zone(DomainName{}, test_soa());
+  EXPECT_EQ(auth.find_zone(DomainName{}), &root);
+  EXPECT_EQ(auth.find_zone(DomainName::must("other.net")), &root);
+  EXPECT_EQ(auth.find_zone(DomainName::must("x.a.b.example.com")), &inner);
+}
+
+// The linear scan the origin index replaced, kept as the reference: the
+// zone with the longest origin the name falls under.
+const Zone* linear_find_zone(const std::vector<const Zone*>& zones,
+                             const DomainName& name) {
+  const Zone* best = nullptr;
+  for (const Zone* zone : zones) {
+    if (name.is_subdomain_of(zone->origin()) &&
+        (!best || zone->origin().label_count() > best->origin().label_count())) {
+      best = zone;
+    }
+  }
+  return best;
+}
+
+// Names over a five-label alphabet, so random origins nest often.
+DomainName random_name(util::Rng& rng, std::uint64_t max_labels) {
+  static const char* const kLabels[] = {"a", "b", "c", "example", "com"};
+  std::vector<std::string> labels;
+  for (std::uint64_t n = rng.bounded(max_labels + 1); n > 0; --n) {
+    labels.emplace_back(kLabels[rng.bounded(5)]);
+  }
+  return *DomainName::from_labels(std::move(labels));
+}
+
+TEST(Authoritative, FindZoneMatchesLinearScan) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    AuthoritativeServer auth;
+    std::vector<const Zone*> reference;
+    const auto hosting = [&](const DomainName& origin) -> const Zone* {
+      for (const Zone* zone : reference) {
+        if (zone->origin() == origin) return zone;
+      }
+      return nullptr;
+    };
+    const auto add = [&](const DomainName& origin) {
+      const Zone* existing = hosting(origin);
+      const Zone* zone = &auth.add_zone(origin, test_soa());
+      if (existing == nullptr) {
+        reference.push_back(zone);
+      } else {
+        ASSERT_EQ(zone, existing);
+      }
+    };
+    const auto check = [&] {
+      ASSERT_EQ(auth.zone_count(), reference.size());
+      for (int i = 0; i < 64; ++i) {
+        const DomainName name = random_name(rng, 6);
+        ASSERT_EQ(auth.find_zone(name), linear_find_zone(reference, name))
+            << name.to_string();
+        ASSERT_EQ(auth.zone_at(name), hosting(name)) << name.to_string();
+      }
+      for (const Zone* zone : reference) {
+        ASSERT_EQ(auth.find_zone(zone->origin()), zone);
+        const auto child = zone->origin().child("x");
+        ASSERT_EQ(auth.find_zone(*child), linear_find_zone(reference, *child));
+      }
+    };
+
+    const std::uint64_t zones = 1 + rng.bounded(24);
+    for (std::uint64_t i = 0; i < zones; ++i) add(random_name(rng, 4));
+    check();
+
+    // Remove about half, then put some back: the index must forget and
+    // relearn origins, and the re-added zones are new objects.
+    std::vector<DomainName> removed;
+    for (std::size_t i = 0; i < reference.size();) {
+      if (rng.chance(0.5)) {
+        removed.push_back(reference[i]->origin());
+        ASSERT_TRUE(auth.remove_zone(removed.back()));
+        ASSERT_FALSE(auth.remove_zone(removed.back()));
+        reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    check();
+    for (const DomainName& origin : removed) {
+      if (rng.chance(0.5)) add(origin);
+    }
+    check();
+  }
+}
+
 // -------------------------------------------------------------- Hierarchy
 
 TEST(Hierarchy, RegisteredDomainResolves) {
@@ -241,6 +367,60 @@ TEST(Hierarchy, NewTldCreatedOnDemand) {
   hierarchy.register_domain(DomainName::must("fanserials.moda"),
                             *IPv4::parse("192.0.2.1"));
   EXPECT_TRUE(hierarchy.has_tld("moda"));
+}
+
+TEST(Hierarchy, ZonePointersAndRegistrySurviveGrowth) {
+  DnsHierarchy hierarchy;
+  const char* const tlds[] = {"com", "net", "org"};
+  std::vector<DomainName> domains;
+  for (int i = 0; i < 10'000; ++i) {
+    domains.push_back(DomainName::must("d" + std::to_string(i) + "." + tlds[i % 3]));
+  }
+  const auto registered = [&] {
+    std::size_t count = 0;
+    for (const DomainName& domain : domains) count += hierarchy.is_registered(domain);
+    return count;
+  };
+
+  ASSERT_TRUE(hierarchy.register_domain(domains[0], *IPv4::parse("192.0.2.1")));
+  Zone* early = hierarchy.zone_of(domains[0]);
+  ASSERT_NE(early, nullptr);
+  for (std::size_t i = 1; i < domains.size(); ++i) {
+    ASSERT_TRUE(hierarchy.register_domain(domains[i], *IPv4::parse("192.0.2.1")));
+    if (i % 2'500 == 0) {
+      ASSERT_EQ(registered(), hierarchy.registered_count());
+    }
+  }
+  EXPECT_EQ(hierarchy.registered_count(), domains.size());
+  EXPECT_EQ(registered(), domains.size());
+
+  // The index has rehashed many times; the early pointer still names the
+  // zone the authoritative tier answers from.
+  EXPECT_EQ(hierarchy.zone_of(domains[0]), early);
+  const auto mail = DomainName::must("mail.d0.com");
+  early->add(dns::make_a(mail, *IPv4::parse("192.0.2.9")));
+  const auto answer =
+      hierarchy.answer_at(ServerTier::Authoritative, dns::make_query(1, mail));
+  ASSERT_EQ(answer.answers.size(), 1u);
+  EXPECT_EQ(answer.answers[0].name, mail);
+
+  // Deregistering flips the TLD tier from referral to NXDOMAIN, and
+  // re-registering flips it back.
+  const auto query = dns::make_query(2, DomainName::must("www.d0.com"));
+  EXPECT_TRUE(is_referral(hierarchy.answer_at(ServerTier::Tld, query)));
+  hierarchy.deregister_domain(domains[0]);
+  EXPECT_FALSE(hierarchy.is_registered(domains[0]));
+  EXPECT_EQ(hierarchy.zone_of(domains[0]), nullptr);
+  EXPECT_EQ(hierarchy.answer_at(ServerTier::Tld, query).header.rcode,
+            RCode::NXDomain);
+  EXPECT_EQ(registered(), hierarchy.registered_count());
+  EXPECT_EQ(hierarchy.registered_count(), domains.size() - 1);
+
+  ASSERT_TRUE(hierarchy.register_domain(domains[0], *IPv4::parse("192.0.2.2")));
+  EXPECT_TRUE(is_referral(hierarchy.answer_at(ServerTier::Tld, query)));
+  EXPECT_NE(hierarchy.zone_of(domains[0]), nullptr);
+  EXPECT_EQ(registered(), hierarchy.registered_count());
+  EXPECT_EQ(hierarchy.registered_count(), domains.size());
 }
 
 // ------------------------------------------------------------------ Cache
