@@ -14,9 +14,11 @@
 //     baseline.  The deployable configuration is 1% sampling: its overhead
 //     must stay under 5% of ingest throughput or the binary fails.
 //
-// All measurements take the best of several repetitions (the usual defense
-// against scheduler noise on shared CI hardware).  Exit code 1 when any
-// target is missed, matching the other bench binaries' convention.
+// Every ingest configuration is one arm of the same paired comparison: each
+// rep runs all arms back to back, and an overhead is the median of the
+// per-rep differences against its base arm (plain ingest for the registry,
+// registry-bound ingest for the span arms).  Exit code 1 when any target is
+// missed, matching the other bench binaries' convention.
 //
 // Usage: metrics_overhead [--scale=1e-6] [--seed=42] [--json=BENCH_obs.json]
 #include <algorithm>
@@ -57,52 +59,27 @@ constexpr double kMaxOverheadPct = 3.0;
 constexpr double kMaxP99Ns = 100.0;
 constexpr double kMaxSpanOverheadPct = 5.0;  // at the deployable 1% sampling
 
-/// One timed serial ingest of `observations`; binds the store to a fresh
-/// registry first when `instrumented`.
-double ingest_once(const std::vector<nxd::pdns::Observation>& observations,
-                   bool instrumented) {
-  nxd::obs::MetricsRegistry registry;
-  nxd::pdns::PassiveDnsStore store;
-  if (instrumented) store.bind_metrics(registry);
-  const auto start = Clock::now();
-  for (const auto& obs : observations) store.ingest(obs);
-  return seconds_since(start);
-}
-
-struct IngestPair {
-  double plain_seconds = 0;
-  double instrumented_seconds = 0;
+/// One configuration of the ingest loop.  Every arm's overhead is a paired
+/// comparison against its `base` arm, rep by rep.
+struct IngestArm {
+  const char* label;
+  bool registry;        // bind the store to a fresh MetricsRegistry
+  double sample_rate;   // wrap each observation in trace_root/end; < 0 = no tracer
+  std::size_t base;     // index of an earlier arm this one is compared against
+  double best_seconds = 0;
+  double overhead_pct = 0;  // median of per-rep paired overheads vs base
 };
 
-/// Best-of-reps for both configs, interleaved (plain, instrumented, plain,
-/// ...) so background load drifts against both equally instead of biasing
-/// whichever block ran second.
-IngestPair ingest_pair(const std::vector<nxd::pdns::Observation>& observations) {
-  IngestPair best;
-  for (int rep = 0; rep < kIngestReps; ++rep) {
-    const double plain = ingest_once(observations, false);
-    const double instrumented = ingest_once(observations, true);
-    if (rep == 0 || plain < best.plain_seconds) best.plain_seconds = plain;
-    if (rep == 0 || instrumented < best.instrumented_seconds) {
-      best.instrumented_seconds = instrumented;
-    }
-  }
-  return best;
-}
-
-/// One timed instrumented ingest with every observation wrapped in a
-/// trace_root/end pair at `sample_rate`; negative rate = no tracer at all
-/// (the span-arm baseline).
-double ingest_spans_once(
-    const std::vector<nxd::pdns::Observation>& observations,
-    double sample_rate) {
+/// One timed serial ingest of `observations` in `arm`'s configuration.
+double ingest_once(const std::vector<nxd::pdns::Observation>& observations,
+                   const IngestArm& arm) {
   nxd::obs::MetricsRegistry registry;
   nxd::pdns::PassiveDnsStore store;
-  store.bind_metrics(registry);
+  if (arm.registry) store.bind_metrics(registry);
   std::unique_ptr<nxd::obs::SpanTracer> tracer;
-  if (sample_rate >= 0) {
+  if (arm.sample_rate >= 0) {
     nxd::obs::SpanTracer::Config config;
-    config.sample_rate = sample_rate;
+    config.sample_rate = arm.sample_rate;
     config.seed = 42;
     config.capacity = 4096;
     tracer = std::make_unique<nxd::obs::SpanTracer>(config);
@@ -124,37 +101,31 @@ double ingest_spans_once(
   return seconds_since(start);
 }
 
-struct SpanArm {
-  const char* label;
-  double sample_rate;  // negative = no tracer
-  double best_seconds = 0;
-  double overhead_pct = 0;  // median of per-rep paired overheads vs arms[0]
-};
-
-/// Interleaved like ingest_pair, but the overhead is a *paired* comparison:
-/// each rep runs the baseline and every arm back to back, yielding one
-/// overhead sample per rep, and the reported figure is the median of those.
+/// Each rep runs every arm back to back, yielding one paired overhead
+/// sample per arm per rep; the reported figure is the median of those.
 /// Comparing independent best-of-N times is not stable on a shared machine —
 /// load epochs longer than one rep make arms race different conditions and
-/// swing the gate by several points run to run.
-void span_arms(const std::vector<nxd::pdns::Observation>& observations,
-               std::vector<SpanArm>* arms) {
+/// swing a gate by several points run to run.
+void run_arms(const std::vector<nxd::pdns::Observation>& observations,
+              std::vector<IngestArm>* arms) {
   std::vector<std::vector<double>> overheads(arms->size());
   for (int rep = 0; rep < kIngestReps; ++rep) {
-    double base = 0;
+    std::vector<double> seconds(arms->size());
     for (std::size_t a = 0; a < arms->size(); ++a) {
-      SpanArm& arm = (*arms)[a];
-      const double seconds = ingest_spans_once(observations, arm.sample_rate);
-      if (rep == 0 || seconds < arm.best_seconds) arm.best_seconds = seconds;
-      if (a == 0) {
-        base = seconds;
-      } else if (base > 0) {
-        overheads[a].push_back((seconds - base) / base * 100.0);
+      IngestArm& arm = (*arms)[a];
+      seconds[a] = ingest_once(observations, arm);
+      if (rep == 0 || seconds[a] < arm.best_seconds) {
+        arm.best_seconds = seconds[a];
+      }
+      const double base = seconds[arm.base];
+      if (a != arm.base && base > 0) {
+        overheads[a].push_back((seconds[a] - base) / base * 100.0);
       }
     }
   }
-  for (std::size_t a = 1; a < arms->size(); ++a) {
+  for (std::size_t a = 0; a < arms->size(); ++a) {
     auto& samples = overheads[a];
+    if (samples.empty()) continue;
     std::sort(samples.begin(), samples.end());
     (*arms)[a].overhead_pct = samples[samples.size() / 2];
   }
@@ -218,27 +189,25 @@ int main(int argc, char** argv) {
   history.servfail_fraction = 0.02;
   const synth::NxHistoryStream stream(history);
   const auto observations = stream.all();
-  std::printf("stream: %s observations (best of %d reps per config)\n\n",
+  std::printf("stream: %s observations (%d paired reps per config)\n\n",
               util::with_commas(static_cast<std::uint64_t>(observations.size())).c_str(),
               kIngestReps);
 
-  const auto [plain_seconds, instrumented_seconds] = ingest_pair(observations);
-  const double overhead_pct =
-      plain_seconds > 0
-          ? (instrumented_seconds - plain_seconds) / plain_seconds * 100.0
-          : 0;
   const LatencyResult latency = counter_latency();
 
-  std::vector<SpanArm> arms = {{"no tracer", -1.0},
-                               {"sampling 0.0", 0.0},
-                               {"sampling 0.01", 0.01},
-                               {"sampling 1.0", 1.0}};
-  span_arms(observations, &arms);
-  const double span_base = arms[0].best_seconds;
-  const auto span_overhead_pct = [](const SpanArm& arm) {
-    return arm.overhead_pct;
-  };
-  const double span_1pct = span_overhead_pct(arms[2]);
+  std::vector<IngestArm> arms = {{"plain", false, -1.0, 0},
+                                 {"registry, no tracer", true, -1.0, 0},
+                                 {"sampling 0.0", true, 0.0, 1},
+                                 {"sampling 0.01", true, 0.01, 1},
+                                 {"sampling 1.0", true, 1.0, 1}};
+  run_arms(observations, &arms);
+  const double plain_seconds = arms[0].best_seconds;
+  const double instrumented_seconds = arms[1].best_seconds;
+  const double overhead_pct = arms[1].overhead_pct;
+  const double span_base = instrumented_seconds;
+  const double span_0pct = arms[2].overhead_pct;
+  const double span_1pct = arms[3].overhead_pct;
+  const double span_100pct = arms[4].overhead_pct;
   const bool span_ok = span_1pct < kMaxSpanOverheadPct;
 
   util::Table table({"measurement", "value", "target", "status"});
@@ -255,12 +224,12 @@ int main(int argc, char** argv) {
   table.add_row({"counter inc max batch", fixed(latency.max_ns, 1) + " ns", "-", "-"});
   table.add_row({"span arm: no tracer", fixed(span_base, 3) + " s", "-",
                  "baseline"});
-  table.add_row({"span overhead @ 0.0", fixed(span_overhead_pct(arms[1]), 2) + " %",
+  table.add_row({"span overhead @ 0.0", fixed(span_0pct, 2) + " %",
                  "-", "-"});
   table.add_row({"span overhead @ 0.01", fixed(span_1pct, 2) + " %",
                  "< " + fixed(kMaxSpanOverheadPct, 1) + " %",
                  span_ok ? "ok" : "EXCEEDED"});
-  table.add_row({"span overhead @ 1.0", fixed(span_overhead_pct(arms[3]), 2) + " %",
+  table.add_row({"span overhead @ 1.0", fixed(span_100pct, 2) + " %",
                  "-", "-"});
   table.render(std::cout);
 
@@ -280,11 +249,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"counter_inc_p99_ns\": %.2f,\n", latency.p99_ns);
     std::fprintf(f, "  \"counter_inc_p99_target_ns\": %.1f,\n", kMaxP99Ns);
     std::fprintf(f, "  \"span_baseline_seconds\": %.6f,\n", span_base);
-    std::fprintf(f, "  \"span_overhead_rate0_pct\": %.3f,\n",
-                 span_overhead_pct(arms[1]));
+    std::fprintf(f, "  \"span_overhead_rate0_pct\": %.3f,\n", span_0pct);
     std::fprintf(f, "  \"span_overhead_rate1pct_pct\": %.3f,\n", span_1pct);
     std::fprintf(f, "  \"span_overhead_rate100_pct\": %.3f,\n",
-                 span_overhead_pct(arms[3]));
+                 span_100pct);
     std::fprintf(f, "  \"span_overhead_rate1pct_target_pct\": %.1f,\n",
                  kMaxSpanOverheadPct);
     std::fprintf(f, "  \"within_targets\": %s\n",

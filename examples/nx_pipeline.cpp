@@ -33,16 +33,16 @@
 //                   snapshot (pipe it to a file for `nxdtool loadstats`).
 //                   Any of the three flags enables the section; the default
 //                   run is untouched.
-//               [--metrics-every=N] [--metrics-out=<path>] [--trace=<path.jsonl>]
-//                   observability run: every module shares one obs registry +
-//                   query trace.  --metrics-every=N prints a live Prometheus
+//               [--metrics-every=N] [--metrics-out=<path>]
+//                   observability run: every module shares one obs
+//                   registry.  --metrics-every=N prints a live Prometheus
 //                   snapshot every N ingest batches of the §4 batched paths
 //                   (--durable / --threads>1) and once after the run;
 //                   --metrics-out writes the final snapshot in the
 //                   "nxd-metrics v1" text format (`nxdtool metrics <file>`
-//                   re-renders it); --trace dumps the query-trace ring as
-//                   JSONL.  All three default off — the default run's output
-//                   is byte-identical to a build without them.
+//                   re-renders it).  Both default off — the default run's
+//                   output is byte-identical to a build without them.
+//                   Per-query events are exported with --spans= (below).
 //               [--chaos-upstream=<flap|outage|slow>] [--chaos-seed=7]
 //                   upstream-health demo: resolve a query stream against a
 //                   three-replica authoritative farm whose primary flaps,
@@ -73,6 +73,8 @@
 //                   detector must flag; with the normal pipeline the chaos
 //                   section (--loss) provides the sim-time traffic.  All
 //                   three flags off: output byte-identical to before.
+//
+// Any other argument is an error: the run exits 2 naming it on stderr.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -93,7 +95,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "honeypot/server.hpp"
 #include "analysis/scale.hpp"
 #include "analysis/security.hpp"
@@ -182,51 +183,59 @@ int main(int argc, char** argv) {
   bool overload_run = false;
   std::uint64_t metrics_every = 0;
   std::string metrics_out;
-  std::string trace_path;
   std::string attack_mode;
   std::string chaos_upstream;
   bool slo_report = false;
   std::string spans_path;
   std::string timeseries_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) scale = std::atof(argv[i] + 8);
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    if (std::strncmp(argv[i], "--loss=", 7) == 0) loss = std::atof(argv[i] + 7);
-    if (std::strncmp(argv[i], "--chaos-seed=", 13) == 0) {
-      chaos_seed = std::strtoull(argv[i] + 13, nullptr, 10);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::strtoull(argv[i] + 10, nullptr, 10);
-    }
-    if (std::strncmp(argv[i], "--report=", 9) == 0) report_path = argv[i] + 9;
-    if (std::strncmp(argv[i], "--durable=", 10) == 0) durable_dir = argv[i] + 10;
-    if (std::strncmp(argv[i], "--max-conns=", 12) == 0) {
-      max_conns = std::strtoull(argv[i] + 12, nullptr, 10);
+    const char* arg = argv[i];
+    // Value of `--name=` flags, nullptr when `arg` is a different flag.
+    const auto value = [arg](const char* prefix) -> const char* {
+      const std::size_t n = std::strlen(prefix);
+      return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+    };
+    const char* v = nullptr;
+    if ((v = value("--scale="))) {
+      scale = std::atof(v);
+    } else if ((v = value("--seed="))) {
+      seed = std::strtoull(v, nullptr, 10);
+    } else if ((v = value("--loss="))) {
+      loss = std::atof(v);
+    } else if ((v = value("--chaos-seed="))) {
+      chaos_seed = std::strtoull(v, nullptr, 10);
+    } else if ((v = value("--threads="))) {
+      threads = std::strtoull(v, nullptr, 10);
+    } else if ((v = value("--report="))) {
+      report_path = v;
+    } else if ((v = value("--durable="))) {
+      durable_dir = v;
+    } else if ((v = value("--max-conns="))) {
+      max_conns = std::strtoull(v, nullptr, 10);
       overload_run = true;
-    }
-    if (std::strncmp(argv[i], "--rate-limit=", 13) == 0) {
-      rate_limit = std::atof(argv[i] + 13);
+    } else if ((v = value("--rate-limit="))) {
+      rate_limit = std::atof(v);
       overload_run = true;
-    }
-    if (std::strncmp(argv[i], "--drain-ms=", 11) == 0) {
-      drain_ms = std::strtoll(argv[i] + 11, nullptr, 10);
+    } else if ((v = value("--drain-ms="))) {
+      drain_ms = std::strtoll(v, nullptr, 10);
       overload_run = true;
-    }
-    if (std::strncmp(argv[i], "--metrics-every=", 16) == 0) {
-      metrics_every = std::strtoull(argv[i] + 16, nullptr, 10);
-    }
-    if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out = argv[i] + 14;
-    }
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--attack=", 9) == 0) attack_mode = argv[i] + 9;
-    if (std::strcmp(argv[i], "--slo-report") == 0) slo_report = true;
-    if (std::strncmp(argv[i], "--spans=", 8) == 0) spans_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-      timeseries_path = argv[i] + 13;
-    }
-    if (std::strncmp(argv[i], "--chaos-upstream=", 17) == 0) {
-      chaos_upstream = argv[i] + 17;
+    } else if ((v = value("--metrics-every="))) {
+      metrics_every = std::strtoull(v, nullptr, 10);
+    } else if ((v = value("--metrics-out="))) {
+      metrics_out = v;
+    } else if ((v = value("--attack="))) {
+      attack_mode = v;
+    } else if (std::strcmp(arg, "--slo-report") == 0) {
+      slo_report = true;
+    } else if ((v = value("--spans="))) {
+      spans_path = v;
+    } else if ((v = value("--timeseries="))) {
+      timeseries_path = v;
+    } else if ((v = value("--chaos-upstream="))) {
+      chaos_upstream = v;
+    } else {
+      std::fprintf(stderr, "nx_pipeline: unknown flag: %s\n", arg);
+      return 2;
     }
   }
 
@@ -332,14 +341,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // One registry + trace shared by every instrumented module; with all the
-  // flags off nothing binds to them and the run's output is untouched.
+  // One registry + span tracer shared by every instrumented module; with all
+  // the flags off nothing binds to them and the run's output is untouched.
   const bool telemetry_enabled =
       slo_report || !spans_path.empty() || !timeseries_path.empty();
-  const bool obs_enabled = metrics_every > 0 || !metrics_out.empty() ||
-                           !trace_path.empty() || telemetry_enabled;
+  const bool obs_enabled =
+      metrics_every > 0 || !metrics_out.empty() || telemetry_enabled;
   obs::MetricsRegistry registry;
-  obs::QueryTrace trace(65'536);
   obs::SpanTracer::Config span_config;
   span_config.seed = seed;
   span_config.capacity = 1 << 16;
@@ -377,7 +385,7 @@ int main(int argc, char** argv) {
                    durable_dir.c_str());
       return 1;
     }
-    if (obs_enabled) durable->bind_metrics(registry, &trace);
+    if (obs_enabled) durable->bind_metrics(registry);
     if (telemetry_enabled) durable->trace_spans(&spans);
     const auto& recovery = durable->recovery();
     if (recovery.snapshot_loaded || recovery.replayed_batches > 0) {
@@ -429,7 +437,7 @@ int main(int argc, char** argv) {
     util::WorkerPool pool(threads);
     const auto observations = stream.all_parallel(pool);
     pdns::ShardedStore sharded(threads);
-    if (obs_enabled) sharded.bind_metrics(registry, &trace);
+    if (obs_enabled) sharded.bind_metrics(registry);
     if (metrics_every > 0) {
       // Batched ingest so the periodic emission has batch boundaries to fire
       // on; each shard still sees its observations in stream order, so the
@@ -617,8 +625,8 @@ int main(int argc, char** argv) {
 
     pdns::PassiveDnsStore chaos_store;
     if (obs_enabled) {
-      resolver.bind_metrics(registry, &trace);
-      network.bind_metrics(registry, &trace);
+      resolver.bind_metrics(registry);
+      network.bind_metrics(registry);
       chaos_store.bind_metrics(registry, {{"stage", "chaos"}});
     }
     if (telemetry_enabled) resolver.trace_spans(&spans);
@@ -711,8 +719,8 @@ int main(int argc, char** argv) {
     resolver::RecursiveResolver resolver(hierarchy);
     resolver.use_network(network, farm, resolver::RetryPolicy{}, chaos_seed);
     if (obs_enabled) {
-      resolver.bind_metrics(registry, &trace);
-      network.bind_metrics(registry, &trace);
+      resolver.bind_metrics(registry);
+      network.bind_metrics(registry);
     }
     if (telemetry_enabled) resolver.trace_spans(&spans);
     resolver::HealthConfig health;
@@ -809,8 +817,8 @@ int main(int argc, char** argv) {
         std::max<util::SimTime>(1, (drain_ms + 999) / 1'000);
     ol_server.enable_overload(guard);
     if (obs_enabled) {
-      ol_server.gate()->bind_metrics(registry, &trace);
-      ol_recorder.bind_metrics(registry, &trace);
+      ol_server.gate()->bind_metrics(registry);
+      ol_recorder.bind_metrics(registry);
     }
     if (telemetry_enabled) ol_server.trace_spans(&spans);
 
@@ -915,14 +923,6 @@ int main(int argc, char** argv) {
     std::printf("metrics snapshot written to %s "
                 "(render with `nxdtool metrics %s`)\n",
                 metrics_out.c_str(), metrics_out.c_str());
-  }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path, std::ios::binary);
-    out << trace.to_jsonl();
-    std::printf("query trace written to %s (%llu events, %llu dropped)\n",
-                trace_path.c_str(),
-                static_cast<unsigned long long>(trace.total_emitted()),
-                static_cast<unsigned long long>(trace.dropped()));
   }
   if (telemetry_enabled) {
     emit_telemetry(spans, timeseries, slo_report, spans_path,

@@ -53,8 +53,7 @@ void ConnectionGate::acquire_metrics(obs::MetricsRegistry& registry) {
                              "Connections currently in flight");
 }
 
-void ConnectionGate::bind_metrics(obs::MetricsRegistry& registry,
-                                  obs::QueryTrace* trace) {
+void ConnectionGate::bind_metrics(obs::MetricsRegistry& registry) {
   const OverloadStats carried = stats();
   acquire_metrics(registry);
   m_.opened.inc(carried.opened);
@@ -74,7 +73,6 @@ void ConnectionGate::bind_metrics(obs::MetricsRegistry& registry,
   m_.rate_table_overflow.inc(carried.rate_table_overflow);
   m_.active.add(static_cast<std::int64_t>(conns_.size()));
   own_registry_.reset();
-  trace_ = trace;
 }
 
 const OverloadStats& ConnectionGate::stats() const noexcept {
@@ -135,17 +133,11 @@ ConnectionGate::Admission ConnectionGate::open(net::IPv4 source,
   m_.opened.inc();
   if (draining_) {
     m_.shed_draining.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::ConnShed, 0, 0, "draining");
-    }
     return Admission{0, AdmitDecision::ShedDraining};
   }
   if (config_.max_connections != 0 &&
       conns_.size() >= config_.max_connections) {
     m_.shed_capacity.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::ConnShed, 0, 0, "capacity");
-    }
     return Admission{0, AdmitDecision::ShedCapacity};
   }
   if (pressure_ != nullptr && config_.max_connections != 0) {
@@ -156,17 +148,11 @@ ConnectionGate::Admission ConnectionGate::open(net::IPv4 source,
         pressure_->level_index()));
     if (conns_.size() >= cap) {
       m_.shed_pressure.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::ConnShed, 0, 0, "pressure");
-      }
       return Admission{0, AdmitDecision::ShedPressure};
     }
   }
   if (!rate_admit(source, now)) {
     m_.shed_rate.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::ConnShed, 0, 0, "rate");
-    }
     return Admission{0, AdmitDecision::ShedRate};
   }
   m_.accepted.inc();
@@ -178,7 +164,6 @@ ConnectionGate::Admission ConnectionGate::open(net::IPv4 source,
   conns_.emplace(id, conn);
   m_.active.add(1);
   arm(id, conn);
-  if (trace_ != nullptr) trace_->emit(now, obs::TraceKind::ConnAdmit, id);
   return Admission{id, AdmitDecision::Accept};
 }
 
@@ -248,21 +233,14 @@ std::vector<ConnectionGate::Expired> ConnectionGate::reap(util::SimTime now) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) continue;
     const ExpireReason reason = classify(it->second);
-    const char* label = "";
     switch (reason) {
-      case ExpireReason::Header: m_.expired_header.inc(); label = "header"; break;
-      case ExpireReason::Body: m_.expired_body.inc(); label = "body"; break;
-      case ExpireReason::Idle: m_.expired_idle.inc(); label = "idle"; break;
-      case ExpireReason::DrainForced:
-        m_.drain_forced_closes.inc();
-        label = "drain_forced";
-        break;
+      case ExpireReason::Header: m_.expired_header.inc(); break;
+      case ExpireReason::Body: m_.expired_body.inc(); break;
+      case ExpireReason::Idle: m_.expired_idle.inc(); break;
+      case ExpireReason::DrainForced: m_.drain_forced_closes.inc(); break;
     }
     conns_.erase(it);
     m_.active.sub(1);
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::ConnReap, id, 0, label);
-    }
     out.push_back(Expired{id, reason});
   }
   return out;
@@ -279,9 +257,6 @@ void ConnectionGate::close(std::uint64_t id, bool completed) {
     if (draining_) m_.drained_completed.inc();
   } else {
     m_.aborted.inc();
-  }
-  if (trace_ != nullptr) {
-    trace_->emit(0, obs::TraceKind::ConnComplete, id, completed ? 1 : 0);
   }
 }
 

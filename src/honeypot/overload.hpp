@@ -32,7 +32,6 @@
 #include "net/endpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pressure.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 #include "util/deadline_queue.hpp"
 #include "util/token_bucket.hpp"
@@ -142,9 +141,8 @@ class ConnectionGate {
   const OverloadStats& stats() const noexcept;
 
   /// Source the OverloadStats fields from a shared registry (current values
-  /// carry over) and optionally trace admit/shed/reap/complete events.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// carry over).
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Subscribe to the system-wide degradation ladder: at pressure level L
   /// the admission cap shrinks to max_connections*(4-L)/4, shedding early
@@ -199,7 +197,6 @@ class ConnectionGate {
   const obs::PressureSignal* pressure_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
 };
 
 /// Flat named-counter snapshot of the serving layer's load counters

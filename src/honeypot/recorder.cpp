@@ -9,8 +9,7 @@ std::string to_string(HostingPlatform p) {
   return p == HostingPlatform::Aws ? "aws" : "gcp";
 }
 
-void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry,
-                                   obs::QueryTrace* trace) {
+void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry) {
   m_.records = registry.counter("nxd_honeypot_records_total",
                                 "Traffic records captured");
   m_.capture_drops =
@@ -36,7 +35,6 @@ void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry,
   m_.shed_connections.inc(shed_connections_);
   m_.expired_connections.inc(expired_connections_);
   m_.drained_connections.inc(drained_connections_);
-  trace_ = trace;
 }
 
 void TrafficRecorder::record(TrafficRecord record) {
@@ -56,10 +54,6 @@ void TrafficRecorder::record(TrafficRecord record) {
     if (verdict.drop) {
       ++capture_drops_;
       m_.capture_drops.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(record.when, obs::TraceKind::CaptureDrop, record.dst_port,
-                     static_cast<std::int64_t>(record.payload.size()));
-      }
       return;
     }
     record.payload.assign(payload.begin(), payload.end());

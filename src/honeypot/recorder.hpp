@@ -11,7 +11,6 @@
 #include "net/endpoint.hpp"
 #include "net/fault.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 #include "util/histogram.hpp"
 
@@ -99,9 +98,8 @@ class TrafficRecorder {
   void clear();
 
   /// Mirror capture-plane counters into a shared registry (current values
-  /// carry over) and optionally trace capture drops.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// carry over).
+  void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
   struct Metrics {
@@ -115,7 +113,6 @@ class TrafficRecorder {
   };
 
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
   std::vector<TrafficRecord> records_;
   util::Counter port_counts_;
   net::FaultPlan* fault_plan_ = nullptr;

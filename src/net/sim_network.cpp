@@ -10,8 +10,7 @@ void SimNetwork::detach(const Endpoint& ep, Protocol proto) {
   services_.erase(ServiceKey{ep, proto});
 }
 
-void SimNetwork::bind_metrics(obs::MetricsRegistry& registry,
-                              obs::QueryTrace* trace) {
+void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
   m_.delivered = registry.counter("nxd_net_packets_delivered_total",
                                   "Packets handed to an attached service");
   m_.dropped = registry.counter("nxd_net_packets_dropped_total",
@@ -37,31 +36,23 @@ void SimNetwork::bind_metrics(obs::MetricsRegistry& registry,
   m_.dropped.inc(dropped_);
   mirror_faults(FaultStats{}, fault_plan_.stats());
   metrics_bound_ = true;
-  trace_ = trace;
 }
 
 void SimNetwork::mirror_faults(const FaultStats& before,
                                const FaultStats& after) {
-  const util::SimTime now = clock_ != nullptr ? clock_->now() : 0;
-  const auto mirror = [&](std::uint64_t b, std::uint64_t a, obs::Counter& c,
-                          const char* kind) {
+  const auto mirror = [](std::uint64_t b, std::uint64_t a, obs::Counter& c) {
     if (a <= b) return;  // no new faults (or the plan was reset/swapped)
     c.inc(a - b);
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::FaultInject, 0,
-                   static_cast<std::int64_t>(a - b), kind);
-    }
   };
-  mirror(before.injected_drops, after.injected_drops, m_.fault_drops, "drop");
+  mirror(before.injected_drops, after.injected_drops, m_.fault_drops);
   mirror(before.injected_duplicates, after.injected_duplicates,
-         m_.fault_duplicates, "duplicate");
+         m_.fault_duplicates);
   mirror(before.injected_corruptions, after.injected_corruptions,
-         m_.fault_corruptions, "corrupt");
+         m_.fault_corruptions);
   mirror(before.injected_truncations, after.injected_truncations,
-         m_.fault_truncations, "truncate");
-  mirror(before.injected_delays, after.injected_delays, m_.fault_delays,
-         "delay");
-  mirror(before.outage_drops, after.outage_drops, m_.outage_drops, "outage");
+         m_.fault_truncations);
+  mirror(before.injected_delays, after.injected_delays, m_.fault_delays);
+  mirror(before.outage_drops, after.outage_drops, m_.outage_drops);
   if (after.total_delay > before.total_delay) {
     m_.fault_delay_seconds.inc(
         static_cast<std::uint64_t>(after.total_delay - before.total_delay));

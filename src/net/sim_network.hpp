@@ -22,7 +22,6 @@
 #include "net/endpoint.hpp"
 #include "net/fault.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 
 namespace nxd::net {
@@ -91,12 +90,11 @@ class SimNetwork {
   std::uint64_t delivered() const noexcept { return delivered_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Mirror delivery and fault-injection counts into a shared registry and
-  /// optionally trace each injected fault.  Fault counters mirror per-send
-  /// deltas of the plan's own stats, so they stay monotonic even when a
-  /// caller reset_stats()s or swaps the plan mid-run.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// Mirror delivery and fault-injection counts into a shared registry.
+  /// Fault counters mirror per-send deltas of the plan's own stats, so they
+  /// stay monotonic even when a caller reset_stats()s or swaps the plan
+  /// mid-run.
+  void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
   struct Metrics {
@@ -122,7 +120,6 @@ class SimNetwork {
   std::uint64_t dropped_ = 0;
   bool metrics_bound_ = false;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
 };
 
 }  // namespace nxd::net

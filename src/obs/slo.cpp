@@ -99,25 +99,11 @@ const SloReport& SloMonitor::evaluate(const TimeSeriesStore& ts,
               budget, config_.ticket_burn);
   }
 
-  // Rising-edge alert events.
+  // Rising-edge alert counts.
   const bool page = r.any_page();
   const bool ticket = r.any_ticket();
-  if (page && !page_was_firing_) {
-    ++pages_;
-    if (trace_ != nullptr) {
-      const char* which = r.availability.page.firing ? "availability" : "latency";
-      trace_->emit(now, TraceKind::SloAlert, pages_, 2,
-                   std::string("page:") + which);
-    }
-  }
-  if (ticket && !ticket_was_firing_) {
-    ++tickets_;
-    if (trace_ != nullptr) {
-      const char* which = r.availability.ticket.firing ? "availability" : "latency";
-      trace_->emit(now, TraceKind::SloAlert, tickets_, 1,
-                   std::string("ticket:") + which);
-    }
-  }
+  if (page && !page_was_firing_) ++pages_;
+  if (ticket && !ticket_was_firing_) ++tickets_;
   page_was_firing_ = page;
   ticket_was_firing_ = ticket;
   last_ = std::move(r);
@@ -247,14 +233,6 @@ AnomalyVerdict NxAnomalyDetector::update(util::SimTime now, double share,
     if (next == AnomalyState::Spike) ++spikes_;
     if (next == AnomalyState::Flood) ++floods_;
     if (next == AnomalyState::Drift) ++drifts_;
-    if (trace_ != nullptr &&
-        (next == AnomalyState::Spike || next == AnomalyState::Flood ||
-         next == AnomalyState::Drift)) {
-      trace_->emit(now, TraceKind::Anomaly,
-                   static_cast<std::uint64_t>(evaluations_),
-                   static_cast<std::int64_t>(share * 10000.0),
-                   to_string(next));
-    }
     if (pressure_ != nullptr) {
       if (next == AnomalyState::Flood) {
         pressure_->set_external_floor(config_.flood_floor);

@@ -32,7 +32,6 @@
 
 #include "obs/pressure.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 
 namespace nxd::obs {
@@ -87,8 +86,8 @@ class SloMonitor {
  public:
   explicit SloMonitor(SloConfig config = {});
 
-  /// Evaluate both objectives at `now`; emits SloAlert trace events on
-  /// page/ticket rising edges when a trace sink is attached.
+  /// Evaluate both objectives at `now`; pages_fired()/tickets_fired() count
+  /// page/ticket rising edges.
   const SloReport& evaluate(const TimeSeriesStore& ts, util::SimTime now);
 
   const SloReport& last() const noexcept { return last_; }
@@ -96,12 +95,9 @@ class SloMonitor {
   std::uint64_t pages_fired() const noexcept { return pages_; }
   std::uint64_t tickets_fired() const noexcept { return tickets_; }
 
-  void set_trace(QueryTrace* trace) noexcept { trace_ = trace; }
-
  private:
   SloConfig config_;
   SloReport last_;
-  QueryTrace* trace_ = nullptr;
   bool page_was_firing_ = false;
   bool ticket_was_firing_ = false;
   std::uint64_t pages_ = 0;
@@ -160,7 +156,6 @@ class NxAnomalyDetector {
   std::uint64_t drifts() const noexcept { return drifts_; }
   std::uint64_t evaluations() const noexcept { return evaluations_; }
 
-  void set_trace(QueryTrace* trace) noexcept { trace_ = trace; }
   /// While in Flood, pin `pressure`'s external floor at config.flood_floor;
   /// cleared when the detector leaves Flood.
   void attach_pressure(PressureSignal* pressure) noexcept {
@@ -183,7 +178,6 @@ class NxAnomalyDetector {
   std::uint64_t floods_ = 0;
   std::uint64_t drifts_ = 0;
   std::uint64_t evaluations_ = 0;
-  QueryTrace* trace_ = nullptr;
   PressureSignal* pressure_ = nullptr;
 };
 

@@ -35,12 +35,12 @@ void append_json_escaped(std::string* out, const std::string& v) {
 
 std::string capped(std::string_view detail, std::uint64_t* truncated,
                    Counter* metric) {
-  std::string s{detail};
-  if (cap_detail(&s)) {
+  if (detail.size() > kDetailCap) {
+    detail = detail.substr(0, kDetailCap);
     ++*truncated;
     metric->inc();
   }
-  return s;
+  return std::string{detail};
 }
 
 // --- minimal strict JSON field scanners for parse_jsonl -------------------

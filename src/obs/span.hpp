@@ -16,9 +16,9 @@
 // Unsampled work costs one branch: `trace_root` returns a null SpanId and
 // every operation on a null id is a no-op, mirroring the null-handle rule of
 // MetricsRegistry.  Finished spans land in a bounded, drop-counted ring
-// (QueryTrace's overwrite-oldest discipline); unbounded per-name counters
-// are NOT kept here — reconciliation uses `traces_started()` /
-// `spans_recorded()` plus `spans_dropped()`.
+// that overwrites oldest-first; unbounded per-name counters are NOT kept
+// here — reconciliation uses `traces_started()` / `spans_recorded()` plus
+// `spans_dropped()`, and per-event counts live in the registry.
 //
 // Timestamps are int64 in whatever unit the emitting layer uses: SimTime
 // seconds on sim-driven paths (resolver, honeypot — deterministic), or
@@ -34,10 +34,15 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"  // kDetailCap / cap_detail, shared with QueryTrace
-#include "util/rng.hpp"   // SplitMix64 for the inline sampling hash
+#include "util/rng.hpp"  // SplitMix64 for the inline sampling hash
 
 namespace nxd::obs {
+
+/// Hard cap on SpanRecord detail strings, in bytes (DESIGN.md §4k).  A
+/// water-torture flood of maximum-length random qnames must not be able to
+/// bloat the bounded ring: with the cap, ring memory is
+/// O(capacity × kDetailCap) regardless of workload.
+constexpr std::size_t kDetailCap = 128;
 
 /// Identity of an open span: (trace id, span id).  trace == 0 means "not
 /// sampled" and every SpanTracer operation on it is a no-op.

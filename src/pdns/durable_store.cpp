@@ -153,7 +153,6 @@ struct DurableStore::Core {
   std::mutex metrics_mutex;
   Metrics m;  // null handles until bind_metrics()
   obs::MetricsRegistry* registry = nullptr;
-  obs::QueryTrace* trace = nullptr;
   obs::SpanTracer* spans = nullptr;
   // Span timestamps are nanoseconds since store open (steady clock) — the
   // store runs on real threads, so unlike the sim-driven layers its spans
@@ -202,7 +201,7 @@ struct DurableStore::Core {
   bool wait_all();
   bool request_checkpoint();
   PassiveDnsStore do_materialize();
-  void do_bind(obs::MetricsRegistry& reg, obs::QueryTrace* tr);
+  void do_bind(obs::MetricsRegistry& reg);
   StageStats snapshot_stats() const;
 
   // ------------------------------------------------------------- internals
@@ -522,7 +521,6 @@ void DurableStore::Core::commit_group(
   // Stage 3: durable — apply the whole group zero-copy and advance the
   // frontier.  The in-memory fold cannot fail.
   std::uint64_t group_obs = 0;
-  obs::QueryTrace* tr = nullptr;
   if (committed_ok) {
     std::lock_guard<std::mutex> lock(apply_mutex);
     std::vector<std::span<const std::uint8_t>> frames;
@@ -561,7 +559,6 @@ void DurableStore::Core::commit_group(
   obs::SpanTracer* sp = nullptr;
   {
     std::lock_guard<std::mutex> lock(metrics_mutex);
-    tr = trace;
     sp = spans;
     if (committed_ok) {
       m.wal_batches.inc(group.size());
@@ -569,12 +566,6 @@ void DurableStore::Core::commit_group(
       m.group_batches.observe(group.size());
     } else {
       m.wal_failures.inc(group.size());
-    }
-  }
-  if (tr != nullptr && committed_ok) {
-    for (const auto& pending : group) {
-      tr->emit(0, obs::TraceKind::WalAck, pending->seq,
-               static_cast<std::int64_t>(pending->frame.size()));
     }
   }
   if (sp != nullptr && committed_ok) {
@@ -635,7 +626,7 @@ void DurableStore::Core::trigger_checkpoint(bool compact) {
   job->compact = compact;
   {
     std::lock_guard<std::mutex> lock(metrics_mutex);
-    if (registry != nullptr) tail.bind_metrics(*registry, trace);
+    if (registry != nullptr) tail.bind_metrics(*registry);
   }
   since_delta = 0;
   rounds_since_compact = compact ? 0 : rounds_since_compact + 1;
@@ -739,19 +730,13 @@ void DurableStore::Core::run_checkpoint(std::shared_ptr<CheckpointJob> job) {
   }
   const std::uint64_t taken =
       checkpoints.fetch_add(1, std::memory_order_relaxed) + 1;
-  obs::QueryTrace* tr = nullptr;
   obs::SpanTracer* sp = nullptr;
   {
     std::lock_guard<std::mutex> lock(metrics_mutex);
-    tr = trace;
     sp = spans;
     m.checkpoints.inc();
     m.deltas.inc(written.size());
     if (job->compact) m.compactions.inc();
-  }
-  if (tr != nullptr) {
-    tr->emit(0, obs::TraceKind::Checkpoint, taken,
-             static_cast<std::int64_t>(next.frontier));
   }
   if (sp != nullptr) {
     // Emitted retroactively once the manifest commit lands; failed rounds
@@ -841,8 +826,7 @@ PassiveDnsStore DurableStore::Core::do_materialize() {
   return out;
 }
 
-void DurableStore::Core::do_bind(obs::MetricsRegistry& reg,
-                                 obs::QueryTrace* tr) {
+void DurableStore::Core::do_bind(obs::MetricsRegistry& reg) {
   std::lock_guard<std::mutex> apply_lock(apply_mutex);
   std::lock_guard<std::mutex> lock(metrics_mutex);
   m.wal_batches = reg.counter("nxd_pdns_wal_batches_total",
@@ -862,11 +846,10 @@ void DurableStore::Core::do_bind(obs::MetricsRegistry& reg,
   m.wal_batches.inc(committed.load(std::memory_order_relaxed));
   m.checkpoints.inc(checkpoints.load(std::memory_order_relaxed));
   registry = &reg;
-  trace = tr;
   // The tail provides the per-shard observation counters and the batch-size
   // histogram; re-bound after every checkpoint hand-off (the tail shards
   // are replaced there).
-  tail.bind_metrics(reg, tr);
+  tail.bind_metrics(reg);
 }
 
 DurableStore::StageStats DurableStore::Core::snapshot_stats() const {
@@ -968,9 +951,8 @@ DurableStore::StageStats DurableStore::stage_stats() const {
   return core_->snapshot_stats();
 }
 
-void DurableStore::bind_metrics(obs::MetricsRegistry& registry,
-                                obs::QueryTrace* trace) {
-  core_->do_bind(registry, trace);
+void DurableStore::bind_metrics(obs::MetricsRegistry& registry) {
+  core_->do_bind(registry);
 }
 
 void DurableStore::trace_spans(obs::SpanTracer* spans) {

@@ -63,7 +63,6 @@
 #include "obs/metrics.hpp"
 #include "obs/pressure.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "pdns/manifest.hpp"
 #include "pdns/sharded_store.hpp"
 #include "pdns/store.hpp"
@@ -251,13 +250,11 @@ class DurableStore {
                                    std::uint64_t batches);
 
   /// Mirror the durable-ingest counters into a shared registry (committed
-  /// batches, groups, checkpoints carry over) and optionally trace WAL acks
-  /// and checkpoints.  Also binds the live tail shards, so per-shard
-  /// observation counters cover everything ingested from here on; the store
-  /// re-binds the fresh tail after every checkpoint hand-off, so the
-  /// registry must outlive the store.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// batches, groups, checkpoints carry over).  Also binds the live tail
+  /// shards, so per-shard observation counters cover everything ingested
+  /// from here on; the store re-binds the fresh tail after every checkpoint
+  /// hand-off, so the registry must outlive the store.
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Emit spans for commit groups ("wal_group" with wal_append / wal_fsync /
   /// wal_apply / ckpt_handoff children, keyed by the group's last batch seq)

@@ -28,8 +28,7 @@ std::size_t ShardedStore::shard_of(const dns::DomainName& name,
   return shard_of_key(registered_domain_key(name, buf), shard_count);
 }
 
-void ShardedStore::bind_metrics(obs::MetricsRegistry& registry,
-                                obs::QueryTrace* trace) {
+void ShardedStore::bind_metrics(obs::MetricsRegistry& registry) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].bind_metrics(registry, {{"shard", std::to_string(i)}});
   }
@@ -37,7 +36,6 @@ void ShardedStore::bind_metrics(obs::MetricsRegistry& registry,
                                 "Batches routed through ingest_batch");
   m_.batch_observations = registry.histogram(
       "nxd_pdns_batch_observations", "Observations per ingested batch");
-  trace_ = trace;
 }
 
 void ShardedStore::ingest(const Observation& obs) {
@@ -48,10 +46,6 @@ void ShardedStore::ingest_batch(std::span<const Observation> batch,
                                 util::WorkerPool& pool) {
   m_.batches.inc();
   m_.batch_observations.observe(batch.size());
-  if (trace_ != nullptr) {
-    trace_->emit(0, obs::TraceKind::IngestBatch, ++batch_seq_,
-                 static_cast<std::int64_t>(batch.size()));
-  }
   const std::size_t shard_count = shards_.size();
   if (shard_count == 1 || pool.thread_count() == 0) {
     for (const auto& obs : batch) {
@@ -176,10 +170,6 @@ ShardedStore::FrameIngestStats ShardedStore::ingest_frames(
     stats.observations += parsed->size();
     m_.batches.inc();
     m_.batch_observations.observe(parsed->size());
-    if (trace_ != nullptr) {
-      trace_->emit(0, obs::TraceKind::IngestBatch, ++batch_seq_,
-                   static_cast<std::int64_t>(parsed->size()));
-    }
     if (pipelined) {
       for (const ObservationView view : *parsed) {
         rings[shard_of_key(view.registered_key(), shard_count)]->push(view);

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "pdns/frame_view.hpp"
 #include "pdns/store.hpp"
 #include "util/worker_pool.hpp"
@@ -112,10 +111,8 @@ class ShardedStore {
   std::uint64_t servfail_responses() const noexcept;
 
   /// Bind every shard's store counters under a {shard="i"} label, plus
-  /// batch-level counters (batches ingested, batch-size histogram) and an
-  /// IngestBatch trace event per ingest_batch call.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// batch-level counters (batches ingested, batch-size histogram).
+  void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
   struct Metrics {
@@ -133,8 +130,6 @@ class ShardedStore {
   StoreConfig config_;
   std::vector<PassiveDnsStore> shards_;
   Metrics m_;  // null handles until bind_metrics()
-  obs::QueryTrace* trace_ = nullptr;
-  std::uint64_t batch_seq_ = 0;
 };
 
 }  // namespace nxd::pdns

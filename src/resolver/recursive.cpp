@@ -91,8 +91,7 @@ void RecursiveResolver::acquire_metrics(obs::MetricsRegistry& registry) {
       "Simulated seconds spent per upstream resolution (network path)");
 }
 
-void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry,
-                                     obs::QueryTrace* trace) {
+void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry) {
   // Carry current counts into the shared registry so a late bind never
   // loses events.  (Histogram samples are not replayed; bind before traffic
   // when the latency distribution matters.)
@@ -116,7 +115,6 @@ void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry,
   m_.hedge_losses.inc(carried.hedge_losses);
   m_.breaker_skips.inc(carried.breaker_skips);
   own_registry_.reset();
-  trace_ = trace;
   bound_registry_ = &registry;
   if (health_ != nullptr) health_->bind_metrics(registry);
 }
@@ -165,9 +163,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint(
     if (attempt > 0) {
       now += net_.policy.backoff_before(attempt, net_.rng);
       m_.retries.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::QueryRetry, query_seq_, attempt);
-      }
     }
     obs::SpanId try_span{};
     if (tier_span_.sampled()) {
@@ -192,9 +187,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint(
       // Mangled or mismatched reply: treat like a lost packet and retry.
     }
     m_.timeouts.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::QueryTimeout, query_seq_, attempt);
-    }
     now += net_.policy.try_timeout;
     if (spans_ != nullptr) {
       spans_->end(try_span, now, -(attempt + 1), "timeout");
@@ -241,9 +233,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
     if (attempt > 0) {
       now += net_.policy.backoff_before(attempt, net_.rng);
       m_.retries.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::QueryRetry, query_seq_, attempt);
-      }
     }
     obs::SpanId try_span{};
     if (tier_span_.sampled()) {
@@ -295,10 +284,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         return primary;
       }
       m_.timeouts.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now + try_timeout, obs::TraceKind::QueryTimeout,
-                     query_seq_, attempt);
-      }
       health_->on_failure(server, now + try_timeout);
       now += try_timeout;
       if (spans_ != nullptr) {
@@ -333,10 +318,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         health_->on_success(*hedge_server, rtt2, now + hedged_done);
       } else {
         m_.timeouts.inc();
-        if (trace_ != nullptr) {
-          trace_->emit(now + hedged_done, obs::TraceKind::QueryTimeout,
-                       query_seq_, attempt);
-        }
         health_->on_failure(*hedge_server, now + hedged_done);
       }
 
@@ -354,10 +335,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
           health_->on_success(server, rtt, now + primary_done);
         } else {
           m_.timeouts.inc();
-          if (trace_ != nullptr) {
-            trace_->emit(now + primary_done, obs::TraceKind::QueryTimeout,
-                         query_seq_, attempt);
-          }
           health_->on_failure(server, now + primary_done);
         }
         now += hedged_done;
@@ -376,10 +353,6 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
       }
       // Both sides died: wait out the slower deadline, then retry.
       m_.timeouts.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now + primary_done, obs::TraceKind::QueryTimeout,
-                     query_seq_, attempt);
-      }
       health_->on_failure(server, now + primary_done);
       now += std::max(primary_done, hedged_done);
       if (spans_ != nullptr) {
@@ -621,19 +594,11 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
   const std::string qname_str = query.questions.empty()
                                     ? std::string()
                                     : query.questions.front().name.to_string();
-  if (trace_ != nullptr) {
-    trace_->emit(now, obs::TraceKind::QueryStart, query_seq_, 0, qname_str);
-  }
   root_span_ = spans_ != nullptr
                    ? spans_->trace_root(query_seq_, "resolve", now, qname_str)
                    : obs::SpanId{};
   if (query.questions.empty()) {
     ResolveOutcome out{dns::make_response(query, dns::RCode::FormErr)};
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::QueryResponse, query_seq_,
-                   static_cast<std::int64_t>(out.response.header.rcode),
-                   "formerr");
-    }
     if (spans_ != nullptr) {
       spans_->end(root_span_, now,
                   static_cast<std::int64_t>(out.response.header.rcode),
@@ -700,11 +665,6 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
     m_.servfail_responses.inc();
   }
 
-  if (trace_ != nullptr) {
-    trace_->emit(done, obs::TraceKind::QueryResponse, query_seq_,
-                 static_cast<std::int64_t>(response.header.rcode),
-                 from_cache ? "cache" : "upstream");
-  }
   if (observer_) observer_(query, response, from_cache, now);
   ResolveOutcome out{std::move(response)};
   out.from_cache = from_cache;

@@ -19,7 +19,6 @@
 #include "net/sim_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "resolver/cache.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
@@ -169,11 +168,9 @@ class RecursiveResolver {
   dns::RCode resolve_rcode(const dns::DomainName& name, util::SimTime now);
 
   /// Re-home the resolver's counters in a shared registry (current values
-  /// carry over) and optionally start emitting per-query trace events.  The
-  /// public stats() struct keeps working either way — its fields are views
-  /// over the registry handles.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// carry over).  The public stats() struct keeps working either way — its
+  /// fields are views over the registry handles.
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Start emitting causal spans: one sampled trace per client query (keyed
   /// by the query sequence number, so a fixed tracer seed samples the same
@@ -304,7 +301,6 @@ class RecursiveResolver {
   /// handles; keeps the un-instrumented construction path self-contained.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
   std::uint64_t query_seq_ = 0;  // trace correlation id for the live query
 
   /// Span context for the live query.  The resolver is single-threaded per

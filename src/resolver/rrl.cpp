@@ -26,8 +26,7 @@ void ResponseRateLimiter::acquire_metrics(obs::MetricsRegistry& registry) {
       "Checks metered at an elevated cost by the degradation ladder");
 }
 
-void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry,
-                                       obs::QueryTrace* trace) {
+void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry) {
   const RrlStats carried = stats();
   acquire_metrics(registry);
   m_.checked.inc(carried.checked);
@@ -38,7 +37,6 @@ void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry,
   m_.table_overflow.inc(carried.table_overflow);
   m_.pressure_scaled.inc(carried.pressure_scaled);
   own_registry_.reset();
-  trace_ = trace;
 }
 
 const RrlStats& ResponseRateLimiter::stats() const noexcept {
@@ -65,9 +63,6 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   m_.checked.inc();
   if (config_.responses_per_second <= 0) {
     m_.passed.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-    }
     span_verdict(now, source, "pass");
     return RrlVerdict::Pass;
   }
@@ -93,9 +88,6 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
       // unmetered rather than evicting live limiter state, but count it.
       m_.table_overflow.inc();
       m_.passed.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-      }
       span_verdict(now, source, "pass_overflow");
       return RrlVerdict::Pass;
     }
@@ -119,9 +111,6 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   }
   if (it->second.bucket.try_acquire(now, cost)) {
     m_.passed.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-    }
     span_verdict(now, source, "pass");
     return RrlVerdict::Pass;
   }
@@ -129,16 +118,10 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   ++it->second.limited_count;
   if (config_.slip != 0 && it->second.limited_count % config_.slip == 0) {
     m_.slipped.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlSlip, source.addr);
-    }
     span_verdict(now, source, "slip");
     return RrlVerdict::Slip;
   }
   m_.dropped.inc();
-  if (trace_ != nullptr) {
-    trace_->emit(now, obs::TraceKind::RrlDrop, source.addr);
-  }
   span_verdict(now, source, "drop");
   return RrlVerdict::Drop;
 }

@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/pressure.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 #include "util/token_bucket.hpp"
 
@@ -87,9 +86,8 @@ class ResponseRateLimiter {
   const RrlStats& stats() const noexcept;
 
   /// Source the RrlStats fields from a shared registry (current values carry
-  /// over) and optionally trace every verdict (event id = source address).
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// over).
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Subscribe to the system-wide degradation ladder: at pressure level L a
   /// response costs 1x/1.33x/2x/4x tokens, shrinking every source's
@@ -129,7 +127,6 @@ class ResponseRateLimiter {
   std::unordered_map<net::IPv4, Source, dns::IPv4Hash> sources_;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
   std::uint64_t span_seq_ = 0;  // sampling key for verdict spans
   const obs::PressureSignal* pressure_ = nullptr;

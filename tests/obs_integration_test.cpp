@@ -1,11 +1,12 @@
 // Cross-module observability tests: every instrumented layer bound to ONE
-// shared MetricsRegistry + QueryTrace, then
+// shared MetricsRegistry (and, where spans matter, one SpanTracer), then
 //   * the honeypot's admin-gated GET /metrics endpoint serves valid
 //     Prometheus text spanning pdns/resolver/honeypot/net,
 //   * the legacy stats structs (RecursiveStats, RrlStats, OverloadStats,
 //     recorder totals, LoadSnapshot) agree exactly with the registry,
-//   * a 10k-query run's trace reconciles against the counters even after the
-//     ring wrapped, and is byte-deterministic under a fixed seed,
+//   * a 10k-query run's span roots reconcile against the counters even after
+//     the ring wrapped, and the span export is byte-deterministic under a
+//     fixed seed,
 //   * the offline snapshot-text path (`nxdtool metrics`) re-renders the same
 //     exposition bytes as the live endpoint.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -25,7 +27,7 @@
 #include "net/sim_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "pdns/observation.hpp"
 #include "pdns/store.hpp"
 #include "resolver/health.hpp"
@@ -60,10 +62,10 @@ std::string status_line(const std::vector<std::uint8_t>& wire) {
   return text.substr(0, text.find("\r\n"));
 }
 
-/// Drive every instrumented module against one registry/trace pair.
+/// Drive every instrumented module against one registry.
 struct ObservedWorld {
   obs::MetricsRegistry registry;
-  obs::QueryTrace trace;
+  std::unique_ptr<obs::SpanTracer> spans;  // set by trace_spans()
 
   resolver::DnsHierarchy hierarchy;
   net::SimNetwork network;
@@ -73,9 +75,8 @@ struct ObservedWorld {
   honeypot::TrafficRecorder recorder;
   std::unique_ptr<honeypot::NxdHoneypot> honeypot;
 
-  explicit ObservedWorld(std::uint64_t seed, std::size_t trace_capacity = 4096)
-      : trace(trace_capacity),
-        // Near-zero refill so the limiter visibly trips even though the
+  explicit ObservedWorld(std::uint64_t seed)
+      : // Near-zero refill so the limiter visibly trips even though the
         // workload advances simulated time between checks.
         rrl(resolver::RrlConfig{.responses_per_second = 0.001, .burst = 1.0}) {
     hierarchy.register_domain(dns::DomainName::must("example.com"),
@@ -105,12 +106,22 @@ struct ObservedWorld {
     guard.per_ip_burst = 1;
     honeypot->enable_overload(guard);
 
-    resolver->bind_metrics(registry, &trace);
-    network.bind_metrics(registry, &trace);
-    rrl.bind_metrics(registry, &trace);
+    resolver->bind_metrics(registry);
+    network.bind_metrics(registry);
+    rrl.bind_metrics(registry);
     store.bind_metrics(registry);
-    recorder.bind_metrics(registry, &trace);
-    honeypot->gate()->bind_metrics(registry, &trace);
+    recorder.bind_metrics(registry);
+    honeypot->gate()->bind_metrics(registry);
+  }
+
+  /// Share one tracer, sampling every trace, across the resolver, the RRL
+  /// and the honeypot's connection lifecycle.
+  void trace_spans(std::size_t capacity) {
+    spans = std::make_unique<obs::SpanTracer>(
+        obs::SpanTracer::Config{.sample_rate = 1.0, .capacity = capacity});
+    resolver->trace_spans(spans.get());
+    rrl.trace_spans(spans.get());
+    honeypot->trace_spans(spans.get());
   }
 
   /// A deterministic mixed workload touching every instrumented path.
@@ -131,11 +142,17 @@ struct ObservedWorld {
                                        static_cast<std::uint8_t>(i % 4)),
                 now);
     }
+    // Streaming connections, so admitted ones carry a "conn" span.
     const std::string request =
         "GET / HTTP/1.1\r\nHost: obs-demo.com\r\n\r\n";
+    const std::span<const std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t*>(request.data()), request.size());
     for (std::size_t i = 0; i < 32; ++i) {
-      honeypot->handle_packet(
-          http_packet(request, static_cast<std::uint8_t>(i % 3)), now);
+      const net::Endpoint src{
+          dns::IPv4::from_octets(198, 51, 100, static_cast<std::uint8_t>(i % 3)),
+          40'000};
+      const auto open = honeypot->conn_open(src, now, 80);
+      if (open.accepted) honeypot->conn_data(open.id, bytes, now);
       now += (i % 8 == 7) ? 5 : 0;
     }
   }
@@ -299,52 +316,49 @@ TEST(ObsIntegration, LegacyStatsEqualRegistryCounters) {
   }
 }
 
-TEST(ObsIntegration, TraceReconcilesWithCountersAfterWraparound) {
-  ObservedWorld world(13, /*trace_capacity=*/2048);
+TEST(ObsIntegration, SpansReconcileWithCountersAfterWraparound) {
+  ObservedWorld world(13);
+  world.trace_spans(2048);
   world.run(10'000);  // far past the ring capacity
 
+  // Every resolve, rrl and conn root is a trace start, so the tracer's
+  // unbounded trace count reconciles exactly against the registry even
+  // though the resident ring only holds the newest 2048 spans.
   const auto& rs = world.resolver->stats();
-  EXPECT_EQ(rs.client_queries, 10'000u);
-  // Unbounded per-kind counters reconcile exactly against the registry even
-  // though the resident ring only holds the newest 2048 events.
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryStart), rs.client_queries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryResponse),
-            rs.client_queries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryRetry), rs.retries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryTimeout), rs.timeouts);
-
   const auto& rrl_stats = world.rrl.stats();
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlPass), rrl_stats.passed);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlSlip), rrl_stats.slipped);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlDrop), rrl_stats.dropped);
-
   const auto gate_stats = world.honeypot->gate()->stats();
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::ConnAdmit),
-            gate_stats.accepted);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::ConnShed),
-            gate_stats.shed_total());
+  EXPECT_EQ(rs.client_queries, 10'000u);
+  EXPECT_EQ(rrl_stats.checked, 10'000u);
+  EXPECT_GT(gate_stats.accepted, 0u);
+  EXPECT_GT(gate_stats.shed_total(), 0u);  // shed connections carry no span
+  const obs::SpanTracer& spans = *world.spans;
+  EXPECT_EQ(spans.traces_started(),
+            rs.client_queries + rrl_stats.checked + gate_stats.accepted);
+  EXPECT_EQ(spans.spans_open(), 0u);
 
-  // Every event is accounted for: resident + dropped == emitted, and the
-  // JSONL export carries exactly the resident events.
-  const auto events = world.trace.events();
-  EXPECT_GT(world.trace.dropped(), 0u);
-  EXPECT_EQ(world.trace.total_emitted(), events.size() + world.trace.dropped());
-  const std::string jsonl = world.trace.to_jsonl();
+  // Every span is accounted for: resident + dropped == recorded, and the
+  // JSONL export carries exactly the resident spans.
+  const auto finished = spans.finished();
+  EXPECT_GT(spans.spans_dropped(), 0u);
+  EXPECT_EQ(spans.spans_recorded(), finished.size() + spans.spans_dropped());
+  const std::string jsonl = spans.to_jsonl();
   std::size_t lines = 0;
   for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, events.size());
+  EXPECT_EQ(lines, finished.size());
 }
 
 TEST(ObsIntegration, DeterministicUnderFixedSeed) {
   const auto run_once = [] {
-    ObservedWorld world(21, 1024);
+    ObservedWorld world(21);
+    world.trace_spans(1024);
     world.run(2'000);
-    return std::make_pair(world.trace.to_jsonl(),
+    return std::make_pair(world.spans->to_jsonl(),
                           obs::render_prometheus(world.registry));
   };
   const auto a = run_once();
   const auto b = run_once();
-  EXPECT_EQ(a.first, b.first);    // identical JSONL trace
+  EXPECT_FALSE(a.first.empty());
+  EXPECT_EQ(a.first, b.first);    // identical span JSONL
   EXPECT_EQ(a.second, b.second);  // identical Prometheus text
 }
 

@@ -1,8 +1,9 @@
 // Unit tests for nxd::obs — the metrics registry, the Prometheus renderer,
-// and the query-trace ring.  Everything here depends only on nxd_obs +
-// nxd_util, which keeps the ASan/TSan duplicate targets' source lists small;
-// the cross-module wiring (live /metrics endpoint, stats equivalence, trace
-// reconciliation against counters) lives in tests/obs_integration_test.cpp.
+// and the span ring under contention.  Everything here depends only on
+// nxd_obs + nxd_util, which keeps the ASan/TSan duplicate targets' source
+// lists small; the cross-module wiring (live /metrics endpoint, stats
+// equivalence, span reconciliation against counters) lives in
+// tests/obs_integration_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/worker_pool.hpp"
 
 namespace nxd::obs {
@@ -255,59 +256,10 @@ TEST(Prometheus, EscapesLabelValues) {
   EXPECT_NE(text.find("k=\"a\\\"b\\\\c\\nd\""), std::string::npos);
 }
 
-// -------------------------------------------------------------------- trace
-
-TEST(Trace, RingWraparoundCountsDrops) {
-  QueryTrace trace(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    trace.emit(static_cast<util::SimTime>(i), TraceKind::QueryStart, i);
-  }
-  EXPECT_EQ(trace.total_emitted(), 10u);
-  EXPECT_EQ(trace.dropped(), 6u);
-  const auto events = trace.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first residue: seqs 6..9 survive, in emit order.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 6 + i);
-    EXPECT_EQ(events[i].id, 6 + i);
-  }
-  // Per-kind emitted counters are NOT bounded by the ring.
-  EXPECT_EQ(trace.emitted(TraceKind::QueryStart), 10u);
-  EXPECT_EQ(trace.emitted(TraceKind::QueryRetry), 0u);
-}
-
-TEST(Trace, ClearResetsEverything) {
-  QueryTrace trace(4);
-  trace.emit(0, TraceKind::ConnAdmit, 1);
-  trace.clear();
-  EXPECT_EQ(trace.total_emitted(), 0u);
-  EXPECT_EQ(trace.dropped(), 0u);
-  EXPECT_EQ(trace.emitted(TraceKind::ConnAdmit), 0u);
-  EXPECT_TRUE(trace.events().empty());
-}
-
-TEST(Trace, JsonlShapeAndEscaping) {
-  QueryTrace trace(8);
-  trace.emit(7, TraceKind::QueryStart, 1, -3, "a\"b\\c\nd\te");
-  const std::string jsonl = trace.to_jsonl();
-  EXPECT_NE(jsonl.find("\"kind\":\"query_start\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"t\":7"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"value\":-3"), std::string::npos);
-  EXPECT_NE(jsonl.find("a\\\"b\\\\c\\nd\\te"), std::string::npos);
-  EXPECT_EQ(jsonl.back(), '\n');
-}
-
-TEST(Trace, KindNamesAreStable) {
-  EXPECT_STREQ(trace_kind_name(TraceKind::IngestBatch), "ingest_batch");
-  EXPECT_STREQ(trace_kind_name(TraceKind::WalAck), "wal_ack");
-  EXPECT_STREQ(trace_kind_name(TraceKind::RrlDrop), "rrl_drop");
-  EXPECT_STREQ(trace_kind_name(TraceKind::FaultInject), "fault_inject");
-}
-
 // -------------------------------------------------------------- concurrency
 
 // The ASan/TSan duplicate binaries exist for these: N workers hammer shared
-// counter/gauge/histogram cells and one trace ring; totals must be exact and
+// counter/gauge/histogram cells and one span ring; totals must be exact and
 // the sanitizers must see clean synchronization.
 TEST(Concurrency, WorkerPoolUpdatesAreExact) {
   constexpr std::size_t kWorkers = 8;
@@ -316,7 +268,8 @@ TEST(Concurrency, WorkerPoolUpdatesAreExact) {
   auto counter = registry.counter("nxd_conc_total");
   auto gauge = registry.gauge("nxd_conc_level");
   auto hist = registry.histogram("nxd_conc_lat");
-  QueryTrace trace(64);  // tiny on purpose: wraparound under contention
+  // Tiny on purpose: wraparound under contention.
+  SpanTracer spans(SpanTracer::Config{.sample_rate = 1.0, .capacity = 64});
 
   util::WorkerPool pool(kWorkers);
   pool.run_indexed(kWorkers, [&](std::size_t w) {
@@ -327,7 +280,7 @@ TEST(Concurrency, WorkerPoolUpdatesAreExact) {
       gauge.sub(1);
       hist.observe(i % 1024);
       if (i % 100 == 0) {
-        trace.emit(0, TraceKind::ConnAdmit, w * kPerWorker + i);
+        spans.end(spans.trace_root(w * kPerWorker + i, "conn", 0), 0);
       }
     }
   });
@@ -335,8 +288,9 @@ TEST(Concurrency, WorkerPoolUpdatesAreExact) {
   EXPECT_EQ(counter.value(), kWorkers * kPerWorker);
   EXPECT_EQ(gauge.value(), 0);
   EXPECT_EQ(hist.count(), kWorkers * kPerWorker);
-  EXPECT_EQ(trace.emitted(TraceKind::ConnAdmit), kWorkers * (kPerWorker / 100));
-  EXPECT_EQ(trace.total_emitted(), trace.dropped() + trace.events().size());
+  EXPECT_EQ(spans.traces_started(), kWorkers * (kPerWorker / 100));
+  EXPECT_EQ(spans.spans_recorded(),
+            spans.spans_dropped() + spans.finished().size());
 
   const auto snapshot = registry.snapshot();
   const auto* s = snapshot.find("nxd_conc_lat");
