@@ -305,12 +305,14 @@ int main(int argc, char** argv) {
   runs.push_back(baseline);
 
   // ---- sharded pipelined frame ingest ----
+  const std::vector<std::span<const std::uint8_t>> frame_spans(frames.begin(),
+                                                               frames.end());
   double merge_ns = 0;  // from the widest shard run
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     util::WorkerPool pool(shards, /*pin_threads=*/true);
     pdns::ShardedStore sharded(shards);
     const auto start = Clock::now();
-    sharded.ingest_frames(frames, pool);
+    sharded.ingest_frames(frame_spans, pool);
     const double ingest_seconds = seconds_since(start);
     const auto merge_start = Clock::now();
     const pdns::PassiveDnsStore merged = sharded.merge();

@@ -10,9 +10,14 @@
 //                  checkpoints every K batches and periodic compaction; the
 //                  ablation showing what fsync-per-batch costs;
 //   * wal+ckpt   — the production group-commit path: the caller pipelines
-//                  submit_batch() with a bounded in-flight window, so the
+//                  submit_frame() with a bounded in-flight window, so the
 //                  writer coalesces many batches per fsync barrier, with the
 //                  same delta checkpoints running in the background.
+//
+// Every durable arm encodes each batch at the edge (encode_batch_frame, inside
+// the timed region) and submits the frame, which DurableStore validates with
+// FrameView::parse before it reaches the log — the same work a real feed
+// producer and the store pay per batch.
 //
 // Each durable run reports the per-stage breakdown (append / fsync-wait /
 // apply / checkpoint ns per observation) from DurableStore::stage_stats(),
@@ -40,6 +45,7 @@
 #include <vector>
 
 #include "pdns/durable_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "pdns/store.hpp"
 #include "synth/scale_models.hpp"
@@ -182,7 +188,8 @@ int main(int argc, char** argv) {
         std::deque<std::uint64_t> inflight;
         each_batch([&](auto batch) {
           if (!ok) return;
-          const auto ticket = store->submit_batch(batch);
+          const auto ticket =
+              store->submit_frame(pdns::encode_batch_frame(batch));
           if (ticket == 0) {
             ok = false;
             return;
@@ -198,7 +205,10 @@ int main(int argc, char** argv) {
           inflight.pop_front();
         }
       } else {
-        each_batch([&](auto batch) { ok = ok && store->ingest_batch(batch); });
+        each_batch([&](auto batch) {
+          ok = ok && store->wait_batch(
+                         store->submit_frame(pdns::encode_batch_frame(batch)));
+        });
       }
       r.ingest_seconds = seconds_since(start);
       if (!ok) {

@@ -101,6 +101,7 @@
 #include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
 #include "pdns/sharded_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
 #include "resolver/recursive.hpp"
@@ -400,9 +401,11 @@ int main(int argc, char** argv) {
     std::uint64_t batch_no = 0;
     for (std::size_t at = 0; at < observations.size(); at += kBatch) {
       const auto n = std::min(kBatch, observations.size() - at);
-      // submit_batch pipelines: the WAL writer coalesces whatever queues up
-      // while the previous group's fsync is in flight.
-      durable->submit_batch(std::span(observations).subspan(at, n));
+      // Encode once at the edge; submit_frame pipelines: the WAL writer
+      // coalesces whatever queues up while the previous group's fsync is in
+      // flight.
+      durable->submit_frame(
+          pdns::encode_batch_frame(std::span(observations).subspan(at, n)));
       if (metrics_every > 0 && ++batch_no % metrics_every == 0) {
         emit_metrics(("after batch " + std::to_string(batch_no)).c_str());
       }
@@ -438,21 +441,20 @@ int main(int argc, char** argv) {
     const auto observations = stream.all_parallel(pool);
     pdns::ShardedStore sharded(threads);
     if (obs_enabled) sharded.bind_metrics(registry);
-    if (metrics_every > 0) {
-      // Batched ingest so the periodic emission has batch boundaries to fire
-      // on; each shard still sees its observations in stream order, so the
-      // merged store is identical to the one-call ingest below.
-      constexpr std::size_t kBatch = 10'000;
-      std::uint64_t batch_no = 0;
-      for (std::size_t at = 0; at < observations.size(); at += kBatch) {
-        const auto n = std::min(kBatch, observations.size() - at);
-        sharded.ingest_batch(std::span(observations).subspan(at, n), pool);
-        if (++batch_no % metrics_every == 0) {
-          emit_metrics(("after batch " + std::to_string(batch_no)).c_str());
-        }
+    // One SIE frame per 10k observations, encoded at the edge; each shard
+    // still sees its observations in stream order, so the merged store is
+    // independent of the frame split.
+    constexpr std::size_t kBatch = 10'000;
+    std::uint64_t batch_no = 0;
+    for (std::size_t at = 0; at < observations.size(); at += kBatch) {
+      const auto n = std::min(kBatch, observations.size() - at);
+      const auto frame =
+          pdns::encode_batch_frame(std::span(observations).subspan(at, n));
+      const std::span<const std::uint8_t> frames[] = {frame};
+      sharded.ingest_frames(frames, pool);
+      if (metrics_every > 0 && ++batch_no % metrics_every == 0) {
+        emit_metrics(("after batch " + std::to_string(batch_no)).c_str());
       }
-    } else {
-      sharded.ingest_batch(observations, pool);
     }
     store = sharded.merge();
     std::printf("(sharded ingest: %zu workers over %zu shards, %s observations)\n",

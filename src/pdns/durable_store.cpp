@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "pdns/frame_view.hpp"
-#include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 
 namespace nxd::pdns {
@@ -910,18 +909,6 @@ std::uint64_t DurableStore::committed_batches() const noexcept {
 }
 std::uint64_t DurableStore::checkpoints_taken() const noexcept {
   return core_->checkpoints.load(std::memory_order_relaxed);
-}
-
-bool DurableStore::ingest_batch(std::span<const Observation> batch) {
-  return core_->wait_for(core_->submit(encode_batch_frame(batch)));
-}
-
-bool DurableStore::ingest_frame(std::span<const std::uint8_t> frame) {
-  return core_->wait_for(submit_frame(frame));
-}
-
-std::uint64_t DurableStore::submit_batch(std::span<const Observation> batch) {
-  return core_->submit(encode_batch_frame(batch));
 }
 
 std::uint64_t DurableStore::submit_frame(std::span<const std::uint8_t> frame) {

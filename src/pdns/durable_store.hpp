@@ -8,7 +8,7 @@
 // background checkpoints pinned by a checksummed recovery manifest
 // (pdns/manifest.hpp):
 //
-//   ingest:      producers encode a batch frame and queue it; a dedicated
+//   ingest:      producers submit a validated SIE batch frame; a dedicated
 //                WAL writer coalesces everything queued into one group —
 //                one append run, ONE fsync — applies the group zero-copy
 //                (FrameView straight from the record payloads), then acks
@@ -155,26 +155,20 @@ class DurableStore {
   std::uint64_t committed_batches() const noexcept;
   std::uint64_t checkpoints_taken() const noexcept;
 
-  /// Encode, queue, and wait for the group commit: true == acked, the batch
-  /// survives any crash from here on.  All-or-nothing: false means the
-  /// batch is uncommitted — recovery may admit it only if its record
-  /// reached the file intact before the death (never a partial batch).
-  bool ingest_batch(std::span<const Observation> batch);
-
-  /// Zero-copy durable ingest of an already-encoded SIE batch frame: the
-  /// frame is strictly validated (reject-whole — an invalid frame must
-  /// never reach the log, where it would read as corruption), written as
-  /// the WAL record payload, and applied through the FrameView fast path
-  /// without ever materializing Observations.
-  bool ingest_frame(std::span<const std::uint8_t> frame);
-
-  /// Pipelined submission: queue a batch and return its ticket without
-  /// waiting.  A single producer that keeps a few batches in flight lets
-  /// the writer form real multi-batch groups (one fsync for all of them).
-  /// Returns 0 when the store is dead or the frame invalid.
-  std::uint64_t submit_batch(std::span<const Observation> batch);
+  /// The one ingest entry: queue an SIE batch frame (Observation batches
+  /// are encoded once at the edge with encode_batch_frame) and return its
+  /// ticket without waiting.  The frame is strictly validated first
+  /// (FrameView::parse, reject-whole): an invalid frame must never reach
+  /// the log, where it would read as corruption on replay and truncate
+  /// every acked batch behind it.  Returns 0 when the store is dead or the
+  /// frame invalid.  A single producer that keeps a few frames in flight
+  /// lets the writer form real multi-batch groups (one fsync for all of
+  /// them); wait_batch() on each ticket is the synchronous form.
   std::uint64_t submit_frame(std::span<const std::uint8_t> frame);
-  /// Wait for a submitted ticket; true == that batch is durably acked.
+  /// Wait for a submitted ticket; true == that batch is durably acked and
+  /// survives any crash from here on.  False (including for ticket 0) means
+  /// the batch is uncommitted — recovery may admit it only if its record
+  /// reached the file intact before the death, never a partial batch.
   bool wait_batch(std::uint64_t ticket);
   /// Wait until everything submitted so far is decided (acked or failed).
   bool wait_durable();

@@ -9,22 +9,21 @@
 //   - each shard is an ordinary PassiveDnsStore owned by exactly one worker
 //     during a batch — the hot path takes no locks and shares no mutable
 //     state;
-//   - routing and shard ingest *pipeline*: the caller's thread routes each
-//     observation into a fixed-capacity SPSC ring (one per shard, caller is
+//   - ingest_frames() is the one ingest entry: SIE batch frames validate in
+//     place (FrameView, reject-whole) and the caller's thread routes each
+//     ObservationView into a fixed-capacity SPSC ring (one per shard, caller
 //     the single producer, the shard's worker the single consumer), so
-//     shards start folding the head of a batch while the tail is still being
-//     routed.  When the pool is too small to dedicate a worker per shard the
-//     path falls back to the original two-pass partition/ingest barrier;
-//   - ingest_frames() is the zero-copy front end: SIE frames validate
-//     in place (FrameView, reject-whole) and ObservationViews flow through
-//     the same rings straight into shard-local interned ingest — no
-//     per-observation allocation anywhere between the wire and the
-//     aggregates;
+//     shards fold the head of a batch while the tail is still being routed,
+//     with no per-observation allocation between the wire and the
+//     aggregates.  A pool with fewer workers than shards routes and folds
+//     inline on the caller's thread instead.  Observation batches are
+//     encoded once at the edge (encode_batch_frame), so every path into a
+//     store passes the same validation;
 //   - merge() folds the shards into one store via PassiveDnsStore::absorb.
 //     Every aggregate is a commutative fold (sum/min/max), so the merged
 //     store — and its v2 snapshot, byte for byte — is identical to serial
 //     ingest of the same stream (tests/sharded_ingest_test and
-//     tests/ingest_fastpath_test pin this for both front ends).
+//     tests/ingest_fastpath_test pin this).
 #pragma once
 
 #include <cstdint>
@@ -46,14 +45,9 @@ class ShardedStore {
 
   explicit ShardedStore(std::size_t shard_count, StoreConfig config = {});
 
-  /// Stable shard routing: FNV-1a over the registered-domain key, mod
-  /// `shard_count`.  Pure function of the name — identical on every
-  /// platform, every thread count, every batch split.
-  static std::size_t shard_of(const dns::DomainName& name,
-                              std::size_t shard_count) noexcept;
-
-  /// Same routing from an already-composed registered-domain key (the
-  /// zero-copy path has the key as a view into the frame, no DomainName).
+  /// Stable shard routing: FNV-1a over the registered-domain key
+  /// (registered_domain_key), mod `shard_count`.  Pure function of the key —
+  /// identical on every platform, every thread count, every batch split.
   static std::size_t shard_of_key(std::string_view registered_key,
                                   std::size_t shard_count) noexcept;
 
@@ -61,36 +55,19 @@ class ShardedStore {
   PassiveDnsStore& shard(std::size_t i) { return shards_[i]; }
   const PassiveDnsStore& shard(std::size_t i) const { return shards_[i]; }
 
-  /// Route a single observation to its shard (serial; for SIE subscribers).
-  void ingest(const Observation& obs);
-
-  /// Parallel batch ingest.  With a worker per shard available, routing and
-  /// ingest pipeline through per-shard SPSC rings: the calling thread is the
-  /// single producer (computes each observation's route, pushes a pointer),
-  /// each shard's worker the single consumer.  Results are independent of
-  /// scheduling — each shard still sees exactly its observations in batch
-  /// order.  Pools with fewer threads than shards fall back to the two-pass
-  /// partition/ingest barrier; zero-thread pools run serially inline.
-  void ingest_batch(std::span<const Observation> batch, util::WorkerPool& pool);
-
   /// Zero-copy pipelined frame ingest.  Each frame is strictly validated
   /// first (FrameView::parse — reject-whole, identical acceptance to
   /// decode_batch_frame), then its ObservationViews are routed into the
-  /// per-shard rings and folded by shard-local interned ingest.  No
-  /// per-observation allocation.  Frames must stay alive for the duration
-  /// of the call (views alias frame bytes).
+  /// per-shard rings and folded by shard-local interned ingest.  Results are
+  /// independent of scheduling: each shard sees exactly its observations in
+  /// frame order.  Pools with fewer threads than shards (including
+  /// zero-thread pools) run inline and serial.  Frames must stay alive for
+  /// the duration of the call (views alias frame bytes).
   struct FrameIngestStats {
     std::uint64_t accepted_frames = 0;
     std::uint64_t rejected_frames = 0;
     std::uint64_t observations = 0;  // from accepted frames only
   };
-  FrameIngestStats ingest_frames(
-      std::span<const std::vector<std::uint8_t>> frames,
-      util::WorkerPool& pool);
-
-  /// Same zero-copy path over borrowed frame bytes — the WAL group-commit
-  /// writer applies a group straight from its record payloads without
-  /// copying them into vectors first.
   FrameIngestStats ingest_frames(
       std::span<const std::span<const std::uint8_t>> frames,
       util::WorkerPool& pool);
@@ -120,12 +97,9 @@ class ShardedStore {
     obs::LatencyHistogram batch_observations;
   };
 
-  /// Per-shard SPSC ring capacity for the pipelined paths.  Deep enough to
+  /// Per-shard SPSC ring capacity for the pipelined path.  Deep enough to
   /// absorb scheduling jitter, small enough to stay cache-resident.
   static constexpr std::size_t kRingCapacity = 4096;
-
-  void ingest_batch_twopass(std::span<const Observation> batch,
-                            util::WorkerPool& pool);
 
   StoreConfig config_;
   std::vector<PassiveDnsStore> shards_;

@@ -6,7 +6,6 @@
 #include <filesystem>
 
 #include "pdns/frame_view.hpp"
-#include "pdns/sie_channel.hpp"
 #include "util/bytes.hpp"
 
 namespace nxd::pdns {
@@ -100,10 +99,6 @@ bool Wal::sync() {
     return false;
   }
   return true;
-}
-
-bool Wal::append_batch(std::span<const Observation> batch) {
-  return append_frame(encode_batch_frame(batch)) && sync();
 }
 
 bool Wal::rotate() {

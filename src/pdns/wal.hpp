@@ -16,8 +16,7 @@
 // Group commit: append_frame() only buffers a record; nothing is durable
 // until sync() returns true.  DurableStore's writer thread appends a whole
 // group of batches and pays one fsync for all of them — the acks ride that
-// single barrier.  append_batch() remains as the one-batch convenience
-// (append + sync), used by tools and tests.
+// single barrier; a group of one is simply append_frame() + sync().
 //
 // Recovery semantics are strict and asymmetric, like the frame decoder's:
 //   - a torn/corrupt record truncates the tail — everything from the first
@@ -37,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "pdns/observation.hpp"
 #include "util/checked_io.hpp"
 
 namespace nxd::pdns {
@@ -66,17 +64,14 @@ class Wal {
   /// Buffer one batch (an already-encoded, valid SIE batch frame) as the
   /// next record.  NOT durable until sync() — the group-commit building
   /// block.  The caller guarantees the frame is strictly valid
-  /// (encode_batch_frame output or FrameView-validated); an invalid frame
-  /// in the log would read as corruption and truncate the tail on replay.
+  /// (DurableStore::submit_frame runs FrameView::parse before it queues);
+  /// an invalid frame in the log would read as corruption and truncate the
+  /// tail on replay.
   bool append_frame(std::span<const std::uint8_t> frame);
 
   /// Durability barrier: flush + fsync everything appended so far.  True ==
   /// every batch appended since the last sync is durable and may be acked.
   bool sync();
-
-  /// Append one batch as a single record and make it durable (a group of
-  /// one: append_frame + sync).
-  bool append_batch(std::span<const Observation> batch);
 
   /// Close the current segment and start the next one (checkpoint boundary).
   bool rotate();

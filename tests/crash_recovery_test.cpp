@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dns/message.hpp"
 #include "dns/name.hpp"
 #include "pdns/durable_store.hpp"
 #include "pdns/manifest.hpp"
@@ -98,6 +99,24 @@ std::vector<std::uint8_t> serial_snapshot(
   return pdns::save_snapshot(store);
 }
 
+/// Edge-encode one batch as an SIE frame and queue it through the one
+/// durable ingest entry.  Returns the ticket (0 == refused).
+std::uint64_t submit(pdns::DurableStore& store,
+                     std::span<const pdns::Observation> batch) {
+  return store.submit_frame(pdns::encode_batch_frame(batch));
+}
+
+/// submit() and wait for the group commit: true == acked.
+bool ingest(pdns::DurableStore& store,
+            std::span<const pdns::Observation> batch) {
+  return store.wait_batch(submit(store, batch));
+}
+
+/// One batch as its own WAL record, made durable alone (a group of one).
+bool append_durable(pdns::Wal& wal, std::span<const pdns::Observation> batch) {
+  return wal.append_frame(pdns::encode_batch_frame(batch)) && wal.sync();
+}
+
 /// Config for the plain (non-crash) round-trip tests: async group commit,
 /// manual checkpoints only.
 pdns::DurableStore::Config plain_config(std::size_t shards) {
@@ -138,7 +157,7 @@ ScriptResult run_script(
   ScriptResult result;
   result.opened = true;
   for (std::size_t b = 0; b < batches.size(); ++b) {
-    if (!store->ingest_batch(batches[b])) break;
+    if (!ingest(*store, batches[b])) break;
     ++result.acked;
     if (b + 1 == batches.size() / 2) store->checkpoint();
   }
@@ -348,7 +367,7 @@ TEST(Wal, AppendRotateReplayRoundTrip) {
   auto wal = pdns::Wal::create(dir, config, /*segment_index=*/0,
                                /*next_seq=*/1);
   ASSERT_TRUE(wal.has_value());
-  for (const auto& batch : batches) ASSERT_TRUE(wal->append_batch(batch));
+  for (const auto& batch : batches) ASSERT_TRUE(append_durable(*wal, batch));
   EXPECT_EQ(wal->next_seq(), 6u);
   EXPECT_GE(pdns::Wal::list_segments(dir).size(), 2u);
 
@@ -445,7 +464,7 @@ TEST(Wal, TornTailDropsOnlyTheLastBatch) {
   pdns::Wal::Config config;  // large segments: everything in one file
   auto wal = pdns::Wal::create(dir, config, 0, 1);
   ASSERT_TRUE(wal.has_value());
-  for (const auto& batch : batches) ASSERT_TRUE(wal->append_batch(batch));
+  for (const auto& batch : batches) ASSERT_TRUE(append_durable(*wal, batch));
 
   const auto segments = pdns::Wal::list_segments(dir);
   ASSERT_EQ(segments.size(), 1u);
@@ -465,7 +484,7 @@ TEST(Wal, DropSegmentsBelowTruncatesHistory) {
   config.segment_max_bytes = 256;
   auto wal = pdns::Wal::create(dir, config, 0, 1);
   ASSERT_TRUE(wal.has_value());
-  for (const auto& batch : batches) ASSERT_TRUE(wal->append_batch(batch));
+  for (const auto& batch : batches) ASSERT_TRUE(append_durable(*wal, batch));
   ASSERT_GE(pdns::Wal::list_segments(dir).size(), 3u);
 
   ASSERT_TRUE(wal->drop_segments_below(wal->segment_index()));
@@ -484,7 +503,7 @@ TEST(DurableStore, CheckpointRecoverRoundTrip) {
     auto store = pdns::DurableStore::open(dir, plain_config(1));
     ASSERT_TRUE(store.has_value());
     for (std::size_t b = 0; b < batches.size(); ++b) {
-      ASSERT_TRUE(store->ingest_batch(batches[b]));
+      ASSERT_TRUE(ingest(*store, batches[b]));
       if (b == 2) {
         ASSERT_TRUE(store->checkpoint());
       }
@@ -513,7 +532,7 @@ TEST(DurableStore, RecoverySkipsWalRecordsTheCheckpointAlreadyCovers) {
   {
     auto store = pdns::DurableStore::open(dir, plain_config(1));
     ASSERT_TRUE(store.has_value());
-    for (const auto& batch : batches) ASSERT_TRUE(store->ingest_batch(batch));
+    for (const auto& batch : batches) ASSERT_TRUE(ingest(*store, batch));
     ASSERT_TRUE(store->checkpoint());
   }
   // Simulate a crash that raced WAL truncation: a leftover segment still
@@ -522,7 +541,7 @@ TEST(DurableStore, RecoverySkipsWalRecordsTheCheckpointAlreadyCovers) {
     auto stale = pdns::Wal::create(dir, {}, /*segment_index=*/50,
                                    /*next_seq=*/1);
     ASSERT_TRUE(stale.has_value());
-    ASSERT_TRUE(stale->append_batch(batches[0]));
+    ASSERT_TRUE(append_durable(*stale, batches[0]));
   }
 
   auto recovered = pdns::DurableStore::open(dir, plain_config(1));
@@ -547,7 +566,7 @@ TEST(DurableStore, PipelinedSubmitCoalescesGroupsAndStaysExact) {
     ASSERT_TRUE(store.has_value());
     std::vector<std::uint64_t> tickets;
     for (const auto& batch : batches) {
-      const auto ticket = store->submit_batch(batch);
+      const auto ticket = submit(*store, batch);
       ASSERT_NE(ticket, 0u);
       tickets.push_back(ticket);
     }
@@ -571,6 +590,45 @@ TEST(DurableStore, PipelinedSubmitCoalescesGroupsAndStaysExact) {
   EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 40));
 }
 
+/// A batch that does not encode to a valid SIE frame must be refused before
+/// it reaches the log.  The trigger is ordinary wire input: a response with
+/// RCODE 9 (NOTAUTH) decodes as DNS and becomes an Observation, but the frame
+/// codec knows only rcodes 0..5.  Had the record been logged and acked, the
+/// live store would have dropped it and replay would have read it as
+/// corruption, truncating every acked batch behind it.
+TEST(DurableStore, InvalidFrameIsRefusedBeforeTheLogAndAckedBatchesSurvive) {
+  const std::string dir = fresh_dir("ds_invalid_frame");
+  const auto batches = make_batches(909, 2, 20);
+
+  const auto query =
+      dns::make_query(7, dns::DomainName::must("odd.example.com"));
+  auto wire = dns::encode(dns::make_response(query, dns::RCode::NXDomain));
+  wire[3] = static_cast<std::uint8_t>((wire[3] & 0xF0) | 9);  // RCODE 9
+  const auto response = dns::decode(wire);
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(static_cast<int>(response->header.rcode), 9);
+  const std::vector<pdns::Observation> odd = {
+      pdns::observe(query, *response, /*when=*/42)};
+
+  {
+    auto store = pdns::DurableStore::open(dir, plain_config(1));
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(ingest(*store, batches[0]));
+    EXPECT_EQ(submit(*store, odd), 0u);  // refused: never queued, never acked
+    ASSERT_TRUE(ingest(*store, batches[1]));
+    EXPECT_TRUE(store->ok());
+    EXPECT_EQ(store->committed_batches(), 2u);
+    EXPECT_EQ(store->snapshot_bytes(), serial_snapshot(batches, 2));
+  }
+
+  auto recovered = pdns::DurableStore::open(dir, plain_config(1));
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->committed_batches(), 2u);  // every acked batch
+  EXPECT_FALSE(recovered->recovery().wal_tail_truncated);
+  EXPECT_EQ(recovered->recovery().discarded_wal_bytes, 0u);
+  EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 2));
+}
+
 TEST(DurableStore, FsckReportsCleanAndDirtyDirectories) {
   const std::string dir = fresh_dir("ds_fsck");
   const auto batches = make_batches(88, 4, 25);
@@ -578,7 +636,7 @@ TEST(DurableStore, FsckReportsCleanAndDirtyDirectories) {
     auto store = pdns::DurableStore::open(dir, plain_config(1));
     ASSERT_TRUE(store.has_value());
     for (std::size_t b = 0; b < batches.size(); ++b) {
-      ASSERT_TRUE(store->ingest_batch(batches[b]));
+      ASSERT_TRUE(ingest(*store, batches[b]));
       if (b == 1) {
         ASSERT_TRUE(store->checkpoint());
       }
@@ -622,7 +680,7 @@ TEST(DurableStore, CorruptNewestManifestDegradesToLongerReplay) {
   {
     auto store = pdns::DurableStore::open(dir, config);
     ASSERT_TRUE(store.has_value());
-    for (const auto& batch : batches) ASSERT_TRUE(store->ingest_batch(batch));
+    for (const auto& batch : batches) ASSERT_TRUE(ingest(*store, batch));
     EXPECT_GE(store->checkpoints_taken(), 2u);
   }
   const auto manifests = pdns::list_manifests(dir);
@@ -645,7 +703,7 @@ TEST(DurableStore, CorruptDeltaInChainDegradesToLongerReplay) {
   {
     auto store = pdns::DurableStore::open(dir, config);
     ASSERT_TRUE(store.has_value());
-    for (const auto& batch : batches) ASSERT_TRUE(store->ingest_batch(batch));
+    for (const auto& batch : batches) ASSERT_TRUE(ingest(*store, batch));
   }
   const auto deltas = pdns::list_deltas(dir);
   ASSERT_FALSE(deltas.empty());
@@ -673,7 +731,7 @@ TEST(DurableStore, ChainFileMutationFuzzNeverLosesAckedData) {
       auto store = pdns::DurableStore::open(dir, config);
       ASSERT_TRUE(store.has_value());
       for (const auto& batch : batches) {
-        ASSERT_TRUE(store->ingest_batch(batch));
+        ASSERT_TRUE(ingest(*store, batch));
       }
     }
     const auto files = chain_files(dir);
@@ -705,7 +763,7 @@ TEST(DurableStore, MultiFaultCorruptionStillYieldsExactPrefix) {
   {
     auto store = pdns::DurableStore::open(dir, config);
     ASSERT_TRUE(store.has_value());
-    for (const auto& batch : batches) ASSERT_TRUE(store->ingest_batch(batch));
+    for (const auto& batch : batches) ASSERT_TRUE(ingest(*store, batch));
   }
   std::uint64_t mutated = 0;
   for (const auto& [frontier, path] : pdns::list_manifests(dir)) {
@@ -836,7 +894,7 @@ TEST(CrashHarness, AsyncGroupCommitCrashKeepsAckedPrefixExact) {
         if (store.has_value()) {
           std::vector<std::uint64_t> tickets;
           for (const auto& batch : batches) {
-            tickets.push_back(store->submit_batch(batch));
+            tickets.push_back(submit(*store, batch));
           }
           for (const auto ticket : tickets) {
             if (ticket == 0 || !store->wait_batch(ticket)) break;

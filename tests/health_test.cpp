@@ -30,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "obs/pressure.hpp"
 #include "pdns/durable_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
 #include "resolver/recursive.hpp"
@@ -781,9 +782,10 @@ TEST(Pressure, DurableStoreInputsFeedTheLadder) {
     batch[i].rcode = dns::RCode::NXDomain;
     batch[i].when = static_cast<util::SimTime>(i);
   }
+  const auto frame = pdns::encode_batch_frame(batch);
   obs::PressureSignal signal(tight_thresholds());
   for (int b = 0; b < 8; ++b) {
-    ASSERT_TRUE(store->ingest_batch(batch));
+    ASSERT_TRUE(store->wait_batch(store->submit_frame(frame)));
   }
   // Synchronous mode: no WAL queue, but 8 batches of checkpoint debt.
   const auto inputs = store->pressure_inputs();
@@ -814,6 +816,8 @@ TEST(Pressure, ThreadedIngestWithConcurrentPressurePolling) {
     batch[i].when = static_cast<util::SimTime>(i);
   }
 
+  const auto frame = pdns::encode_batch_frame(batch);
+
   obs::PressureSignal signal(tight_thresholds());
   std::atomic<bool> stop{false};
   std::thread poller([&] {
@@ -831,7 +835,7 @@ TEST(Pressure, ThreadedIngestWithConcurrentPressurePolling) {
   });
   std::vector<std::uint64_t> tickets;
   for (int b = 0; b < 64; ++b) {
-    tickets.push_back(store->submit_batch(batch));
+    tickets.push_back(store->submit_frame(frame));
   }
   for (const auto ticket : tickets) {
     EXPECT_TRUE(store->wait_batch(ticket));

@@ -58,6 +58,13 @@ std::vector<std::vector<std::uint8_t>> frames_of(
   return frames;
 }
 
+/// Borrowed views of owned frames — the form ShardedStore::ingest_frames
+/// takes.
+std::vector<std::span<const std::uint8_t>> spans_of(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  return {frames.begin(), frames.end()};
+}
+
 // ---------------------------------------------------------------- SpscRing
 
 TEST(SpscRing, CapacityOneAlternatesFullAndEmpty) {
@@ -304,8 +311,15 @@ TEST(FrameViewFuzz, CanonicalTextPredicateMatchesParseRoundTrip) {
 
 // The tentpole property: for several seeds, every shard count, and several
 // batch-split boundaries, zero-copy frame ingest + merge produces a snapshot
-// byte-identical to serial PassiveDnsStore ingest of the same stream.
+// byte-identical to serial PassiveDnsStore ingest of the same stream.  The
+// pool sizes cover both execution shapes: a worker per shard (pipelined
+// rings) and fewer workers than shards (inline serial routing).
 TEST(FastPathDifferential, FrameIngestSnapshotIdenticalAcrossSeedsShardsSplits) {
+  struct Shape {
+    std::size_t shards;
+    std::size_t threads;
+  };
+  constexpr Shape kShapes[] = {{1, 0}, {2, 2}, {4, 4}, {8, 8}, {8, 2}};
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
     const auto stream = seeded_stream(seed);
     ASSERT_GT(stream.size(), 1000u) << "stream too small to be interesting";
@@ -314,17 +328,18 @@ TEST(FastPathDifferential, FrameIngestSnapshotIdenticalAcrossSeedsShardsSplits) 
     for (const auto& obs : stream) serial.ingest(obs);
     const auto want = pdns::save_snapshot(serial);
 
-    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    for (const Shape shape : kShapes) {
       for (const std::size_t split : {257u, 4096u}) {
         const auto frames = frames_of(stream, split);
-        util::WorkerPool pool(shards > 1 ? shards : 0);
-        pdns::ShardedStore sharded(shards);
-        const auto stats = sharded.ingest_frames(frames, pool);
+        util::WorkerPool pool(shape.threads);
+        pdns::ShardedStore sharded(shape.shards);
+        const auto stats = sharded.ingest_frames(spans_of(frames), pool);
         EXPECT_EQ(stats.rejected_frames, 0u);
         EXPECT_EQ(stats.accepted_frames, frames.size());
         EXPECT_EQ(stats.observations, stream.size());
         EXPECT_EQ(pdns::save_snapshot(sharded.merge()), want)
-            << "seed=" << seed << " shards=" << shards << " split=" << split;
+            << "seed=" << seed << " shards=" << shape.shards
+            << " threads=" << shape.threads << " split=" << split;
       }
     }
   }
@@ -349,24 +364,6 @@ TEST(FastPathDifferential, ViewIngestMatchesObservationIngest) {
   EXPECT_EQ(via_views.intern_misses(), via_obs.intern_misses());
 }
 
-TEST(FastPathDifferential, PipelinedAndTwoPassBatchIngestAgree) {
-  const auto stream = seeded_stream(5, 5e-8);
-  // pool(8) >= 8 shards: pipelined SPSC path.
-  pdns::ShardedStore pipelined(8);
-  {
-    util::WorkerPool pool(8);
-    pipelined.ingest_batch(stream, pool);
-  }
-  // pool(2) < 8 shards: two-pass barrier fallback.
-  pdns::ShardedStore twopass(8);
-  {
-    util::WorkerPool pool(2);
-    twopass.ingest_batch(stream, pool);
-  }
-  EXPECT_EQ(pdns::save_snapshot(pipelined.merge()),
-            pdns::save_snapshot(twopass.merge()));
-}
-
 TEST(FastPathDifferential, RejectedFrameLeavesStoreUntouched) {
   const auto stream = seeded_stream(3, 2e-9);
   auto frames = frames_of(stream, 64);
@@ -375,7 +372,7 @@ TEST(FastPathDifferential, RejectedFrameLeavesStoreUntouched) {
 
   util::WorkerPool pool(4);
   pdns::ShardedStore sharded(4);
-  const auto stats = sharded.ingest_frames(frames, pool);
+  const auto stats = sharded.ingest_frames(spans_of(frames), pool);
   EXPECT_EQ(stats.rejected_frames, 1u);
   EXPECT_EQ(stats.accepted_frames, frames.size() - 1);
 
@@ -402,7 +399,7 @@ TEST(FastPathDifferential, DurableFrameIngestMatchesMemoryOnly) {
   for (const std::size_t shards : {1u, 4u}) {
     util::WorkerPool pool(shards > 1 ? shards : 0);
     pdns::ShardedStore memory(shards);
-    const auto stats = memory.ingest_frames(frames, pool);
+    const auto stats = memory.ingest_frames(spans_of(frames), pool);
     ASSERT_EQ(stats.rejected_frames, 0u);
     const auto want = pdns::save_snapshot(memory.merge());
 

@@ -12,6 +12,7 @@
 #include "analysis/scale.hpp"
 #include "honeypot/server.hpp"
 #include "pdns/durable_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "synth/scale_models.hpp"
 #include "whois/dropcatch.hpp"
@@ -210,8 +211,8 @@ TEST(DurableStore, CheckpointRecoverEqualsSerialAcrossSeedsAndShardCounts) {
         const std::size_t batch_size = stream.size() / 10 + 1;
         for (std::size_t at = 0; at < stream.size(); at += batch_size) {
           const auto n = std::min(batch_size, stream.size() - at);
-          ASSERT_TRUE(store->ingest_batch(
-              std::span(stream).subspan(at, n)));
+          ASSERT_TRUE(store->wait_batch(store->submit_frame(
+              pdns::encode_batch_frame(std::span(stream).subspan(at, n)))));
         }
         // materialize() folds base + in-flight checkpoint jobs + live tail,
         // so it is exact even while a delta checkpoint is still serializing.

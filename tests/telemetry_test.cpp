@@ -38,6 +38,7 @@
 #include "obs/timeseries.hpp"
 #include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
+#include "pdns/sie_channel.hpp"
 
 namespace nxd {
 namespace {
@@ -413,7 +414,8 @@ TEST(DurableStoreSpans, CommitGroupsAndCheckpointsNest) {
       obs.when = b * 100 + i;
       batch.push_back(obs);
     }
-    ASSERT_TRUE(store->ingest_batch(batch));
+    const auto frame = pdns::encode_batch_frame(batch);
+    ASSERT_TRUE(store->wait_batch(store->submit_frame(frame)));
   }
   ASSERT_TRUE(store->checkpoint());
   store->trace_spans(nullptr);
