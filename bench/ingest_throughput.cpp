@@ -2,19 +2,11 @@
 // fast path.
 //
 // Generates one seeded 2014-2022 NXDomain stream and encodes it into SIE
-// batch frames (both outside every timed region), then ingests it four ways:
+// batch frames (both outside every timed region), then ingests it three ways:
 //
-//   * legacy    — one thread, the pre-fast-path pipeline reproduced
-//                 faithfully: allocating decode_batch_frame() into a
-//                 reference store built from the old data structures
-//                 (string-keyed node maps, std::map daily series, no
-//                 interning or slot caches).  Its scalar totals are
-//                 cross-checked against the real store so it provably does
-//                 the same work;
 //   * fast      — one thread, zero-copy FrameView + ingest_view() (interned
 //                 keys, cached aggregate slots, vector-backed daily series,
-//                 no per-observation allocation).  The headline
-//                 single-thread speedup is fast vs legacy;
+//                 no per-observation allocation);
 //   * sharded N — ShardedStore::ingest_frames() with an N-worker pinned pool
 //                 and pipelined per-shard SPSC rings, for N in {2, 4, 8};
 //   * merge     — folding the N shards back into one store (timed separately
@@ -25,8 +17,8 @@
 // localize to a stage instead of a total.
 //
 // After every run the resulting snapshot is compared byte-for-byte against
-// the legacy serial snapshot: the speedup columns are only meaningful if
-// every path computes the identical answer.
+// the serial Observation-ingest snapshot: the speedup columns are only
+// meaningful if every path computes the identical answer.
 //
 // Honesty gate: when hardware_concurrency < shards the sharded rows measure
 // scheduling overhead, not parallel speedup — those runs (and the file as a
@@ -34,17 +26,14 @@
 //
 // Usage: ingest_throughput [--scale=1e-6] [--seed=42] [--json=BENCH_ingest.json]
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "pdns/frame_view.hpp"
@@ -81,79 +70,6 @@ struct RunResult {
   bool degraded = false;        // hardware_concurrency < shards
 };
 
-// The pre-fast-path ingest pipeline, preserved as the A/B baseline: the
-// exact aggregate semantics of PassiveDnsStore over the exact data
-// structures the store used before the zero-copy rework — string-keyed
-// node-based hash maps, a std::map<Day,u32> daily series, a fresh lookup
-// per observation, no interning and no cached slots.  Kept bench-local so
-// the production store carries no dead code; the totals cross-check below
-// proves it does identical work.
-struct LegacyReferenceStore {
-  struct DomainAgg {
-    nxd::util::Day first_seen = INT64_MAX;
-    nxd::util::Day last_seen = INT64_MIN;
-    nxd::util::Day first_nx_seen = INT64_MAX;
-    std::uint64_t nx_queries = 0;
-    std::uint64_t ok_queries = 0;
-    std::map<nxd::util::Day, std::uint32_t> daily_nx;
-  };
-  struct TldAgg {
-    std::uint64_t nx_queries = 0;
-    std::uint64_t distinct_nx_names = 0;
-  };
-
-  std::unordered_map<std::string, DomainAgg, nxd::pdns::TransparentStringHash,
-                     std::equal_to<>>
-      domains;
-  std::unordered_map<std::string, TldAgg, nxd::pdns::TransparentStringHash,
-                     std::equal_to<>>
-      tlds;
-  std::map<std::int64_t, std::uint64_t> monthly_nx;
-  nxd::util::Counter sensor_volume;
-  std::uint64_t total = 0;
-  std::uint64_t nx_responses = 0;
-  std::uint64_t distinct_nx = 0;
-  std::uint64_t servfail = 0;
-
-  void ingest(const nxd::pdns::Observation& obs) {
-    using nxd::dns::RCode;
-    ++total;
-    sensor_volume.add(nxd::pdns::sensor_class_label(obs.sensor.cls));
-    if (obs.rcode == RCode::ServFail) {
-      ++servfail;
-      return;
-    }
-    std::array<char, 160> buf;
-    const auto key = nxd::pdns::registered_domain_key(obs.name, buf);
-    auto it = domains.find(key);
-    if (it == domains.end()) it = domains.try_emplace(std::string(key)).first;
-    DomainAgg& agg = it->second;
-    const nxd::util::Day day = obs.when / nxd::util::kSecondsPerDay;
-    agg.first_seen = std::min(agg.first_seen, day);
-    agg.last_seen = std::max(agg.last_seen, day);
-    if (obs.rcode != RCode::NXDomain) {
-      ++agg.ok_queries;
-      return;
-    }
-    ++nx_responses;
-    ++agg.nx_queries;
-    monthly_nx[nxd::util::month_index(day)] += 1;
-    agg.daily_nx[day] += 1;
-    auto tld_it = tlds.find(obs.name.tld());
-    if (tld_it == tlds.end()) {
-      tld_it = tlds.try_emplace(std::string(obs.name.tld())).first;
-    }
-    ++tld_it->second.nx_queries;
-    if (agg.first_nx_seen == INT64_MAX) {
-      agg.first_nx_seen = day;
-      ++distinct_nx;
-      ++tld_it->second.distinct_nx_names;
-    } else {
-      agg.first_nx_seen = std::min(agg.first_nx_seen, day);
-    }
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,7 +87,7 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   util::pin_thread_to_cpu(0);  // keep the producer/serial thread in one place
 
-  std::printf("=== ingest throughput: legacy vs zero-copy vs sharded "
+  std::printf("=== ingest throughput: zero-copy vs sharded "
               "(scale=%g seed=%llu hw=%u) ===\n",
               scale, static_cast<unsigned long long>(seed), hw);
 
@@ -186,8 +102,7 @@ int main(int argc, char** argv) {
   const double generation_seconds = seconds_since(generation_start);
 
   // Encode the stream into wire frames (untimed): the fast path's unit of
-  // work is a frame, and both single-thread runs must consume identical
-  // input for the comparison to be fair.
+  // work is a frame.
   constexpr std::size_t kFrameObservations = 4096;
   std::vector<std::vector<std::uint8_t>> frames;
   for (std::size_t i = 0; i < observations.size(); i += kFrameObservations) {
@@ -202,43 +117,15 @@ int main(int argc, char** argv) {
               generation_seconds);
   const auto total_obs = static_cast<double>(observations.size());
 
-  // Single-thread arms take the best of kRepeats passes (fresh store each
+  // Single-thread timings take the best of kRepeats passes (fresh store each
   // pass): on a busy host one pass can eat an unrelated scheduling stall,
   // and min-of-N is the standard way to measure the code, not the noise.
   constexpr int kRepeats = 3;
-
-  // ---- legacy single-thread: allocating decode + pre-fast-path store ----
-  LegacyReferenceStore legacy_store;
-  double legacy_seconds = 0;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    LegacyReferenceStore pass_store;
-    const auto legacy_start = Clock::now();
-    for (const auto& frame : frames) {
-      const auto batch = pdns::decode_batch_frame(frame);
-      if (!batch) continue;
-      for (const auto& obs : *batch) pass_store.ingest(obs);
-    }
-    const double pass = seconds_since(legacy_start);
-    if (rep == 0 || pass < legacy_seconds) legacy_seconds = pass;
-    if (rep + 1 == kRepeats) legacy_store = std::move(pass_store);
-  }
 
   // ---- serial Observation ingest: the snapshot baseline ----
   pdns::PassiveDnsStore serial_store;
   for (const auto& obs : observations) serial_store.ingest(obs);
   const auto serial_snapshot = pdns::save_snapshot(serial_store);
-
-  // The legacy arm must be doing the same aggregation work, or its
-  // throughput number is fiction.
-  const bool legacy_consistent =
-      legacy_store.total == serial_store.total_observations() &&
-      legacy_store.nx_responses == serial_store.nx_responses() &&
-      legacy_store.servfail == serial_store.servfail_responses() &&
-      legacy_store.distinct_nx == serial_store.distinct_nxdomains() &&
-      legacy_store.domains.size() == serial_store.distinct_domains();
-  if (!legacy_consistent) {
-    std::printf("ERROR: legacy reference store diverged from the real store\n");
-  }
 
   // ---- fast single-thread: zero-copy FrameView + interned ingest_view ----
   pdns::PassiveDnsStore fast_store;
@@ -255,9 +142,7 @@ int main(int argc, char** argv) {
     if (rep == 0 || pass < fast_seconds) fast_seconds = pass;
     if (rep + 1 == kRepeats) fast_store = std::move(pass_store);
   }
-  const bool fast_identical =
-      legacy_consistent && pdns::save_snapshot(fast_store) == serial_snapshot;
-  const double fast_speedup = fast_seconds > 0 ? legacy_seconds / fast_seconds : 0;
+  const bool fast_identical = pdns::save_snapshot(fast_store) == serial_snapshot;
 
   // ---- per-stage breakdown on the fast path (ns per observation) ----
   // decode: validate + iterate every view; route: decode + shard routing.
@@ -337,13 +222,10 @@ int main(int argc, char** argv) {
     runs.push_back(r);
   }
 
-  std::printf("\nsingle-thread fast path: legacy %s obs/s -> zero-copy %s "
-              "obs/s (%.2fx, snapshot %s)\n",
-              util::with_commas(static_cast<std::uint64_t>(
-                  legacy_seconds > 0 ? total_obs / legacy_seconds : 0)).c_str(),
+  std::printf("\nsingle-thread fast path: %s obs/s (snapshot %s)\n",
               util::with_commas(static_cast<std::uint64_t>(
                   baseline.obs_per_second)).c_str(),
-              fast_speedup, fast_identical ? "identical" : "MISMATCH");
+              fast_identical ? "identical" : "MISMATCH");
   std::printf("stage breakdown (ns/obs): decode %.1f | route %.1f | "
               "ingest %.1f | merge %.1f\n\n",
               decode_ns, route_ns, ingest_ns, merge_ns);
@@ -369,7 +251,7 @@ int main(int argc, char** argv) {
   }
   if (any_degraded) {
     std::printf("\nhardware_concurrency=%u < max shards: sharded rows are "
-                "degraded; trust only the single-thread fast-path speedup\n",
+                "degraded; trust only the single-thread fast path\n",
                 hw);
   }
 
@@ -385,12 +267,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"degraded\": %s,\n", any_degraded ? "true" : "false");
     std::fprintf(f, "  \"merge_equivalent\": %s,\n", all_identical ? "true" : "false");
     std::fprintf(f,
-                 "  \"fast_path\": {\"legacy_obs_per_second\": %.1f, "
-                 "\"fast_obs_per_second\": %.1f, \"speedup\": %.3f, "
+                 "  \"fast_path\": {\"fast_obs_per_second\": %.1f, "
                  "\"snapshot_identical\": %s},\n",
-                 legacy_seconds > 0 ? total_obs / legacy_seconds : 0,
-                 baseline.obs_per_second, fast_speedup,
-                 fast_identical ? "true" : "false");
+                 baseline.obs_per_second, fast_identical ? "true" : "false");
     std::fprintf(f,
                  "  \"stages_ns_per_obs\": {\"decode\": %.2f, \"route\": %.2f, "
                  "\"ingest\": %.2f, \"merge\": %.2f},\n",

@@ -21,8 +21,10 @@
 //
 // Usage: overload_shed [--seed=42] [--sources=32] [--rate=4]
 //                      [--duration=30] [--json=BENCH_overload.json]
-//                      [--snapshot=PATH]   also write the 10x run's load
-//                                          snapshot (for nxdtool loadstats)
+//                      [--snapshot=PATH]   also write the 10x run's gate
+//                                          and recorder counters as an
+//                                          nxd-metrics v1 snapshot (for
+//                                          nxdtool health)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -179,16 +181,11 @@ int main(int argc, char** argv) {
     results.push_back(r);
 
     if (load == 10 && !snapshot_path.empty()) {
-      honeypot::LoadSnapshot snapshot;
-      snapshot.add_overload("honeypot", stats);
-      snapshot.add("recorder.records", recorder.total());
-      snapshot.add("recorder.shed_connections", recorder.shed_connections());
-      snapshot.add("recorder.expired_connections",
-                   recorder.expired_connections());
-      snapshot.add("recorder.drained_connections",
-                   recorder.drained_connections());
+      obs::MetricsRegistry registry;
+      server.gate()->bind_metrics(registry);
+      recorder.bind_metrics(registry);
       if (std::FILE* f = std::fopen(snapshot_path.c_str(), "w")) {
-        std::fputs(snapshot.to_text().c_str(), f);
+        std::fputs(registry.snapshot().to_text().c_str(), f);
         std::fclose(f);
       }
     }

@@ -29,8 +29,9 @@
 //                   overload run: replay a seeded flood + slowloris barrage
 //                   against a honeypot guarded by the overload layer
 //                   (honeypot/overload.hpp) with that connection cap, per-IP
-//                   request rate, and drain grace, then print the load
-//                   snapshot (pipe it to a file for `nxdtool loadstats`).
+//                   request rate, and drain grace, then print the gate and
+//                   recorder counters as an "nxd-metrics v1" snapshot (pipe
+//                   it to a file for `nxdtool health` or `nxdtool metrics`).
 //                   Any of the three flags enables the section; the default
 //                   run is untouched.
 //               [--metrics-every=N] [--metrics-out=<path>]
@@ -818,10 +819,9 @@ int main(int argc, char** argv) {
     guard.drain_deadline =
         std::max<util::SimTime>(1, (drain_ms + 999) / 1'000);
     ol_server.enable_overload(guard);
-    if (obs_enabled) {
-      ol_server.gate()->bind_metrics(registry);
-      ol_recorder.bind_metrics(registry);
-    }
+    obs::MetricsRegistry ol_registry;
+    ol_server.gate()->bind_metrics(ol_registry);
+    ol_recorder.bind_metrics(ol_registry);
     if (telemetry_enabled) ol_server.trace_spans(&spans);
 
     util::SimClock ol_clock;
@@ -893,15 +893,9 @@ int main(int argc, char** argv) {
     ol_clock.advance(guard.drain_deadline + 1);
     ol_server.reap_expired(ol_clock.now());
 
-    honeypot::LoadSnapshot snapshot;
-    snapshot.add_overload("honeypot", ol_server.gate()->stats());
-    snapshot.add("recorder.records", ol_recorder.total());
-    snapshot.add("recorder.shed_connections", ol_recorder.shed_connections());
-    snapshot.add("recorder.expired_connections",
-                 ol_recorder.expired_connections());
-    snapshot.add("recorder.drained_connections",
-                 ol_recorder.drained_connections());
-    std::fputs(snapshot.to_text().c_str(), stdout);
+    const obs::MetricsSnapshot ol_snapshot = ol_registry.snapshot();
+    std::fputs(ol_snapshot.to_text().c_str(), stdout);
+    if (obs_enabled) registry.absorb(ol_snapshot);
     std::printf("(drain complete: %s)\n",
                 ol_server.drain_complete() ? "yes" : "no");
   }

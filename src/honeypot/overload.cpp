@@ -1,9 +1,6 @@
 #include "honeypot/overload.hpp"
 
 #include <algorithm>
-#include <charconv>
-
-#include "util/strings.hpp"
 
 namespace nxd::honeypot {
 
@@ -54,24 +51,8 @@ void ConnectionGate::acquire_metrics(obs::MetricsRegistry& registry) {
 }
 
 void ConnectionGate::bind_metrics(obs::MetricsRegistry& registry) {
-  const OverloadStats carried = stats();
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
-  m_.opened.inc(carried.opened);
-  m_.accepted.inc(carried.accepted);
-  m_.completed.inc(carried.completed);
-  m_.aborted.inc(carried.aborted);
-  m_.shed_capacity.inc(carried.shed_capacity);
-  m_.shed_rate.inc(carried.shed_rate);
-  m_.shed_draining.inc(carried.shed_draining);
-  m_.shed_pressure.inc(carried.shed_pressure);
-  m_.expired_header.inc(carried.expired_header);
-  m_.expired_body.inc(carried.expired_body);
-  m_.expired_idle.inc(carried.expired_idle);
-  m_.drained_completed.inc(carried.drained_completed);
-  m_.drain_forced_closes.inc(carried.drain_forced_closes);
-  m_.rate_sources_evicted.inc(carried.rate_sources_evicted);
-  m_.rate_table_overflow.inc(carried.rate_table_overflow);
-  m_.active.add(static_cast<std::int64_t>(conns_.size()));
   own_registry_.reset();
 }
 
@@ -272,68 +253,6 @@ void ConnectionGate::begin_drain(util::SimTime now) {
   for (const auto& [id, conn] : conns_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   for (const std::uint64_t id : ids) arm(id, conns_.at(id));
-}
-
-// ------------------------------------------------------------ LoadSnapshot
-
-void LoadSnapshot::add_overload(const std::string& prefix,
-                                const OverloadStats& stats) {
-  add(prefix + ".opened", stats.opened);
-  add(prefix + ".accepted", stats.accepted);
-  add(prefix + ".completed", stats.completed);
-  add(prefix + ".aborted", stats.aborted);
-  add(prefix + ".shed_capacity", stats.shed_capacity);
-  add(prefix + ".shed_rate", stats.shed_rate);
-  add(prefix + ".shed_draining", stats.shed_draining);
-  add(prefix + ".shed_pressure", stats.shed_pressure);
-  add(prefix + ".expired_header", stats.expired_header);
-  add(prefix + ".expired_body", stats.expired_body);
-  add(prefix + ".expired_idle", stats.expired_idle);
-  add(prefix + ".drained_completed", stats.drained_completed);
-  add(prefix + ".drain_forced_closes", stats.drain_forced_closes);
-  add(prefix + ".rate_sources_evicted", stats.rate_sources_evicted);
-  add(prefix + ".rate_table_overflow", stats.rate_table_overflow);
-}
-
-std::string LoadSnapshot::to_text() const {
-  std::string out = "nxd-load-snapshot v1\n";
-  for (const auto& [name, value] : counters) {
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  return out;
-}
-
-std::optional<LoadSnapshot> LoadSnapshot::parse(std::string_view text) {
-  const auto header_end = text.find('\n');
-  if (header_end == std::string_view::npos) return std::nullopt;
-  if (util::trim(text.substr(0, header_end)) != "nxd-load-snapshot v1") {
-    return std::nullopt;
-  }
-  LoadSnapshot snapshot;
-  std::string_view rest = text.substr(header_end + 1);
-  while (!rest.empty()) {
-    const auto line_end = rest.find('\n');
-    const std::string_view line = util::trim(
-        line_end == std::string_view::npos ? rest : rest.substr(0, line_end));
-    rest = line_end == std::string_view::npos ? std::string_view{}
-                                              : rest.substr(line_end + 1);
-    if (line.empty()) continue;
-    const auto space = line.rfind(' ');
-    if (space == std::string_view::npos || space == 0) return std::nullopt;
-    const std::string_view name = util::trim(line.substr(0, space));
-    const std::string_view digits = line.substr(space + 1);
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(digits.data(), digits.data() + digits.size(), value);
-    if (ec != std::errc{} || ptr != digits.data() + digits.size()) {
-      return std::nullopt;
-    }
-    snapshot.add(std::string(name), value);
-  }
-  return snapshot;
 }
 
 }  // namespace nxd::honeypot

@@ -24,8 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -197,24 +197,6 @@ class ConnectionGate {
   const obs::PressureSignal* pressure_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-};
-
-/// Flat named-counter snapshot of the serving layer's load counters
-/// (honeypot shed/expired/drained, recorder totals, DNS RRL verdicts).
-/// Text format, one `name value` pair per line under a versioned header —
-/// written by the overload bench / pipeline, read back by
-/// `nxdtool loadstats`.
-struct LoadSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-
-  void add(std::string name, std::uint64_t value) {
-    counters.emplace_back(std::move(name), value);
-  }
-  /// Append every OverloadStats field under a `prefix.` namespace.
-  void add_overload(const std::string& prefix, const OverloadStats& stats);
-
-  std::string to_text() const;
-  static std::optional<LoadSnapshot> parse(std::string_view text);
 };
 
 }  // namespace nxd::honeypot

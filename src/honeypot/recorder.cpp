@@ -9,7 +9,12 @@ std::string to_string(HostingPlatform p) {
   return p == HostingPlatform::Aws ? "aws" : "gcp";
 }
 
-void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry) {
+TrafficRecorder::TrafficRecorder()
+    : own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+  acquire_metrics(*own_registry_);
+}
+
+void TrafficRecorder::acquire_metrics(obs::MetricsRegistry& registry) {
   m_.records = registry.counter("nxd_honeypot_records_total",
                                 "Traffic records captured");
   m_.capture_drops =
@@ -29,18 +34,17 @@ void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry) {
                        "Connections finished during drain");
   m_.payload_bytes = registry.histogram("nxd_honeypot_payload_bytes",
                                         "Captured payload sizes in bytes");
-  m_.records.inc(records_.size());
-  m_.capture_drops.inc(capture_drops_);
-  m_.oversize_payloads.inc(oversize_payloads_);
-  m_.shed_connections.inc(shed_connections_);
-  m_.expired_connections.inc(expired_connections_);
-  m_.drained_connections.inc(drained_connections_);
+}
+
+void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry) {
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
 }
 
 void TrafficRecorder::record(TrafficRecord record) {
   if (max_payload_bytes_ != 0 && record.payload.size() > max_payload_bytes_) {
     record.payload.resize(max_payload_bytes_);
-    ++oversize_payloads_;
     m_.oversize_payloads.inc();
   }
   bool duplicate = false;
@@ -52,7 +56,6 @@ void TrafficRecorder::record(TrafficRecord record) {
     const auto verdict = fault_plan_->apply(
         net::Endpoint{dns::IPv4{}, record.dst_port}, payload, record.when);
     if (verdict.drop) {
-      ++capture_drops_;
       m_.capture_drops.inc();
       return;
     }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,8 @@ struct TrafficRecord {
 
 class TrafficRecorder {
  public:
+  TrafficRecorder();
+
   void record(TrafficRecord record);
 
   /// Route captures through the same fault stage SimNetwork uses, keyed on
@@ -51,7 +54,7 @@ class TrafficRecorder {
   /// — the capture-plane analogue of pcap loss on a saturated sensor.  The
   /// plan must outlive the recorder; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t capture_drops() const noexcept { return capture_drops_; }
+  std::uint64_t capture_drops() const noexcept { return m_.capture_drops.value(); }
 
   /// Bound per-record memory: payloads longer than this are truncated to the
   /// cap before storage and counted in `oversize_payloads()`.  0 (default)
@@ -60,28 +63,19 @@ class TrafficRecorder {
   /// without limit — the recorder keeps the evidentiary prefix only.
   void set_max_payload_bytes(std::size_t cap) noexcept { max_payload_bytes_ = cap; }
   std::size_t max_payload_bytes() const noexcept { return max_payload_bytes_; }
-  std::uint64_t oversize_payloads() const noexcept { return oversize_payloads_; }
+  std::uint64_t oversize_payloads() const noexcept { return m_.oversize_payloads.value(); }
 
   /// Overload-guard events on the serving side of the sensor (see
   /// honeypot/overload.hpp).  Shed connections are refused before any work
   /// and never stored; expired ones were reaped by a slowloris deadline
   /// (their partial bytes are still captured); drained ones finished
   /// in-flight during graceful shutdown.
-  void note_shed_connection() noexcept {
-    ++shed_connections_;
-    m_.shed_connections.inc();
-  }
-  void note_expired_connection() noexcept {
-    ++expired_connections_;
-    m_.expired_connections.inc();
-  }
-  void note_drained_connection() noexcept {
-    ++drained_connections_;
-    m_.drained_connections.inc();
-  }
-  std::uint64_t shed_connections() const noexcept { return shed_connections_; }
-  std::uint64_t expired_connections() const noexcept { return expired_connections_; }
-  std::uint64_t drained_connections() const noexcept { return drained_connections_; }
+  void note_shed_connection() noexcept { m_.shed_connections.inc(); }
+  void note_expired_connection() noexcept { m_.expired_connections.inc(); }
+  void note_drained_connection() noexcept { m_.drained_connections.inc(); }
+  std::uint64_t shed_connections() const noexcept { return m_.shed_connections.value(); }
+  std::uint64_t expired_connections() const noexcept { return m_.expired_connections.value(); }
+  std::uint64_t drained_connections() const noexcept { return m_.drained_connections.value(); }
 
   const std::vector<TrafficRecord>& records() const noexcept { return records_; }
   std::uint64_t total() const noexcept { return records_.size(); }
@@ -97,8 +91,8 @@ class TrafficRecorder {
 
   void clear();
 
-  /// Mirror capture-plane counters into a shared registry (current values
-  /// carry over).
+  /// Re-home the capture-plane counters in a shared registry (current
+  /// values carry over).
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -112,16 +106,14 @@ class TrafficRecorder {
     obs::LatencyHistogram payload_bytes;
   };
 
+  void acquire_metrics(obs::MetricsRegistry& registry);
+
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
   std::vector<TrafficRecord> records_;
   util::Counter port_counts_;
   net::FaultPlan* fault_plan_ = nullptr;
-  std::uint64_t capture_drops_ = 0;
   std::size_t max_payload_bytes_ = 0;
-  std::uint64_t oversize_payloads_ = 0;
-  std::uint64_t shed_connections_ = 0;
-  std::uint64_t expired_connections_ = 0;
-  std::uint64_t drained_connections_ = 0;
 };
 
 }  // namespace nxd::honeypot

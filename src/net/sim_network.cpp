@@ -10,7 +10,12 @@ void SimNetwork::detach(const Endpoint& ep, Protocol proto) {
   services_.erase(ServiceKey{ep, proto});
 }
 
-void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
+SimNetwork::SimNetwork()
+    : own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+  acquire_metrics(*own_registry_);
+}
+
+void SimNetwork::acquire_metrics(obs::MetricsRegistry& registry) {
   m_.delivered = registry.counter("nxd_net_packets_delivered_total",
                                   "Packets handed to an attached service");
   m_.dropped = registry.counter("nxd_net_packets_dropped_total",
@@ -31,9 +36,13 @@ void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
   m_.fault_delay_seconds =
       registry.counter("nxd_net_fault_delay_seconds_total",
                        "Total simulated transit delay injected");
-  // Carry what this network already counted.
-  m_.delivered.inc(delivered_);
-  m_.dropped.inc(dropped_);
+}
+
+void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
+  // The fault mirror starts at bind: carry what the plan already counted.
   mirror_faults(FaultStats{}, fault_plan_.stats());
   metrics_bound_ = true;
 }
@@ -71,17 +80,14 @@ std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packe
     last_delay_ = verdict.delay;
     const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
     if (it == services_.end()) {
-      ++dropped_;
       m_.dropped.inc();
       return std::nullopt;
     }
-    ++delivered_;
     m_.delivered.inc();
     auto reply = it->second(shaped);
     if (verdict.duplicate) {
       // The duplicate reaches the service too; its reply is discarded (the
       // client already has the first one — classic UDP retransmit noise).
-      ++delivered_;
       m_.delivered.inc();
       it->second(shaped);
     }
@@ -90,11 +96,9 @@ std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packe
 
   const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
   if (it == services_.end()) {
-    ++dropped_;
     m_.dropped.inc();
     return std::nullopt;
   }
-  ++delivered_;
   m_.delivered.inc();
   return it->second(packet);
 }

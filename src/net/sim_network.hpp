@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -61,6 +62,8 @@ class SimNetwork {
   using Service =
       std::function<std::optional<std::vector<std::uint8_t>>(const SimPacket&)>;
 
+  SimNetwork();
+
   /// Attach a service to (ip, port, protocol).  Replaces any previous one.
   void attach(const Endpoint& ep, Protocol proto, Service service);
 
@@ -87,13 +90,13 @@ class SimNetwork {
   /// round-trip estimate.
   util::SimTime last_injected_delay() const noexcept { return last_delay_; }
 
-  std::uint64_t delivered() const noexcept { return delivered_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t delivered() const noexcept { return m_.delivered.value(); }
+  std::uint64_t dropped() const noexcept { return m_.dropped.value(); }
 
-  /// Mirror delivery and fault-injection counts into a shared registry.
-  /// Fault counters mirror per-send deltas of the plan's own stats, so they
-  /// stay monotonic even when a caller reset_stats()s or swaps the plan
-  /// mid-run.
+  /// Re-home delivery and fault-injection counts in a shared registry
+  /// (current values carry over).  Fault counters mirror per-send deltas of
+  /// the plan's own stats, so they stay monotonic even when a caller
+  /// reset_stats()s or swaps the plan mid-run.
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -109,6 +112,7 @@ class SimNetwork {
     obs::Counter fault_delay_seconds;
   };
 
+  void acquire_metrics(obs::MetricsRegistry& registry);
   /// Mirror the per-send change in the plan's FaultStats into the registry.
   void mirror_faults(const FaultStats& before, const FaultStats& after);
 
@@ -116,9 +120,8 @@ class SimNetwork {
   FaultPlan fault_plan_;
   const util::SimClock* clock_ = nullptr;
   util::SimTime last_delay_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
   bool metrics_bound_ = false;
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
 };
 

@@ -100,6 +100,14 @@ std::uint64_t quantile_from(const std::vector<std::uint64_t>& buckets,
   return max_value;  // landed in the overflow bucket
 }
 
+/// Lock-free running maximum.
+void raise_to(std::atomic<std::uint64_t>& cell, std::uint64_t value) noexcept {
+  std::uint64_t prev = cell.load(std::memory_order_relaxed);
+  while (prev < value &&
+         !cell.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 std::size_t histogram_bucket_index(std::uint64_t value) noexcept {
@@ -120,10 +128,7 @@ void LatencyHistogram::observe(std::uint64_t value) noexcept {
       1, std::memory_order_relaxed);
   cells_->count.fetch_add(1, std::memory_order_relaxed);
   cells_->sum.fetch_add(value, std::memory_order_relaxed);
-  std::uint64_t prev = cells_->max.load(std::memory_order_relaxed);
-  while (prev < value && !cells_->max.compare_exchange_weak(
-                             prev, value, std::memory_order_relaxed)) {
-  }
+  raise_to(cells_->max, value);
 }
 
 void LatencyHistogram::observe_exemplar(std::uint64_t value,
@@ -236,6 +241,31 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.series.push_back(std::move(out));
   }
   return snap;
+}
+
+void MetricsRegistry::absorb(const MetricsSnapshot& snapshot) {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  for (const auto& in : snapshot.series) {
+    Series* s = find_or_create(in.name, in.help, in.labels, in.type);
+    if (s == nullptr) continue;  // type conflict: keep ours
+    // A snapshot series zeroes the fields its type does not use.
+    s->counter.fetch_add(in.counter, relaxed);
+    s->gauge.fetch_add(in.gauge, relaxed);
+    if (s->hist == nullptr) continue;
+    HistogramCells& h = *s->hist;
+    if (in.buckets.size() == h.buckets.size()) {
+      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+        h.buckets[i].fetch_add(in.buckets[i], relaxed);
+      }
+    }
+    h.count.fetch_add(in.hist_count, relaxed);
+    h.sum.fetch_add(in.hist_sum, relaxed);
+    raise_to(h.max, in.hist_max);
+    if (in.exemplar_trace != 0 && h.exemplar_trace.load(relaxed) == 0) {
+      h.exemplar_value.store(in.exemplar_value, relaxed);
+      h.exemplar_trace.store(in.exemplar_trace, relaxed);
+    }
+  }
 }
 
 void MetricsRegistry::reset() {

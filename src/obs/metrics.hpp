@@ -194,6 +194,13 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
+  /// Fold a snapshot into the live cells by MetricsSnapshot::merge's rule:
+  /// counters, gauges, bucket counts and hist count/sum add; hist max takes
+  /// the max.  Missing series are created; a series whose type conflicts
+  /// with the snapshot's is left untouched.  This is how a component hands
+  /// what it counted in its private registry to a shared one on bind.
+  void absorb(const MetricsSnapshot& snapshot);
+
   /// Zero every cell (series registrations stay; handles stay valid).
   void reset();
 

@@ -39,14 +39,8 @@ void PressureSignal::acquire_metrics(MetricsRegistry& registry) {
 }
 
 void PressureSignal::bind_metrics(MetricsRegistry& registry) {
-  const PressureStats carried = stats();
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
-  m_.raised.inc(carried.raised);
-  m_.lowered.inc(carried.lowered);
-  m_.updates.inc(carried.updates);
-  m_.level.set(level_index());
-  m_.wal_lag.set(static_cast<std::int64_t>(inputs_.wal_lag_batches));
-  m_.checkpoint_debt.set(static_cast<std::int64_t>(inputs_.checkpoint_debt));
   own_registry_.reset();
 }
 

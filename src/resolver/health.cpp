@@ -34,15 +34,8 @@ void HealthModel::acquire_metrics(obs::MetricsRegistry& registry) {
 }
 
 void HealthModel::bind_metrics(obs::MetricsRegistry& registry) {
-  const HealthStats carried = stats();
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
-  m_.successes.inc(carried.successes);
-  m_.failures.inc(carried.failures);
-  m_.breaker_opened.inc(carried.breaker_opened);
-  m_.breaker_half_opened.inc(carried.breaker_half_opened);
-  m_.breaker_reclosed.inc(carried.breaker_reclosed);
-  m_.breaker_rejections.inc(carried.breaker_rejections);
-  m_.breaker_probes.inc(carried.breaker_probes);
   own_registry_.reset();
   // Re-home every per-server gauge and republish the current estimate.
   for (auto& [server, s] : servers_) publish(server, s);

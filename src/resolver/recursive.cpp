@@ -92,28 +92,8 @@ void RecursiveResolver::acquire_metrics(obs::MetricsRegistry& registry) {
 }
 
 void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry) {
-  // Carry current counts into the shared registry so a late bind never
-  // loses events.  (Histogram samples are not replayed; bind before traffic
-  // when the latency distribution matters.)
-  const RecursiveStats carried = stats();
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
-  m_.client_queries.inc(carried.client_queries);
-  m_.cache_hits.inc(carried.cache_hits);
-  m_.upstream_resolutions.inc(carried.upstream_resolutions);
-  m_.nxdomain_responses.inc(carried.nxdomain_responses);
-  m_.retries.inc(carried.retries);
-  m_.timeouts.inc(carried.timeouts);
-  m_.servfail_responses.inc(carried.servfail_responses);
-  m_.upstream_sends.inc(carried.upstream_sends);
-  m_.delegation_fetches.inc(carried.delegation_fetches);
-  m_.delegation_capped.inc(carried.delegation_capped);
-  m_.cname_chases.inc(carried.cname_chases);
-  m_.cname_capped.inc(carried.cname_capped);
-  m_.minimized_queries.inc(carried.minimized_queries);
-  m_.hedged_queries.inc(carried.hedged_queries);
-  m_.hedge_wins.inc(carried.hedge_wins);
-  m_.hedge_losses.inc(carried.hedge_losses);
-  m_.breaker_skips.inc(carried.breaker_skips);
   own_registry_.reset();
   bound_registry_ = &registry;
   if (health_ != nullptr) health_->bind_metrics(registry);

@@ -27,15 +27,8 @@ void ResponseRateLimiter::acquire_metrics(obs::MetricsRegistry& registry) {
 }
 
 void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry) {
-  const RrlStats carried = stats();
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
-  m_.checked.inc(carried.checked);
-  m_.passed.inc(carried.passed);
-  m_.slipped.inc(carried.slipped);
-  m_.dropped.inc(carried.dropped);
-  m_.sources_evicted.inc(carried.sources_evicted);
-  m_.table_overflow.inc(carried.table_overflow);
-  m_.pressure_scaled.inc(carried.pressure_scaled);
   own_registry_.reset();
 }
 

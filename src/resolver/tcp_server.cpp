@@ -27,7 +27,15 @@ void TcpDnsServer::attach(net::EventLoop& loop) {
   loop.add_readable(listener_.fd(), [this] { on_acceptable(); });
 }
 
-void TcpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
+TcpDnsServer::TcpDnsServer(net::TcpListener listener,
+                           const AuthoritativeServer& auth)
+    : listener_(std::move(listener)),
+      auth_(auth),
+      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+  acquire_metrics(*own_registry_);
+}
+
+void TcpDnsServer::acquire_metrics(obs::MetricsRegistry& registry) {
   const obs::LabelSet proto{{"proto", "tcp"}};
   m_.answered = registry.counter("nxd_dns_server_answered_total",
                                  "DNS responses sent", proto);
@@ -37,9 +45,12 @@ void TcpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
   m_.rrl_dropped = registry.counter("nxd_dns_server_rrl_dropped_total",
                                     "Connections closed unanswered by RRL",
                                     proto);
-  m_.answered.inc(answered_);
-  m_.faulted.inc(faulted_);
-  m_.rrl_dropped.inc(rrl_dropped_);
+}
+
+void TcpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
 }
 
 void TcpDnsServer::on_acceptable() {
@@ -67,7 +78,6 @@ void TcpDnsServer::on_acceptable() {
     if (fault_plan_ != nullptr && !fault_plan_->empty()) {
       const auto verdict = fault_plan_->apply(listener_.local(), message, 0);
       if (verdict.drop) {
-        ++faulted_;
         m_.faulted.inc();
         continue;
       }
@@ -83,7 +93,6 @@ void TcpDnsServer::on_acceptable() {
       // TCP already proved the return path, so a Slip verdict answers in
       // full; Drop closes without answering — backpressure on a source that
       // exhausted its UDP budget and moved to hammering TCP.
-      ++rrl_dropped_;
       m_.rrl_dropped.inc();
       continue;
     }
@@ -95,10 +104,7 @@ void TcpDnsServer::on_acceptable() {
     framed.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
     framed.push_back(static_cast<std::uint8_t>(wire.size()));
     framed.insert(framed.end(), wire.begin(), wire.end());
-    if (stream->write(framed) > 0) {
-      ++answered_;
-      m_.answered.inc();
-    }
+    if (stream->write(framed) > 0) m_.answered.inc();
   }
 }
 

@@ -42,14 +42,14 @@ class TcpDnsServer {
 
   void attach(net::EventLoop& loop);
   net::Endpoint local() const noexcept { return listener_.local(); }
-  std::uint64_t answered() const noexcept { return answered_; }
+  std::uint64_t answered() const noexcept { return m_.answered.value(); }
 
   /// Run each received DNS message through the fault stage before parsing
   /// (drop → connection ignored, corrupt/truncate → mangled wire; the
   /// duplicate verdict is meaningless on a stream and ignored).  The plan
   /// must outlive the server; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t faulted() const noexcept { return faulted_; }
+  std::uint64_t faulted() const noexcept { return m_.faulted.value(); }
 
   /// Meter responses per source address (DNS RRL, resolver/rrl.hpp).  On
   /// TCP the return path is proven, so Slip answers in full and Drop closes
@@ -61,7 +61,7 @@ class TcpDnsServer {
     rrl_ = rrl;
     rrl_clock_ = clock;
   }
-  std::uint64_t rrl_dropped() const noexcept { return rrl_dropped_; }
+  std::uint64_t rrl_dropped() const noexcept { return m_.rrl_dropped.value(); }
 
   /// Subscribe the server's RRL to the system-wide degradation ladder —
   /// see UdpDnsServer::set_pressure.  No-op until set_rrl() installed a
@@ -70,7 +70,7 @@ class TcpDnsServer {
     if (rrl_ != nullptr) rrl_->set_pressure(pressure);
   }
 
-  /// Mirror the server counters into a shared registry under
+  /// Re-home the server counters in a shared registry under
   /// nxd_dns_server_*_total{proto=tcp}; current values carry over.
   void bind_metrics(obs::MetricsRegistry& registry);
 
@@ -81,9 +81,9 @@ class TcpDnsServer {
     obs::Counter rrl_dropped;
   };
 
-  TcpDnsServer(net::TcpListener listener, const AuthoritativeServer& auth)
-      : listener_(std::move(listener)), auth_(auth) {}
+  TcpDnsServer(net::TcpListener listener, const AuthoritativeServer& auth);
 
+  void acquire_metrics(obs::MetricsRegistry& registry);
   void on_acceptable();
 
   net::TcpListener listener_;
@@ -91,9 +91,7 @@ class TcpDnsServer {
   net::FaultPlan* fault_plan_ = nullptr;
   ResponseRateLimiter* rrl_ = nullptr;
   const util::SimClock* rrl_clock_ = nullptr;
-  std::uint64_t answered_ = 0;
-  std::uint64_t faulted_ = 0;
-  std::uint64_t rrl_dropped_ = 0;
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
 };
 

@@ -20,7 +20,15 @@ void UdpDnsServer::attach(net::EventLoop& loop) {
   loop.add_readable(socket_.fd(), [this] { pump(); });
 }
 
-void UdpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
+UdpDnsServer::UdpDnsServer(net::UdpSocket socket,
+                           const AuthoritativeServer& auth)
+    : socket_(std::move(socket)),
+      auth_(auth),
+      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+  acquire_metrics(*own_registry_);
+}
+
+void UdpDnsServer::acquire_metrics(obs::MetricsRegistry& registry) {
   const obs::LabelSet proto{{"proto", "udp"}};
   m_.answered = registry.counter("nxd_dns_server_answered_total",
                                  "DNS responses sent", proto);
@@ -33,11 +41,12 @@ void UdpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
                                     "Responses discarded by RRL", proto);
   m_.rrl_slipped = registry.counter("nxd_dns_server_rrl_slipped_total",
                                     "Responses slipped (TC=1) by RRL", proto);
-  m_.answered.inc(answered_);
-  m_.malformed.inc(malformed_);
-  m_.faulted.inc(faulted_);
-  m_.rrl_dropped.inc(rrl_dropped_);
-  m_.rrl_slipped.inc(rrl_slipped_);
+}
+
+void UdpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
 }
 
 std::size_t UdpDnsServer::pump() {
@@ -55,7 +64,6 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
   if (fault_plan_ != nullptr && !fault_plan_->empty()) {
     const auto verdict = fault_plan_->apply(socket_.local(), payload, 0);
     if (verdict.drop) {
-      ++faulted_;
       m_.faulted.inc();
       return;
     }
@@ -63,7 +71,6 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
   }
   const auto query = dns::decode(payload);
   if (!query || query->header.qr) {
-    ++malformed_;
     m_.malformed.inc();
     return;
   }
@@ -73,11 +80,9 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
       case RrlVerdict::Pass:
         break;
       case RrlVerdict::Drop:
-        ++rrl_dropped_;
         m_.rrl_dropped.inc();
         return;
       case RrlVerdict::Slip:
-        ++rrl_slipped_;
         m_.rrl_slipped.inc();
         response = slip_truncate(response);
         break;
@@ -99,14 +104,8 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
     response = truncate_for_udp(response, wire.size(), limit);
     wire = dns::encode(response);
   }
-  if (socket_.send_to(datagram.from, wire)) {
-    ++answered_;
-    m_.answered.inc();
-  }
-  if (duplicate && socket_.send_to(datagram.from, wire)) {
-    ++answered_;
-    m_.answered.inc();
-  }
+  if (socket_.send_to(datagram.from, wire)) m_.answered.inc();
+  if (duplicate && socket_.send_to(datagram.from, wire)) m_.answered.inc();
 }
 
 std::optional<dns::Message> udp_query(const net::Endpoint& server,

@@ -29,15 +29,15 @@ class UdpDnsServer {
   std::size_t pump();
 
   net::Endpoint local() const noexcept { return socket_.local(); }
-  std::uint64_t answered() const noexcept { return answered_; }
-  std::uint64_t malformed() const noexcept { return malformed_; }
+  std::uint64_t answered() const noexcept { return m_.answered.value(); }
+  std::uint64_t malformed() const noexcept { return m_.malformed.value(); }
 
   /// Run every inbound datagram through the same fault stage SimNetwork
   /// uses: drops are swallowed (counted in `faulted()`), corruption and
   /// truncation mangle the wire before parsing, duplicates are answered
   /// twice.  The plan must outlive the server; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t faulted() const noexcept { return faulted_; }
+  std::uint64_t faulted() const noexcept { return m_.faulted.value(); }
 
   /// Meter responses per source address (DNS RRL, resolver/rrl.hpp).  Drop
   /// verdicts swallow the response; Slip verdicts send the genuine answer
@@ -48,8 +48,8 @@ class UdpDnsServer {
     rrl_ = rrl;
     rrl_clock_ = clock;
   }
-  std::uint64_t rrl_dropped() const noexcept { return rrl_dropped_; }
-  std::uint64_t rrl_slipped() const noexcept { return rrl_slipped_; }
+  std::uint64_t rrl_dropped() const noexcept { return m_.rrl_dropped.value(); }
+  std::uint64_t rrl_slipped() const noexcept { return m_.rrl_slipped.value(); }
 
   /// Subscribe the server's RRL to the system-wide degradation ladder
   /// (obs::PressureSignal): ingest pressure raises the per-response token
@@ -60,7 +60,7 @@ class UdpDnsServer {
     if (rrl_ != nullptr) rrl_->set_pressure(pressure);
   }
 
-  /// Mirror the server counters into a shared registry under
+  /// Re-home the server counters in a shared registry under
   /// nxd_dns_server_*_total{proto=udp}; current values carry over.
   void bind_metrics(obs::MetricsRegistry& registry);
 
@@ -73,9 +73,9 @@ class UdpDnsServer {
     obs::Counter rrl_slipped;
   };
 
-  UdpDnsServer(net::UdpSocket socket, const AuthoritativeServer& auth)
-      : socket_(std::move(socket)), auth_(auth) {}
+  UdpDnsServer(net::UdpSocket socket, const AuthoritativeServer& auth);
 
+  void acquire_metrics(obs::MetricsRegistry& registry);
   void handle_one(const net::Datagram& datagram);
 
   net::UdpSocket socket_;
@@ -83,11 +83,7 @@ class UdpDnsServer {
   net::FaultPlan* fault_plan_ = nullptr;
   ResponseRateLimiter* rrl_ = nullptr;
   const util::SimClock* rrl_clock_ = nullptr;
-  std::uint64_t answered_ = 0;
-  std::uint64_t malformed_ = 0;
-  std::uint64_t faulted_ = 0;
-  std::uint64_t rrl_dropped_ = 0;
-  std::uint64_t rrl_slipped_ = 0;
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
 };
 

@@ -50,9 +50,9 @@ struct World {
     resolver.use_network(network, {}, {}, config.seed);
   }
 
-  util::SimTime replay(int queries) {
+  util::SimTime replay(int queries, int first = 0) {
     util::SimTime now = 0;
-    for (int i = 0; i < queries; ++i) {
+    for (int i = first; i < first + queries; ++i) {
       now += resolver.resolve(attack.query(static_cast<std::uint64_t>(i)), now)
                  .elapsed;
     }
@@ -123,10 +123,12 @@ TEST(AmplificationReconciliation, ObsCountersMirrorStatsAcrossRebinding) {
   World world(replay_config(44, 3));
   world.replay(kReplayQueries / 2);
 
-  // Re-home the counters mid-run: accumulated values must carry over.
+  // Re-home the counters mid-run: accumulated values, histogram samples
+  // included, must carry over.
   obs::MetricsRegistry registry;
   world.resolver.bind_metrics(registry);
-  world.replay(kReplayQueries / 2);
+  world.network.bind_metrics(registry);
+  world.replay(kReplayQueries / 2, kReplayQueries / 2);
 
   const auto& stats = world.resolver.stats();
   const auto snapshot = registry.snapshot();
@@ -142,7 +144,23 @@ TEST(AmplificationReconciliation, ObsCountersMirrorStatsAcrossRebinding) {
             stats.delegation_capped);
   EXPECT_EQ(counter("nxd_resolver_servfail_responses_total"),
             stats.servfail_responses);
-  EXPECT_GT(stats.upstream_sends, 0u);
+  EXPECT_EQ(counter("nxd_net_packets_delivered_total"),
+            world.network.delivered());
+  EXPECT_EQ(counter("nxd_net_packets_dropped_total"), world.network.dropped());
+
+  // ... and every one equals the closed-form total of both halves.
+  const auto q = static_cast<std::uint64_t>(kReplayQueries);
+  EXPECT_EQ(stats.client_queries, q);
+  EXPECT_EQ(stats.upstream_resolutions, q);
+  EXPECT_EQ(stats.delegation_fetches, 3 * q);
+  EXPECT_EQ(stats.upstream_sends, 3 * (q + stats.delegation_fetches));
+  EXPECT_EQ(stats.servfail_responses, q);
+  EXPECT_EQ(world.network.delivered(), stats.upstream_sends);
+  EXPECT_EQ(world.network.dropped(), 0u);
+  const auto* latency =
+      snapshot.find("nxd_resolver_upstream_latency_seconds");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->hist_count, q);  // one sample per upstream resolution
 }
 
 // Two resolvers in two threads, each driving its own world, sharing one

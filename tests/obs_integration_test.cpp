@@ -3,7 +3,9 @@
 //   * the honeypot's admin-gated GET /metrics endpoint serves valid
 //     Prometheus text spanning pdns/resolver/honeypot/net,
 //   * the legacy stats structs (RecursiveStats, RrlStats, OverloadStats,
-//     recorder totals, LoadSnapshot) agree exactly with the registry,
+//     recorder totals) agree exactly with the registry,
+//   * binding mid-run carries every component's private counts, gauges and
+//     histograms into the shared registry,
 //   * a 10k-query run's span roots reconcile against the counters even after
 //     the ring wrapped, and the span export is byte-deterministic under a
 //     fixed seed,
@@ -11,6 +13,7 @@
 //     exposition bytes as the live endpoint.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -23,9 +26,12 @@
 #include "honeypot/overload.hpp"
 #include "honeypot/recorder.hpp"
 #include "honeypot/server.hpp"
+#include "net/event_loop.hpp"
 #include "net/fault.hpp"
 #include "net/sim_network.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
+#include "obs/pressure.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/span.hpp"
 #include "pdns/observation.hpp"
@@ -34,6 +40,8 @@
 #include "resolver/hierarchy.hpp"
 #include "resolver/recursive.hpp"
 #include "resolver/rrl.hpp"
+#include "resolver/tcp_server.hpp"
+#include "resolver/udp_server.hpp"
 #include "util/circuit_breaker.hpp"
 #include "util/rng.hpp"
 
@@ -62,7 +70,8 @@ std::string status_line(const std::vector<std::uint8_t>& wire) {
   return text.substr(0, text.find("\r\n"));
 }
 
-/// Drive every instrumented module against one registry.
+/// Drive every instrumented module against one registry.  With `bind`
+/// false the modules count privately until bind_all().
 struct ObservedWorld {
   obs::MetricsRegistry registry;
   std::unique_ptr<obs::SpanTracer> spans;  // set by trace_spans()
@@ -74,8 +83,19 @@ struct ObservedWorld {
   pdns::PassiveDnsStore store;
   honeypot::TrafficRecorder recorder;
   std::unique_ptr<honeypot::NxdHoneypot> honeypot;
+  obs::PressureSignal pressure;
+  resolver::AuthoritativeServer auth;
+  std::unique_ptr<resolver::UdpDnsServer> udp;
+  std::unique_ptr<resolver::TcpDnsServer> tcp;
+  net::EventLoop loop;
+  util::SimClock dns_clock;
 
-  explicit ObservedWorld(std::uint64_t seed)
+  // Workload cursor: consecutive run() calls continue one workload.
+  util::Rng rng{99};
+  util::SimTime now = 0;
+  std::uint16_t next_id = 1;
+
+  explicit ObservedWorld(std::uint64_t seed, bool bind = true)
       : // Near-zero refill so the limiter visibly trips even though the
         // workload advances simulated time between checks.
         rrl(resolver::RrlConfig{.responses_per_second = 0.001, .burst = 1.0}) {
@@ -105,13 +125,30 @@ struct ObservedWorld {
     guard.per_ip_rate = 0.001;
     guard.per_ip_burst = 1;
     honeypot->enable_overload(guard);
+    // Inert until a test feeds the signal: level 0 changes no verdict.
+    rrl.set_pressure(&pressure);
+    honeypot->gate()->set_pressure(&pressure);
 
+    const net::Endpoint loopback{dns::IPv4::from_octets(127, 0, 0, 1), 0};
+    udp = resolver::UdpDnsServer::create(loopback, auth);
+    tcp = resolver::TcpDnsServer::create(loopback, auth);
+    udp->set_rrl(&rrl, &dns_clock);
+    tcp->set_rrl(&rrl, &dns_clock);
+    tcp->attach(loop);
+
+    if (bind) bind_all();
+  }
+
+  void bind_all() {
     resolver->bind_metrics(registry);
     network.bind_metrics(registry);
     rrl.bind_metrics(registry);
     store.bind_metrics(registry);
     recorder.bind_metrics(registry);
     honeypot->gate()->bind_metrics(registry);
+    pressure.bind_metrics(registry);
+    udp->bind_metrics(registry);
+    tcp->bind_metrics(registry);
   }
 
   /// Share one tracer, sampling every trace, across the resolver, the RRL
@@ -126,9 +163,6 @@ struct ObservedWorld {
 
   /// A deterministic mixed workload touching every instrumented path.
   void run(std::size_t queries) {
-    util::Rng rng(99);
-    util::SimTime now = 0;
-    std::uint16_t id = 1;
     for (std::size_t i = 0; i < queries; ++i, now += 2) {
       const dns::DomainName name =
           rng.chance(0.4)
@@ -136,7 +170,8 @@ struct ObservedWorld {
               : dns::DomainName::must("ghost" + std::to_string(rng.bounded(64)) +
                                       ".com");
       const auto outcome =
-          resolver->resolve(dns::make_query(id++, name, dns::RRType::A), now);
+          resolver->resolve(dns::make_query(next_id++, name, dns::RRType::A),
+                            now);
       now += outcome.elapsed;
       rrl.check(dns::IPv4::from_octets(192, 0, 2,
                                        static_cast<std::uint8_t>(i % 4)),
@@ -154,6 +189,32 @@ struct ObservedWorld {
       const auto open = honeypot->conn_open(src, now, 80);
       if (open.accepted) honeypot->conn_data(open.id, bytes, now);
       now += (i % 8 == 7) ? 5 : 0;
+    }
+  }
+
+  /// Loopback DNS through both front ends, metered by the shared RRL at the
+  /// workload's current time: per round one UDP query, one junk datagram
+  /// and one TCP query, all from 127.0.0.1.
+  void serve_dns(int rounds) {
+    dns_clock.set(now);
+    auto client = net::UdpSocket::bind(
+        net::Endpoint{dns::IPv4::from_octets(127, 0, 0, 1), 0});
+    ASSERT_TRUE(client.has_value());
+    const std::vector<std::uint8_t> junk{0xde, 0xad};
+    for (int i = 0; i < rounds; ++i) {
+      const auto wire = dns::encode(dns::make_query(
+          next_id++, dns::DomainName::must("example.com"), dns::RRType::A));
+      ASSERT_TRUE(client->send_to(udp->local(), wire));
+      ASSERT_TRUE(client->send_to(udp->local(), junk));
+      udp->pump();
+      auto stream = net::TcpStream::connect(tcp->local());
+      ASSERT_TRUE(stream.has_value());
+      std::vector<std::uint8_t> framed{
+          static_cast<std::uint8_t>(wire.size() >> 8),
+          static_cast<std::uint8_t>(wire.size())};
+      framed.insert(framed.end(), wire.begin(), wire.end());
+      ASSERT_GT(stream->write(framed), 0);
+      loop.poll_once(std::chrono::milliseconds(1'000));
     }
   }
 };
@@ -302,18 +363,93 @@ TEST(ObsIntegration, LegacyStatsEqualRegistryCounters) {
             counter("nxd_net_faults_total", {{"kind", "drop"}}));
   EXPECT_EQ(fault_stats.injected_duplicates,
             counter("nxd_net_faults_total", {{"kind", "duplicate"}}));
+}
 
-  // The LoadSnapshot text path reports the same numbers the registry holds.
-  honeypot::LoadSnapshot load;
-  load.add_overload("honeypot", gate_stats);
-  for (const auto& [name, value] : load.counters) {
-    if (name == "honeypot.opened") {
-      EXPECT_EQ(value, counter("nxd_honeypot_conns_opened_total"));
-    }
-    if (name == "honeypot.accepted") {
-      EXPECT_EQ(value, counter("nxd_honeypot_conns_accepted_total"));
-    }
+TEST(ObsIntegration, MidRunBindCarriesEveryComponent) {
+  // The same workload twice: once bound from construction, once counting
+  // privately until a bind halfway through.  Each half runs every path,
+  // including the health model, the pressure ladder and both DNS front ends.
+  const auto drive = [](ObservedWorld& world, bool bind_midway) {
+    world.resolver->enable_health();
+    world.run(300);
+    world.serve_dns(3);
+    world.pressure.update({.wal_lag_batches = 64}, world.now);
+    if (bind_midway) world.bind_all();
+    world.run(300);
+    world.serve_dns(3);
+    world.pressure.update({}, world.now);
+  };
+  ObservedWorld early(17);
+  drive(early, false);
+  ObservedWorld late(17, /*bind=*/false);
+  drive(late, true);
+
+  // Counters, gauges and histograms all match the bound-from-start run.
+  const auto snapshot = late.registry.snapshot();
+  EXPECT_EQ(snapshot.to_text(), early.registry.snapshot().to_text());
+  for (const char* name : {"nxd_resolver_upstream_latency_seconds",
+                           "nxd_honeypot_payload_bytes"}) {
+    const auto* series = snapshot.find(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_GT(series->hist_count, 0u) << name;
+    EXPECT_EQ(series->hist_count,
+              early.registry.snapshot().find(name)->hist_count)
+        << name;
   }
+
+  // Every accessor reads the registry, and the registry holds both halves.
+  const auto counter = [&snapshot](const std::string& name,
+                                   const obs::LabelSet& labels =
+                                       {}) -> std::uint64_t {
+    const auto* s = snapshot.find(name, labels);
+    return s != nullptr ? s->counter : 0;
+  };
+  const auto& rs = late.resolver->stats();
+  EXPECT_EQ(rs.client_queries, 600u);
+  EXPECT_EQ(rs.client_queries, counter("nxd_resolver_client_queries_total"));
+  EXPECT_EQ(rs.upstream_sends, counter("nxd_resolver_upstream_sends_total"));
+  EXPECT_EQ(rs.upstream_sends, early.resolver->stats().upstream_sends);
+  const auto hs = late.resolver->health()->stats();
+  EXPECT_GT(hs.successes, 0u);
+  EXPECT_EQ(hs.successes, counter("nxd_resolver_health_successes_total"));
+  EXPECT_EQ(hs.failures, counter("nxd_resolver_health_failures_total"));
+  EXPECT_EQ(hs.successes, early.resolver->health()->stats().successes);
+  const auto& rrl_stats = late.rrl.stats();
+  EXPECT_EQ(rrl_stats.checked, counter("nxd_resolver_rrl_checked_total"));
+  EXPECT_EQ(rrl_stats.pressure_scaled,
+            counter("nxd_resolver_rrl_pressure_scaled_total"));
+  EXPECT_GT(rrl_stats.pressure_scaled, 0u);
+  EXPECT_EQ(rrl_stats.checked, early.rrl.stats().checked);
+  const auto gate_stats = late.honeypot->gate()->stats();
+  EXPECT_EQ(gate_stats.opened, counter("nxd_honeypot_conns_opened_total"));
+  EXPECT_EQ(gate_stats, early.honeypot->gate()->stats());
+  const auto ps = late.pressure.stats();
+  EXPECT_EQ(ps.raised, 2u);
+  EXPECT_EQ(ps.raised, counter("nxd_pressure_raised_total"));
+  EXPECT_EQ(ps.lowered, counter("nxd_pressure_lowered_total"));
+  EXPECT_EQ(ps.updates, counter("nxd_pressure_updates_total"));
+  EXPECT_EQ(late.recorder.total(), counter("nxd_honeypot_records_total"));
+  EXPECT_EQ(late.recorder.shed_connections(),
+            counter("nxd_honeypot_recorder_shed_connections_total"));
+  EXPECT_EQ(late.recorder.shed_connections(), early.recorder.shed_connections());
+  EXPECT_EQ(late.network.delivered(),
+            counter("nxd_net_packets_delivered_total"));
+  EXPECT_EQ(late.network.delivered(), early.network.delivered());
+  EXPECT_EQ(late.network.dropped(), counter("nxd_net_packets_dropped_total"));
+  const obs::LabelSet udp{{"proto", "udp"}};
+  EXPECT_EQ(late.udp->answered(), counter("nxd_dns_server_answered_total", udp));
+  EXPECT_EQ(late.udp->malformed(), 6u);
+  EXPECT_EQ(late.udp->malformed(),
+            counter("nxd_dns_server_malformed_total", udp));
+  EXPECT_EQ(late.udp->rrl_slipped() + late.udp->rrl_dropped(),
+            counter("nxd_dns_server_rrl_slipped_total", udp) +
+                counter("nxd_dns_server_rrl_dropped_total", udp));
+  EXPECT_EQ(late.udp->answered(), early.udp->answered());
+  const obs::LabelSet tcp{{"proto", "tcp"}};
+  EXPECT_EQ(late.tcp->answered() + late.tcp->rrl_dropped(), 6u);
+  EXPECT_EQ(late.tcp->answered(), counter("nxd_dns_server_answered_total", tcp));
+  EXPECT_EQ(late.tcp->rrl_dropped(),
+            counter("nxd_dns_server_rrl_dropped_total", tcp));
 }
 
 TEST(ObsIntegration, SpansReconcileWithCountersAfterWraparound) {

@@ -210,6 +210,51 @@ TEST(Snapshot, MergeIsAssociativeAndCommutative) {
   EXPECT_NE(ab_c.find("nxd_only_100_total"), nullptr);
 }
 
+TEST(Registry, AbsorbFoldsBySnapshotMergeRule) {
+  // A component's private registry, folded into a shared one that already
+  // holds the same series from elsewhere.
+  MetricsRegistry own;
+  own.counter("nxd_q_total", "Queries", {{"proto", "udp"}}).inc(3);
+  own.counter("nxd_q_total", "Queries", {{"proto", "tcp"}}).inc(1);
+  own.gauge("nxd_active", "Open connections").set(2);
+  auto own_lat = own.histogram("nxd_lat", "Latency");
+  own_lat.observe(5);
+  own_lat.observe(700);
+  own.counter("nxd_clash", "Counted here").inc(9);
+
+  MetricsRegistry shared;
+  shared.counter("nxd_q_total", "Queries", {{"proto", "udp"}}).inc(10);
+  shared.gauge("nxd_active", "Open connections").set(5);
+  auto shared_lat = shared.histogram("nxd_lat", "Latency");
+  shared_lat.observe(40);
+  auto clash = shared.gauge("nxd_clash", "A gauge here");
+  clash.set(-4);
+
+  auto expected = shared.snapshot();
+  expected.merge(own.snapshot());
+  shared.absorb(own.snapshot());
+  const auto got = shared.snapshot();
+
+  EXPECT_EQ(got.find("nxd_q_total", {{"proto", "udp"}})->counter, 13u);
+  EXPECT_EQ(got.find("nxd_q_total", {{"proto", "tcp"}})->counter, 1u);
+  EXPECT_EQ(got.find("nxd_active")->gauge, 7);
+  const auto* lat = got.find("nxd_lat");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->hist_count, 3u);
+  EXPECT_EQ(lat->hist_sum, 745u);
+  EXPECT_EQ(lat->hist_max, 700u);  // max folds as max, not sum
+  EXPECT_EQ(lat->buckets[histogram_bucket_index(700)], 1u);
+  // Type conflict: the shared series is left untouched.
+  const auto* kept = got.find("nxd_clash");
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->type, MetricType::Gauge);
+  EXPECT_EQ(kept->gauge, -4);
+  EXPECT_EQ(kept->help, "A gauge here");
+  // Live handles taken before the fold see the folded values.
+  EXPECT_EQ(shared_lat.count(), 3u);
+  EXPECT_EQ(got.to_text(), expected.to_text());
+}
+
 // --------------------------------------------------------------- prometheus
 
 TEST(Prometheus, GoldenText) {

@@ -1,7 +1,7 @@
 // Overload-resilience suite: util::TokenBucket / util::DeadlineQueue
 // primitives, the honeypot ConnectionGate (admission, per-IP rate limiting,
 // slowloris deadlines, graceful drain), DNS response rate limiting on the
-// UDP/TCP front ends, the bounded rDNS cache, and the load-snapshot codec.
+// UDP/TCP front ends, and the bounded rDNS cache.
 //
 // The chaos harnesses at the bottom are the ISSUE's contract: a seeded
 // flood and a slowloris barrage over simulated time must produce
@@ -399,13 +399,11 @@ honeypot::OverloadStats run_flood(std::uint64_t seed, std::string* snapshot) {
   clock.advance(100);
   server.reap_expired(clock.now());
 
+  obs::MetricsRegistry registry;  // outlives the gate's last stats() read
   if (snapshot != nullptr) {
-    honeypot::LoadSnapshot snap;
-    snap.add_overload("honeypot", server.gate()->stats());
-    snap.add("recorder.records", recorder.total());
-    snap.add("recorder.shed", recorder.shed_connections());
-    snap.add("recorder.expired", recorder.expired_connections());
-    *snapshot = snap.to_text();
+    server.gate()->bind_metrics(registry);
+    recorder.bind_metrics(registry);
+    *snapshot = registry.snapshot().to_text();
   }
   return server.gate()->stats();
 }
@@ -430,32 +428,6 @@ TEST(Flood, TenTimesOverloadShedsAreByteReproducible) {
   EXPECT_EQ(other.accepted,
             other.completed + other.expired_total() + other.drain_forced_closes);
   EXPECT_EQ(other.opened, other.accepted + other.shed_total());
-}
-
-// --------------------------------------------------------- load snapshot
-
-TEST(LoadSnapshot, RoundTripsAndRejectsJunk) {
-  honeypot::LoadSnapshot snapshot;
-  honeypot::OverloadStats stats;
-  stats.opened = 10;
-  stats.accepted = 7;
-  stats.shed_rate = 3;
-  snapshot.add_overload("honeypot", stats);
-  snapshot.add("rrl.dropped", 42);
-
-  const auto text = snapshot.to_text();
-  const auto parsed = honeypot::LoadSnapshot::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->counters.size(), snapshot.counters.size());
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    EXPECT_EQ(parsed->counters[i], snapshot.counters[i]);
-  }
-
-  EXPECT_FALSE(honeypot::LoadSnapshot::parse("").has_value());
-  EXPECT_FALSE(honeypot::LoadSnapshot::parse("not a snapshot\n").has_value());
-  EXPECT_FALSE(
-      honeypot::LoadSnapshot::parse("nxd-load-snapshot v1\nbad line\n")
-          .has_value());
 }
 
 // ------------------------------------------------------------ DNS RRL

@@ -16,9 +16,6 @@
 //                                replay + fresh checkpoint) and print stats
 //   fsck <dir>                   read-only health report of a durable
 //                                ingest directory
-//   loadstats <file>             pretty-print an overload load snapshot
-//                                (written by bench/overload_shed or the
-//                                nx_pipeline --max-conns/--rate-limit run)
 //   metrics <file>               re-render a metrics snapshot (written by
 //                                nx_pipeline --metrics-out) as Prometheus
 //                                exposition text — the same bytes the live
@@ -26,7 +23,9 @@
 //   health <file>                summarize the resolver's upstream-health
 //                                metrics from a snapshot: per-upstream SRTT
 //                                gauges, breaker state transitions/probes/
-//                                rejections, hedge win/loss counters
+//                                rejections, hedge win/loss counters, plus
+//                                the honeypot connection gate's accept/shed/
+//                                reap rates when the snapshot has them
 //   spans <file.jsonl>           critical-path aggregation of a span export
 //                                (written by nx_pipeline --spans): per-stage
 //                                latency attribution + the slowest trace
@@ -54,7 +53,6 @@
 #include "dns/punycode.hpp"
 #include "honeypot/capture_log.hpp"
 #include "honeypot/categorizer.hpp"
-#include "honeypot/overload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/slo.hpp"
@@ -84,10 +82,10 @@ int usage() {
                "  resolve <domain>...         resolve against the demo hierarchy\n"
                "  recover <dir>               recover + compact a durable ingest dir\n"
                "  fsck <dir>                  read-only durable-dir health report\n"
-               "  loadstats <file>            pretty-print an overload load snapshot\n"
                "  metrics <file>              render a metrics snapshot as Prometheus text\n"
                "  health <file>               per-upstream SRTT / breaker / hedge stats\n"
-               "                              from a metrics snapshot\n"
+               "                              and gate accept/shed/reap rates from a\n"
+               "                              metrics snapshot\n"
                "  spans <file.jsonl>          critical-path report from a span export\n"
                "  slo <file>                  SLO burn-rate + NXDomain anomaly replay of\n"
                "                              a time-series export\n"
@@ -412,51 +410,6 @@ int cmd_fsck(int argc, char** argv) {
 
 }  // namespace
 
-int cmd_loadstats(int argc, char** argv) {
-  if (argc != 1) return usage();
-  const auto text = read_file(argv[0]);
-  if (!text) {
-    std::fprintf(stderr, "nxdtool: cannot read %s\n", argv[0]);
-    return 1;
-  }
-  const auto snapshot = honeypot::LoadSnapshot::parse(*text);
-  if (!snapshot) {
-    std::fprintf(stderr, "nxdtool: %s is not a load snapshot\n", argv[0]);
-    return 1;
-  }
-  std::printf("load snapshot: %s (%zu counters)\n", argv[0],
-              snapshot->counters.size());
-  const auto value_of =
-      [&snapshot](std::string_view name) -> std::uint64_t {
-    for (const auto& [counter, value] : snapshot->counters) {
-      if (counter == name) return value;
-    }
-    return 0;
-  };
-  for (const auto& [name, value] : snapshot->counters) {
-    std::printf("  %-36s %s\n", name.c_str(),
-                util::with_commas(value).c_str());
-  }
-  // Derived health lines for the conventional honeypot.* prefix the bench
-  // and pipeline emit.
-  const auto opened = value_of("honeypot.opened");
-  if (opened > 0) {
-    const auto shed = value_of("honeypot.shed_capacity") +
-                      value_of("honeypot.shed_rate") +
-                      value_of("honeypot.shed_draining");
-    const auto expired = value_of("honeypot.expired_header") +
-                         value_of("honeypot.expired_body") +
-                         value_of("honeypot.expired_idle");
-    std::printf("derived:\n");
-    std::printf("  accept rate  %s\n",
-                util::pct_str(value_of("honeypot.accepted"), opened).c_str());
-    std::printf("  shed rate    %s\n", util::pct_str(shed, opened).c_str());
-    std::printf("  reap rate    %s (of accepted)\n",
-                util::pct_str(expired, value_of("honeypot.accepted")).c_str());
-  }
-  return 0;
-}
-
 int cmd_health(int argc, char** argv) {
   if (argc != 1) return usage();
   const auto text = read_file(argv[0]);
@@ -526,6 +479,29 @@ int cmd_health(int argc, char** argv) {
               util::pct_str(wins, hedged).c_str(),
               static_cast<unsigned long long>(
                   counter("nxd_resolver_hedge_losses_total")));
+
+  // Connection-gate rates; shed and expired sum over every reason/phase.
+  const auto opened = counter("nxd_honeypot_conns_opened_total");
+  if (opened > 0) {
+    const auto sum_of = [&snapshot](std::string_view name) {
+      std::uint64_t total = 0;
+      for (const auto& series : snapshot.series) {
+        if (series.name == name) total += series.counter;
+      }
+      return total;
+    };
+    const auto accepted = counter("nxd_honeypot_conns_accepted_total");
+    std::printf("\nconnection gate: %s opened\n",
+                util::with_commas(opened).c_str());
+    std::printf("  accept rate  %s\n", util::pct_str(accepted, opened).c_str());
+    std::printf("  shed rate    %s\n",
+                util::pct_str(sum_of("nxd_honeypot_conns_shed_total"), opened)
+                    .c_str());
+    std::printf("  reap rate    %s (of accepted)\n",
+                util::pct_str(sum_of("nxd_honeypot_conns_expired_total"),
+                              accepted)
+                    .c_str());
+  }
   return 0;
 }
 
@@ -680,7 +656,6 @@ int main(int argc, char** argv) {
   if (command == "resolve") return cmd_resolve(argc - 2, argv + 2);
   if (command == "recover") return cmd_recover(argc - 2, argv + 2);
   if (command == "fsck") return cmd_fsck(argc - 2, argv + 2);
-  if (command == "loadstats") return cmd_loadstats(argc - 2, argv + 2);
   if (command == "metrics") return cmd_metrics(argc - 2, argv + 2);
   if (command == "health") return cmd_health(argc - 2, argv + 2);
   if (command == "spans") return cmd_spans(argc - 2, argv + 2);
