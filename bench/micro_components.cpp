@@ -2,6 +2,8 @@
 // every experiment leans on.  Not a paper figure — engineering telemetry.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "dga/classifier.hpp"
 #include "dga/families.hpp"
 #include "dns/message.hpp"
@@ -49,6 +51,59 @@ void BM_DnsDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
 }
 BENCHMARK(BM_DnsDecode);
+
+// The NXNS referral: a delegation to 12 glueless NS targets, the response
+// the resolver decodes once per attack query.
+dns::Message nxns_referral() {
+  const auto query =
+      dns::make_query(1, dns::DomainName::must("www.sub7.attacker.com"));
+  dns::Message referral = dns::make_response(query, dns::RCode::NoError);
+  const auto cut = dns::DomainName::must("sub7.attacker.com");
+  for (int k = 0; k < 12; ++k) {
+    referral.authorities.push_back(dns::make_ns(
+        cut, dns::DomainName::must("ns-42-7-" + std::to_string(k) +
+                                   ".attacker-ns.net")));
+  }
+  return referral;
+}
+
+// NXDOMAIN with the zone SOA and an NSEC range proof, the answer every
+// water-torture probe gets under aggressive negative caching.
+dns::Message nxdomain_with_nsec() {
+  const auto query =
+      dns::make_query(1, dns::DomainName::must("q7x3k.victim.com"));
+  dns::Message response = dns::make_response(query, dns::RCode::NXDomain);
+  dns::SoaData soa;
+  soa.mname = dns::DomainName::must("ns1.victim.com");
+  soa.rname = dns::DomainName::must("hostmaster.victim.com");
+  response.authorities.push_back(
+      dns::make_soa(dns::DomainName::must("victim.com"), soa));
+  response.authorities.push_back(
+      dns::make_nsec(dns::DomainName::must("mail.victim.com"),
+                     dns::DomainName::must("www.victim.com")));
+  return response;
+}
+
+void BM_DnsEncodeShape(benchmark::State& state, dns::Message (*shape)()) {
+  const auto message = shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::encode(message));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DnsEncodeShape, nxns_referral, nxns_referral);
+BENCHMARK_CAPTURE(BM_DnsEncodeShape, nxdomain_nsec, nxdomain_with_nsec);
+
+void BM_DnsDecodeShape(benchmark::State& state, dns::Message (*shape)()) {
+  const auto wire = dns::encode(shape());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::decode(wire));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * wire.size()));
+}
+BENCHMARK_CAPTURE(BM_DnsDecodeShape, nxns_referral, nxns_referral);
+BENCHMARK_CAPTURE(BM_DnsDecodeShape, nxdomain_nsec, nxdomain_with_nsec);
 
 void BM_NameParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,7 +1,7 @@
 #include "dns/message.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstring>
 
 #include "util/bytes.hpp"
 
@@ -39,28 +39,34 @@ namespace {
 
 constexpr std::uint8_t kPointerTag = 0xc0;
 constexpr std::uint16_t kMaxPointerOffset = 0x3fff;
+// Smallest RR on the wire: root owner, type, class, TTL, empty RDATA.
+constexpr std::size_t kMinRecordOctets = 11;
 
-/// Compression dictionary: maps a name suffix (rendered as a dot-joined
-/// string) to the wire offset where it was first written.
+/// Name compressor.  The dictionary is the wire offsets of the labels
+/// written inline, in write order; a suffix is looked up by walking the
+/// bytes already written from each earlier offset, following pointers.
+/// A suffix is written inline at most once (a repeat becomes a pointer), so
+/// a match is the suffix's first occurrence, and every pointer targets
+/// earlier, fully written data.
 class NameEncoder {
  public:
-  explicit NameEncoder(util::ByteWriter& w) : w_(w) {}
+  NameEncoder(util::ByteWriter& w, std::vector<std::uint16_t>& offsets)
+      : w_(w), offsets_(offsets) {}
 
   void write(const DomainName& name) {
     const auto& labels = name.labels();
+    // Only earlier names can match: this name's own entries are longer
+    // suffixes of it, and they are not fully written yet.
+    const std::size_t earlier = offsets_.size();
     for (std::size_t i = 0; i < labels.size(); ++i) {
-      // Key for the suffix starting at label i.
-      std::string key;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        key += labels[j];
-        key += '.';
-      }
-      if (const auto it = offsets_.find(key); it != offsets_.end()) {
-        w_.u16(static_cast<std::uint16_t>(0xc000 | it->second));
-        return;
+      for (std::size_t k = 0; k < earlier; ++k) {
+        if (spells(offsets_[k], labels, i)) {
+          w_.u16(static_cast<std::uint16_t>(0xc000 | offsets_[k]));
+          return;
+        }
       }
       if (w_.size() <= kMaxPointerOffset) {
-        offsets_.emplace(std::move(key), static_cast<std::uint16_t>(w_.size()));
+        offsets_.push_back(static_cast<std::uint16_t>(w_.size()));
       }
       w_.u8(static_cast<std::uint8_t>(labels[i].size()));
       w_.bytes(labels[i]);
@@ -69,8 +75,28 @@ class NameEncoder {
   }
 
  private:
+  /// True when the name written at wire offset `at` is labels[i..].
+  bool spells(std::size_t at, const std::vector<std::string>& labels,
+              std::size_t i) const {
+    const auto wire = w_.view();
+    for (;; ++i) {
+      std::uint8_t len = wire[at];
+      while ((len & kPointerTag) == kPointerTag) {
+        at = (static_cast<std::size_t>(len & 0x3f) << 8) | wire[at + 1];
+        len = wire[at];
+      }
+      if (i == labels.size()) return len == 0;
+      const std::string& label = labels[i];
+      if (len != label.size() ||
+          std::memcmp(&wire[at + 1], label.data(), len) != 0) {
+        return false;
+      }
+      at += 1 + len;
+    }
+  }
+
   util::ByteWriter& w_;
-  std::unordered_map<std::string, std::uint16_t> offsets_;
+  std::vector<std::uint16_t>& offsets_;
 };
 
 void write_rr(util::ByteWriter& w, NameEncoder& names, const ResourceRecord& rr) {
@@ -135,9 +161,9 @@ void write_rr(util::ByteWriter& w, NameEncoder& names, const ResourceRecord& rr)
 
 /// Decode a (possibly compressed) name starting at the reader's cursor.
 /// After return the cursor sits just past the name's in-place bytes.
-std::optional<DomainName> read_name(util::ByteReader& r,
-                                    std::span<const std::uint8_t> whole) {
+std::optional<DomainName> read_name(util::ByteReader& r) {
   std::vector<std::string> labels;
+  labels.reserve(4);  // enough for most names, so usually one allocation
   std::size_t jumps = 0;
   std::optional<std::size_t> resume;
   std::size_t total_len = 0;
@@ -151,26 +177,27 @@ std::optional<DomainName> read_name(util::ByteReader& r,
       if (!r.ok()) return std::nullopt;
       const std::size_t target = (static_cast<std::size_t>(len & 0x3f) << 8) | lo;
       if (!resume) resume = r.pos();
-      // A pointer must reference earlier data; combined with the jump cap it
-      // makes decompression loops impossible.
-      if (target >= whole.size() || ++jumps > 64) return std::nullopt;
+      // A pointer must reference data before its own offset; the encoder
+      // writes no other kind.  Labels read after a jump can still run
+      // forward into a later pointer, so the jump cap stays as the
+      // backstop against loops.
+      if (target >= r.pos() - 2 || ++jumps > 64) return std::nullopt;
       r.seek(target);
       continue;
     }
     if ((len & kPointerTag) != 0) return std::nullopt;  // reserved tags 01/10
-    const std::string label = r.str(len);
+    std::string label = r.str(len);
     if (!r.ok()) return std::nullopt;
     total_len += label.size() + 1;
     if (total_len > 255) return std::nullopt;
-    labels.push_back(label);
+    labels.push_back(std::move(label));
   }
   if (resume) r.seek(*resume);
   return DomainName::from_labels(std::move(labels));
 }
 
-std::optional<ResourceRecord> read_rr(util::ByteReader& r,
-                                      std::span<const std::uint8_t> whole) {
-  auto name = read_name(r, whole);
+std::optional<ResourceRecord> read_rr(util::ByteReader& r) {
+  auto name = read_name(r);
   if (!name) return std::nullopt;
   const auto type = static_cast<RRType>(r.u16());
   const auto rr_class = static_cast<RRClass>(r.u16());
@@ -187,20 +214,20 @@ std::optional<ResourceRecord> read_rr(util::ByteReader& r,
       break;
     }
     case RRType::NS: {
-      auto ns = read_name(r, whole);
+      auto ns = read_name(r);
       if (!ns) return std::nullopt;
       rdata = NsData{*std::move(ns)};
       break;
     }
     case RRType::CNAME: {
-      auto target = read_name(r, whole);
+      auto target = read_name(r);
       if (!target) return std::nullopt;
       rdata = CnameData{*std::move(target)};
       break;
     }
     case RRType::SOA: {
-      auto mname = read_name(r, whole);
-      auto rname = read_name(r, whole);
+      auto mname = read_name(r);
+      auto rname = read_name(r);
       if (!mname || !rname) return std::nullopt;
       SoaData soa;
       soa.mname = *std::move(mname);
@@ -214,7 +241,7 @@ std::optional<ResourceRecord> read_rr(util::ByteReader& r,
       break;
     }
     case RRType::PTR: {
-      auto target = read_name(r, whole);
+      auto target = read_name(r);
       if (!target) return std::nullopt;
       rdata = PtrData{*std::move(target)};
       break;
@@ -222,7 +249,7 @@ std::optional<ResourceRecord> read_rr(util::ByteReader& r,
     case RRType::MX: {
       MxData mx;
       mx.preference = r.u16();
-      auto exchange = read_name(r, whole);
+      auto exchange = read_name(r);
       if (!exchange) return std::nullopt;
       mx.exchange = *std::move(exchange);
       rdata = std::move(mx);
@@ -247,7 +274,7 @@ std::optional<ResourceRecord> read_rr(util::ByteReader& r,
       break;
     }
     case RRType::NSEC: {
-      auto next = read_name(r, whole);
+      auto next = read_name(r);
       if (!next) return std::nullopt;
       NsecData nsec;
       nsec.next = *std::move(next);
@@ -309,7 +336,14 @@ Message make_nxdomain(const Message& query, const ResourceRecord& zone_soa) {
 }
 
 std::vector<std::uint8_t> encode(const Message& msg) {
-  util::ByteWriter w;
+  // The message is built in per-thread scratch that keeps its capacity,
+  // then copied out at exact size: callers keep encoded messages around
+  // (the bench holds 120k queries per pass), so spare capacity in the
+  // result would be resident memory.
+  thread_local util::ByteWriter w;
+  thread_local std::vector<std::uint16_t> offsets;
+  w.clear();
+  offsets.clear();
   const auto& h = msg.header;
   w.u16(h.id);
   std::uint16_t flags = 0;
@@ -327,7 +361,7 @@ std::vector<std::uint8_t> encode(const Message& msg) {
   w.u16(static_cast<std::uint16_t>(msg.additionals.size() +
                                    (msg.edns ? 1 : 0)));
 
-  NameEncoder names(w);
+  NameEncoder names(w, offsets);
   for (const auto& q : msg.questions) {
     names.write(q.name);
     w.u16(static_cast<std::uint16_t>(q.qtype));
@@ -348,7 +382,8 @@ std::vector<std::uint8_t> encode(const Message& msg) {
     w.u32(ttl_bits);
     w.u16(0);  // rdlength
   }
-  return std::move(w).take();
+  const auto wire = w.view();
+  return {wire.begin(), wire.end()};
 }
 
 std::optional<Message> decode(std::span<const std::uint8_t> wire) {
@@ -371,7 +406,7 @@ std::optional<Message> decode(std::span<const std::uint8_t> wire) {
   if (!r.ok()) return std::nullopt;
 
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    auto name = read_name(r, wire);
+    auto name = read_name(r);
     if (!name) return std::nullopt;
     Question q;
     q.name = *std::move(name);
@@ -383,6 +418,9 @@ std::optional<Message> decode(std::span<const std::uint8_t> wire) {
   auto read_section = [&](std::uint16_t count,
                           std::vector<ResourceRecord>& out,
                           bool allow_opt) -> bool {
+    // Never reserve more records than the remaining bytes could hold, so a
+    // tiny packet claiming huge counts cannot allocate megabytes.
+    out.reserve(std::min<std::size_t>(count, r.remaining() / kMinRecordOctets));
     for (std::uint16_t i = 0; i < count; ++i) {
       if (allow_opt) {
         // Peek for an OPT pseudo-RR: root owner (single zero byte) + type 41.
@@ -406,7 +444,7 @@ std::optional<Message> decode(std::span<const std::uint8_t> wire) {
           }
         }
       }
-      auto rr = read_rr(r, wire);
+      auto rr = read_rr(r);
       if (!rr) return false;
       out.push_back(*std::move(rr));
     }

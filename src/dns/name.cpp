@@ -72,7 +72,7 @@ std::optional<DomainName> DomainName::from_labels(
   std::size_t total = 0;
   for (auto& label : labels) {
     if (!valid_label(label)) return std::nullopt;
-    label = util::to_lower(label);
+    for (char& c : label) c = util::ascii_lower(c);
     total += label.size() + 1;
   }
   if (total > kMaxNameLength + 1) return std::nullopt;

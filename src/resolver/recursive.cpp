@@ -480,6 +480,15 @@ dns::Message RecursiveResolver::handle_referral(const dns::Message& query,
       continue;
     }
     if (defenses_.zone_fetch_budget > 0) {
+      if (zone_budgets_.size() >= budget_sweep_at_) {
+        // An expired window resets exactly like a fresh entry, so erasing
+        // one changes no verdict; sweeping only once the map has doubled
+        // keeps the cost amortized O(1) per referral.
+        std::erase_if(zone_budgets_, [&](const auto& entry) {
+          return now >= entry.second.window_start + defenses_.budget_window;
+        });
+        budget_sweep_at_ = 2 * std::max<std::size_t>(zone_budgets_.size(), 1);
+      }
       auto& budget = zone_budgets_[rr.name.registered_domain()];
       if (now >= budget.window_start + defenses_.budget_window) {
         budget.window_start = now;

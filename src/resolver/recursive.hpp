@@ -183,6 +183,12 @@ class RecursiveResolver {
 
   const RecursiveStats& stats() const noexcept;
   const ResolverCache& cache() const noexcept { return cache_; }
+  /// Registered domains holding a delegation-fetch budget window.  Expired
+  /// windows are swept whenever the map doubles, so this stays within twice
+  /// the domains charged in one `budget_window`.
+  std::size_t zone_budget_entries() const noexcept {
+    return zone_budgets_.size();
+  }
   void flush_cache() { cache_.clear(); }
 
  private:
@@ -295,6 +301,8 @@ class RecursiveResolver {
   };
   std::unordered_map<dns::DomainName, ZoneBudget, dns::DomainNameHash>
       zone_budgets_;
+  /// zone_budgets_ is swept of expired windows once it reaches this size.
+  std::size_t budget_sweep_at_ = 0;
   std::uint16_t next_id_ = 1;
 
   /// Private fallback registry used until bind_metrics() re-homes the

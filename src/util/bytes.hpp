@@ -47,6 +47,9 @@ class ByteWriter {
     buf_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
+  /// Drop the contents but keep the capacity, to reuse the writer.
+  void clear() noexcept { buf_.clear(); }
+
   std::size_t size() const noexcept { return buf_.size(); }
   std::span<const std::uint8_t> view() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() && { return std::move(buf_); }

@@ -261,6 +261,29 @@ TEST(Codec, CompressionPointerLoopRejected) {
   EXPECT_FALSE(decode(wire).has_value());
 }
 
+TEST(Codec, ForwardCompressionPointerRejected) {
+  // The qname points forward at a well-formed name ("x.") later in the
+  // packet.  Only backward pointers are legal; the encoder never emits any
+  // other kind.
+  std::vector<std::uint8_t> wire = {
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xc0, 0x12,  // pointer to offset 18, past itself
+      0x00, 0x01, 0x00, 0x01,
+      0x01, 'x',  0x00,  // offset 18: "x."
+  };
+  EXPECT_FALSE(decode(wire).has_value());
+  // The same name reached through a backward pointer decodes.
+  std::vector<std::uint8_t> backward = {
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 'x',  0x00,  0x00, 0x01, 0x00, 0x01,  // offset 12: "x." A IN
+      0xc0, 0x0c,  0x00, 0x01, 0x00, 0x01,        // pointer to offset 12
+  };
+  const auto decoded = decode(backward);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->questions.size(), 2u);
+  EXPECT_EQ(decoded->questions[1].name, DomainName::must("x"));
+}
+
 TEST(Codec, ReservedLabelTagsRejected) {
   std::vector<std::uint8_t> wire = {
       0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,

@@ -6,8 +6,11 @@
 // still structured like fuzzers (random byte soup + structured mutation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -19,6 +22,7 @@
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "pdns/store.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace nxd {
@@ -180,6 +184,228 @@ TEST_P(DnsFuzz, FaultMangledPacketsNeverCrashOrSilentlyMisparse) {
   // The plan actually mutated a healthy share of the stream.
   EXPECT_GT(network.fault_stats().injected_corruptions, 0u);
   EXPECT_GT(network.fault_stats().injected_truncations, 0u);
+}
+
+// Reference encoder for the differential test below: the codec's original
+// name compressor, which keys a hash map by every suffix rendered as text
+// and keeps the first wire offset per suffix.  Slow, but obviously right;
+// dns::encode must produce the same bytes.
+class ReferenceNameEncoder {
+ public:
+  explicit ReferenceNameEncoder(util::ByteWriter& w) : w_(w) {}
+
+  void write(const dns::DomainName& name) {
+    const auto& labels = name.labels();
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      std::string key;
+      for (std::size_t j = i; j < labels.size(); ++j) {
+        key += labels[j];
+        key += '.';
+      }
+      if (const auto it = offsets_.find(key); it != offsets_.end()) {
+        w_.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+        return;
+      }
+      if (w_.size() <= 0x3fff) {
+        offsets_.emplace(std::move(key), static_cast<std::uint16_t>(w_.size()));
+      }
+      w_.u8(static_cast<std::uint8_t>(labels[i].size()));
+      w_.bytes(labels[i]);
+    }
+    w_.u8(0);
+  }
+
+ private:
+  util::ByteWriter& w_;
+  std::unordered_map<std::string, std::uint16_t> offsets_;
+};
+
+void reference_write_rr(util::ByteWriter& w, ReferenceNameEncoder& names,
+                        const dns::ResourceRecord& rr) {
+  names.write(rr.name);
+  w.u16(static_cast<std::uint16_t>(rr.type()));
+  w.u16(static_cast<std::uint16_t>(rr.rr_class));
+  w.u32(rr.ttl);
+  const std::size_t rdlength_at = w.size();
+  w.u16(0);
+  const std::size_t rdata_start = w.size();
+  struct Visitor {
+    util::ByteWriter& w;
+    ReferenceNameEncoder& names;
+    void operator()(const dns::IPv4& ip) const { w.u32(ip.addr); }
+    void operator()(const dns::NsData& d) const { names.write(d.ns); }
+    void operator()(const dns::CnameData& d) const { names.write(d.target); }
+    void operator()(const dns::SoaData& d) const {
+      names.write(d.mname);
+      names.write(d.rname);
+      w.u32(d.serial);
+      w.u32(d.refresh);
+      w.u32(d.retry);
+      w.u32(d.expire);
+      w.u32(d.minimum);
+    }
+    void operator()(const dns::PtrData& d) const { names.write(d.target); }
+    void operator()(const dns::MxData& d) const {
+      w.u16(d.preference);
+      names.write(d.exchange);
+    }
+    void operator()(const dns::TxtData& d) const {
+      std::string_view rest = d.text;
+      do {
+        const std::size_t n = std::min<std::size_t>(rest.size(), 255);
+        w.u8(static_cast<std::uint8_t>(n));
+        w.bytes(rest.substr(0, n));
+        rest.remove_prefix(n);
+      } while (!rest.empty());
+    }
+    void operator()(const dns::AaaaData& d) const { w.bytes(d.addr); }
+    void operator()(const dns::NsecData& d) const {
+      for (const auto& label : d.next.labels()) {
+        w.u8(static_cast<std::uint8_t>(label.size()));
+        w.bytes(label);
+      }
+      w.u8(0);
+      if (d.owner_is_delegation) {
+        w.u8(0x00);
+        w.u8(0x01);
+        w.u8(0x20);
+      }
+    }
+  };
+  std::visit(Visitor{w, names}, rr.rdata);
+  w.patch_u16(rdlength_at, static_cast<std::uint16_t>(w.size() - rdata_start));
+}
+
+std::vector<std::uint8_t> reference_encode(const dns::Message& msg) {
+  util::ByteWriter w;
+  const auto& h = msg.header;
+  w.u16(h.id);
+  std::uint16_t flags = 0;
+  if (h.qr) flags |= 0x8000;
+  flags |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(h.opcode) << 11);
+  if (h.aa) flags |= 0x0400;
+  if (h.tc) flags |= 0x0200;
+  if (h.rd) flags |= 0x0100;
+  if (h.ra) flags |= 0x0080;
+  flags |= static_cast<std::uint16_t>(h.rcode) & 0x000f;
+  w.u16(flags);
+  w.u16(static_cast<std::uint16_t>(msg.questions.size()));
+  w.u16(static_cast<std::uint16_t>(msg.answers.size()));
+  w.u16(static_cast<std::uint16_t>(msg.authorities.size()));
+  w.u16(static_cast<std::uint16_t>(msg.additionals.size() +
+                                   (msg.edns ? 1 : 0)));
+  ReferenceNameEncoder names(w);
+  for (const auto& q : msg.questions) {
+    names.write(q.name);
+    w.u16(static_cast<std::uint16_t>(q.qtype));
+    w.u16(static_cast<std::uint16_t>(q.qclass));
+  }
+  for (const auto& rr : msg.answers) reference_write_rr(w, names, rr);
+  for (const auto& rr : msg.authorities) reference_write_rr(w, names, rr);
+  for (const auto& rr : msg.additionals) reference_write_rr(w, names, rr);
+  if (msg.edns) {
+    w.u8(0);
+    w.u16(static_cast<std::uint16_t>(dns::RRType::OPT));
+    w.u16(msg.edns->udp_payload);
+    w.u32((static_cast<std::uint32_t>(msg.edns->version) << 16) |
+          (msg.edns->dnssec_ok ? 0x8000u : 0u));
+    w.u16(0);
+  }
+  return std::move(w).take();
+}
+
+// Differential test of the name compressor: random messages whose names
+// share suffixes heavily (a small mixed-case label pool), every RR type the
+// codec writes, and a few messages longer than the 0x3fff pointer range.
+// 20k messages per seed, 100k over the five seeds.
+TEST_P(DnsFuzz, EncodeMatchesReferenceCompressor) {
+  util::Rng rng(GetParam() ^ 0x0c0de);
+  static const char* const kPool[] = {"www", "mail", "ns1", "ns2", "a", "b",
+                                      "example", "attacker", "com", "net",
+                                      "org", "co", "uk", "sub0", "sub1"};
+  auto random_name = [&rng] {
+    std::vector<std::string> labels;
+    const std::size_t count = rng.bounded(5);  // 0 labels = the root
+    for (std::size_t i = 0; i < count; ++i) {
+      std::string label = kPool[rng.bounded(std::size(kPool))];
+      if (rng.chance(0.1)) label += std::to_string(rng.bounded(100));
+      for (char& c : label) {
+        if (rng.chance(0.2) && c >= 'a' && c <= 'z') c = static_cast<char>(c - 32);
+      }
+      labels.push_back(std::move(label));
+    }
+    return *dns::DomainName::from_labels(std::move(labels));
+  };
+  auto random_rr = [&]() -> dns::ResourceRecord {
+    const auto owner = random_name();
+    switch (rng.bounded(9)) {
+      case 0:
+        return dns::make_a(owner, dns::IPv4{static_cast<std::uint32_t>(rng.next())});
+      case 1:
+        return dns::make_ns(owner, random_name());
+      case 2:
+        return dns::make_cname(owner, random_name());
+      case 3: {
+        dns::SoaData soa;
+        soa.mname = random_name();
+        soa.rname = random_name();
+        soa.serial = static_cast<std::uint32_t>(rng.next());
+        return dns::make_soa(owner, std::move(soa));
+      }
+      case 4:
+        return dns::make_ptr(owner, random_name());
+      case 5: {
+        dns::MxData mx;
+        mx.preference = static_cast<std::uint16_t>(rng.bounded(100));
+        mx.exchange = random_name();
+        return dns::ResourceRecord{owner, dns::RRClass::IN, 300, mx};
+      }
+      case 6:
+        return dns::make_txt(owner, std::string(rng.bounded(300), 't'));
+      case 7: {
+        dns::AaaaData aaaa;
+        for (auto& b : aaaa.addr) b = static_cast<std::uint8_t>(rng.next());
+        return dns::ResourceRecord{owner, dns::RRClass::IN, 300, aaaa};
+      }
+      default:
+        return dns::make_nsec(owner, random_name(), rng.chance(0.5));
+    }
+  };
+
+  constexpr int kMessages = 20'000;
+  int long_messages = 0;
+  for (int iteration = 0; iteration < kMessages; ++iteration) {
+    dns::Message msg;
+    msg.header.id = static_cast<std::uint16_t>(rng.next());
+    msg.header.qr = rng.chance(0.5);
+    msg.header.aa = rng.chance(0.3);
+    msg.header.rcode = rng.chance(0.3) ? dns::RCode::NXDomain : dns::RCode::NoError;
+    const std::size_t questions = rng.chance(0.9) ? 1 : rng.bounded(3);
+    for (std::size_t i = 0; i < questions; ++i) {
+      msg.questions.push_back(
+          dns::Question{random_name(), dns::RRType::A, dns::RRClass::IN});
+    }
+    // One message in 500 carries enough records to run past the 0x3fff
+    // pointer range.
+    const std::size_t records = iteration % 500 == 499 ? 900 : rng.bounded(14);
+    for (std::size_t i = 0; i < records; ++i) {
+      switch (rng.bounded(3)) {
+        case 0: msg.answers.push_back(random_rr()); break;
+        case 1: msg.authorities.push_back(random_rr()); break;
+        default: msg.additionals.push_back(random_rr()); break;
+      }
+    }
+    if (rng.chance(0.2)) msg.edns = dns::EdnsInfo{};
+
+    const auto wire = dns::encode(msg);
+    ASSERT_EQ(wire, reference_encode(msg)) << "iteration " << iteration;
+    ASSERT_EQ(wire.capacity(), wire.size()) << "iteration " << iteration;
+    if (wire.size() > 0x3fff) ++long_messages;
+    const auto decoded = dns::decode(wire);
+    ASSERT_TRUE(decoded.has_value()) << "iteration " << iteration;
+    ASSERT_EQ(*decoded, msg) << "iteration " << iteration;
+  }
+  EXPECT_EQ(long_messages, kMessages / 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnsFuzz, ::testing::Values(1, 2, 3, 4, 5));

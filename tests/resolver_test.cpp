@@ -2,8 +2,11 @@
 // caches, recursive resolution, and the UDP front end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <thread>
 #include <vector>
 
@@ -546,6 +549,97 @@ TEST(Recursive, FlushForcesReResolution) {
   resolver.flush_cache();
   const auto outcome = resolver.resolve(query, 1);
   EXPECT_FALSE(outcome.from_cache);
+}
+
+// Sanitized duplicates run the budget sweep on fewer attacker domains.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr int kBudgetDomains = 10'000;
+#else
+constexpr int kBudgetDomains = 100'000;
+#endif
+
+TEST(Recursive, ZoneBudgetMapForgetsExpiredWindows) {
+  // NXNS referrals from many distinct attacker domains over advancing sim
+  // time.  The per-domain fetch-budget map must stay within twice the
+  // domains charged in one window, and its verdicts must match a model
+  // that never forgets a domain.
+  DnsHierarchy hierarchy;
+  const auto addr = *IPv4::parse("203.0.113.66");
+  hierarchy.register_domain(DomainName::must("ns-host.net"), addr);
+  const std::vector<DomainName> targets = {DomainName::must("ns1.ns-host.net"),
+                                           DomainName::must("ns2.ns-host.net")};
+  RecursiveResolver resolver(hierarchy);
+  ResolverDefenses defenses;
+  defenses.zone_fetch_budget = 3;
+  defenses.budget_window = 60;
+  resolver.set_defenses(defenses);
+
+  struct Window {
+    util::SimTime start = 0;
+    int spent = 0;
+  };
+  std::unordered_map<int, Window> model;
+  std::map<util::SimTime, std::size_t> window_starts;  // over model entries
+  std::uint64_t expected_capped = 0;
+  std::size_t max_active = 0;
+  std::size_t max_entries = 0;
+
+  // One client query below attacker domain d: a referral to two glueless
+  // NS targets, each charged to d's budget.
+  const auto referral_from = [&](int d, util::SimTime now) {
+    const auto domain = DomainName::must("d" + std::to_string(d) + ".com");
+    const auto cut = *domain.child("cut");
+    ASSERT_TRUE(hierarchy.register_domain(domain, addr));
+    for (const auto& target : targets) {
+      hierarchy.zone_of(domain)->add(dns::make_ns(cut, target));
+    }
+    resolver.resolve(dns::make_query(1, *cut.child("www")), now);
+    hierarchy.deregister_domain(domain);
+
+    auto [it, fresh] = model.try_emplace(d);
+    Window& window = it->second;
+    if (fresh) ++window_starts[window.start];
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      if (now >= window.start + defenses.budget_window) {
+        --window_starts[window.start];
+        window.start = now;
+        window.spent = 0;
+        ++window_starts[window.start];
+      }
+      if (window.spent >= defenses.zone_fetch_budget) {
+        ++expected_capped;
+      } else {
+        ++window.spent;
+      }
+    }
+    std::size_t active = 0;
+    for (auto w = window_starts.upper_bound(now - defenses.budget_window);
+         w != window_starts.end(); ++w) {
+      active += w->second;
+    }
+    max_active = std::max(max_active, active);
+    max_entries = std::max(max_entries, resolver.zone_budget_entries());
+    ASSERT_LE(resolver.zone_budget_entries(), 2 * max_active) << "d=" << d;
+    ASSERT_EQ(resolver.stats().delegation_capped, expected_capped) << "d=" << d;
+  };
+
+  // New domains per sim second: 50 in the full run, so about 3000 are
+  // charged in each 60 s window.
+  constexpr int kPerSecond = kBudgetDomains / 2'000;
+  for (int d = 0; d < kBudgetDomains; ++d) {
+    const util::SimTime now = d / kPerSecond;
+    // Two referrals spend the budget of 3: the fourth NS target is capped.
+    referral_from(d, now);
+    referral_from(d, now);
+    if (d % 10 == 0 && d >= 100) referral_from(d - 100, now);  // in window
+    if (d % 10 == 5 && d >= 5000) referral_from(d - 5000, now);  // expired
+  }
+  // Every verdict kind occurred, and the map stayed far below the number
+  // of domains it has seen.
+  EXPECT_GT(expected_capped, static_cast<std::uint64_t>(kBudgetDomains));
+  EXPECT_GT(resolver.stats().delegation_fetches, 0u);
+  EXPECT_LE(max_entries, 2 * max_active);
+  EXPECT_LT(max_entries, static_cast<std::size_t>(kBudgetDomains) / 2);
 }
 
 // ------------------------------------------------------------- UDP server
