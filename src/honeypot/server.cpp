@@ -122,21 +122,23 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::handle_packet(
   // opens and closes within this call, so only the rate/drain terms of the
   // gate can shed it.  Shed requests are refused before any capture work —
   // that is the point of shedding — and only counted.
-  if (gate_ != nullptr && packet.protocol == net::Protocol::TCP) {
-    const auto admission = gate_->open(packet.src.ip, when);
-    if (admission.decision != AdmitDecision::Accept) {
-      recorder_.note_shed_connection();
-      ++responses_;
-      return wire_bytes(
-          admission.decision == AdmitDecision::ShedRate
-              ? HttpResponse::too_many_requests(gate_->config().retry_after)
-              : HttpResponse::service_unavailable(gate_->config().retry_after));
-    }
-    auto reply = process_packet(packet, when);
-    gate_->close(admission.id, /*completed=*/true);
-    return reply;
+  if (packet.protocol != net::Protocol::TCP) return process_packet(packet, when);
+  const auto admission = gate_.open(packet.src.ip, when);
+  if (admission.decision != AdmitDecision::Accept) {
+    return shed_response(admission.decision);
   }
-  return process_packet(packet, when);
+  auto reply = process_packet(packet, when);
+  gate_.close(admission.id, /*completed=*/true);
+  return reply;
+}
+
+std::vector<std::uint8_t> NxdHoneypot::shed_response(AdmitDecision decision) {
+  recorder_.note_shed_connection();
+  ++responses_;
+  const int retry_after = gate_.config().retry_after;
+  return wire_bytes(decision == AdmitDecision::ShedRate
+                        ? HttpResponse::too_many_requests(retry_after)
+                        : HttpResponse::service_unavailable(retry_after));
 }
 
 std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
@@ -221,27 +223,16 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
 // --------------------------------------------------- streaming connections
 
 void NxdHoneypot::enable_overload(OverloadConfig config) {
-  gate_ = std::make_unique<ConnectionGate>(config);
-}
-
-void NxdHoneypot::begin_drain(util::SimTime now) {
-  if (!gate_) gate_ = std::make_unique<ConnectionGate>(OverloadConfig{});
-  gate_->begin_drain(now);
+  gate_ = ConnectionGate(config);
 }
 
 NxdHoneypot::ConnOpen NxdHoneypot::conn_open(const net::Endpoint& src,
                                              util::SimTime now,
                                              std::uint16_t dst_port) {
-  if (!gate_) gate_ = std::make_unique<ConnectionGate>(OverloadConfig{});
-  const auto admission = gate_->open(src.ip, now);
+  const auto admission = gate_.open(src.ip, now);
   ConnOpen out;
   if (admission.decision != AdmitDecision::Accept) {
-    recorder_.note_shed_connection();
-    ++responses_;
-    out.response = wire_bytes(
-        admission.decision == AdmitDecision::ShedRate
-            ? HttpResponse::too_many_requests(gate_->config().retry_after)
-            : HttpResponse::service_unavailable(gate_->config().retry_after));
+    out.response = shed_response(admission.decision);
     return out;
   }
   out.id = admission.id;
@@ -274,7 +265,7 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::conn_data(
 
   const std::string_view raw(reinterpret_cast<const char*>(conn.buffer.data()),
                              conn.buffer.size());
-  gate_->activity(id, now, headers_done(raw));
+  gate_.activity(id, now, headers_done(raw));
 
   const bool over_cap = cap != 0 && conn.buffer.size() > cap;
   if (!over_cap && !request_complete(raw)) return std::nullopt;
@@ -288,9 +279,9 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::conn_data(
   packet.payload = std::move(conn.buffer);
   const obs::SpanId span = conn.span;
   streams_.erase(it);
-  const bool was_draining = gate_->draining();
+  const bool was_draining = gate_.draining();
   auto reply = process_packet(packet, now);
-  gate_->close(id, /*completed=*/true);
+  gate_.close(id, /*completed=*/true);
   if (was_draining) recorder_.note_drained_connection();
   if (spans_ != nullptr) {
     spans_->end(span, now, static_cast<std::int64_t>(packet.payload.size()),
@@ -315,8 +306,7 @@ void NxdHoneypot::record_partial(const StreamConn& conn, util::SimTime when) {
 std::vector<NxdHoneypot::ReapedConn> NxdHoneypot::reap_expired(
     util::SimTime now) {
   std::vector<ReapedConn> out;
-  if (!gate_) return out;
-  for (const auto& expired : gate_->reap(now)) {
+  for (const auto& expired : gate_.reap(now)) {
     const auto it = streams_.find(expired.id);
     if (it == streams_.end()) continue;
     recorder_.note_expired_connection();
@@ -348,7 +338,7 @@ void NxdHoneypot::conn_abort(std::uint64_t id, util::SimTime now) {
                 static_cast<std::int64_t>(it->second.buffer.size()), "abort");
   }
   streams_.erase(it);
-  gate_->close(id, /*completed=*/false);
+  gate_.close(id, /*completed=*/false);
 }
 
 void NxdHoneypot::attach_port(net::SimNetwork& network, net::IPv4 host_ip,
@@ -390,27 +380,19 @@ void TcpHoneypotFrontend::attach(net::EventLoop& loop) {
 
 void TcpHoneypotFrontend::on_acceptable() {
   while (auto stream = listener_.accept()) {
-    // Admission first: a guarded honeypot may shed the connection with
-    // 503/429 before any read work happens.
-    std::optional<std::uint64_t> conn_id;
-    if (honeypot_.gate() != nullptr) {
-      auto opened =
-          honeypot_.conn_open(stream->peer(), clock_.now(),
-                              listener_.local().port);
-      if (!opened.accepted) {
-        if (opened.response) {
-          stream->write(std::span<const std::uint8_t>(*opened.response));
-        }
-        continue;
-      }
-      conn_id = opened.id;
+    // Admission first: the gate may shed the connection with 503/429
+    // before any read work happens.
+    const auto opened = honeypot_.conn_open(stream->peer(), clock_.now(),
+                                            listener_.local().port);
+    if (!opened.accepted) {
+      stream->write(std::span<const std::uint8_t>(*opened.response));
+      continue;
     }
 
-    // One-shot request/response: read what is available (brief retry for
-    // slow writers), answer, close.  The read loop is bounded at the
-    // honeypot's request cap — one byte past it is enough for the shared
-    // answer logic to see the overflow and reply 413/431 — and at 50
-    // attempts, the real-socket slowloris cap.
+    // Read what is available (brief retry for slow writers), answer, close.
+    // The read loop is bounded at the honeypot's request cap — one byte
+    // past it is enough for the shared answer logic to see the overflow and
+    // reply 413/431 — and at 50 attempts, the real-socket slowloris cap.
     const std::size_t cap = honeypot_.config().max_request_bytes;
     std::vector<std::uint8_t> buffer;
     for (int attempt = 0; attempt < 50; ++attempt) {
@@ -425,31 +407,18 @@ void TcpHoneypotFrontend::on_acceptable() {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     }
-    if (buffer.empty()) {
-      if (conn_id) honeypot_.conn_abort(*conn_id, clock_.now());
-      continue;
-    }
 
-    if (conn_id) {
-      // Streaming path: the gate tracks the connection; a request that
-      // never completes is aborted (its bytes still captured).
-      const auto reply = honeypot_.conn_data(
-          *conn_id, std::span<const std::uint8_t>(buffer), clock_.now());
-      if (reply) {
-        stream->write(std::span<const std::uint8_t>(*reply));
-      } else if (honeypot_.open_connections() > 0) {
-        honeypot_.conn_abort(*conn_id, clock_.now());
-      }
-      continue;
+    // A request that never completes is aborted, its bytes still captured;
+    // aborting a connection conn_data already retired is a no-op.
+    std::optional<std::vector<std::uint8_t>> reply;
+    if (!buffer.empty()) {
+      reply = honeypot_.conn_data(
+          opened.id, std::span<const std::uint8_t>(buffer), clock_.now());
     }
-
-    net::SimPacket packet;
-    packet.protocol = net::Protocol::TCP;
-    packet.src = stream->peer();
-    packet.dst = listener_.local();
-    packet.payload = buffer;
-    if (const auto reply = honeypot_.handle_packet(packet, clock_.now())) {
+    if (reply) {
       stream->write(std::span<const std::uint8_t>(*reply));
+    } else {
+      honeypot_.conn_abort(opened.id, clock_.now());
     }
   }
 }

@@ -6,14 +6,15 @@
 // landing page describing the study and a contact address; it never
 // interacts further with visitors.
 //
-// Two serving paths exist.  handle_packet() is the one-shot path (a whole
-// request arrives as one SimNetwork packet).  The conn_* streaming path
-// models real connection lifecycle — bytes trickle in over simulated time —
-// and is what the overload guard (honeypot/overload.hpp) protects: shed at
-// admission (503/429), reap at a slowloris deadline (408), finish in-flight
-// work during graceful drain.  Both paths consult the same ConnectionGate
-// once enable_overload() has been called; without it behaviour is exactly
-// the historical unguarded server.
+// Every TCP request passes the honeypot's ConnectionGate (honeypot/
+// overload.hpp), which always exists: shed at admission (503/429), reap at
+// a slowloris deadline (408), finish in-flight work during graceful drain.
+// Its default OverloadConfig has no per-IP rate limit and a 256-connection
+// cap, so it never sheds a lone request; enable_overload() tightens it.
+// handle_packet() serves a SimNetwork packet as one whole connection that
+// opens and closes within the call.  The conn_* streaming API models the
+// real connection lifecycle — bytes trickle in over simulated time — and is
+// what the real-socket TcpHoneypotFrontend drives.
 #pragma once
 
 #include <functional>
@@ -92,30 +93,27 @@ class NxdHoneypot {
   void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
   /// Handle one captured packet: record it, and if it parses as an HTTP
-  /// request produce the landing-page (or 404) response bytes.  With an
-  /// overload guard enabled, TCP packets pass admission first and may be
-  /// answered 503/429 instead (shed requests are counted, not recorded).
+  /// request produce the landing-page (or 404) response bytes.  TCP packets
+  /// pass admission first and may be answered 503/429 instead (shed
+  /// requests are counted, not recorded).
   std::optional<std::vector<std::uint8_t>> handle_packet(
       const net::SimPacket& packet, util::SimTime when);
 
   // ----------------------------------------------------- overload guard
 
-  /// Install the overload-resilience layer.  Idempotent reconfiguration:
-  /// replaces any previous gate (and its stats).
+  /// Reconfigure the connection gate.  Idempotent: replaces the gate (and
+  /// its stats) with one running `config`.
   void enable_overload(OverloadConfig config);
-  ConnectionGate* gate() noexcept { return gate_.get(); }
-  const ConnectionGate* gate() const noexcept { return gate_.get(); }
+  ConnectionGate* gate() noexcept { return &gate_; }
+  const ConnectionGate* gate() const noexcept { return &gate_; }
 
   /// Stop admitting new connections (they shed 503) while in-flight
   /// streaming requests finish; reap_expired() force-closes stragglers once
-  /// the configured drain deadline elapses.  Enables a default guard when
-  /// none is configured.
-  void begin_drain(util::SimTime now);
-  bool draining() const noexcept { return gate_ && gate_->draining(); }
+  /// the configured drain deadline elapses.
+  void begin_drain(util::SimTime now) { gate_.begin_drain(now); }
+  bool draining() const noexcept { return gate_.draining(); }
   /// True once draining and nothing is left in flight.
-  bool drain_complete() const noexcept {
-    return gate_ != nullptr && gate_->drain_complete();
-  }
+  bool drain_complete() const noexcept { return gate_.drain_complete(); }
 
   // ------------------------------------------------ streaming connections
 
@@ -127,7 +125,6 @@ class NxdHoneypot {
   };
 
   /// Open a streaming connection from `src` (destination port `dst_port`).
-  /// Enables a default overload guard when none is configured.
   ConnOpen conn_open(const net::Endpoint& src, util::SimTime now,
                      std::uint16_t dst_port = 80);
 
@@ -178,12 +175,16 @@ class NxdHoneypot {
     obs::SpanId span;  // null when the tracer skipped this connection
   };
 
-  /// The original record-and-answer logic, shared by the one-shot and
-  /// streaming paths (admission already settled by the caller).
+  /// The record-and-answer logic shared by handle_packet and conn_data
+  /// (admission already settled by the caller).
   std::optional<std::vector<std::uint8_t>> process_packet(
       const net::SimPacket& packet, util::SimTime when);
 
   void record_partial(const StreamConn& conn, util::SimTime when);
+
+  /// Count a shed connection (never recorded) and build its 429 (rate) or
+  /// 503 (every other reason) answer.
+  std::vector<std::uint8_t> shed_response(AdmitDecision decision);
 
   static bool headers_done(std::string_view raw);
   /// Whether `raw` holds a complete request: terminated header block plus,
@@ -198,16 +199,16 @@ class NxdHoneypot {
   std::string admin_token_;
   std::map<std::string, HttpResponse> routes_;
   std::uint64_t responses_ = 0;
-  std::unique_ptr<ConnectionGate> gate_;
+  ConnectionGate gate_;
   std::unordered_map<std::uint64_t, StreamConn> streams_;
 };
 
 /// Real-socket front end: accepts TCP connections on a loopback port,
 /// records each request into the recorder, and serves the landing page.
 /// Single-threaded, event-loop driven; used by examples/honeypot_demo.
-/// Connections run through the honeypot's streaming API, so the overload
-/// guard (when enabled) sheds and meters real sockets too; the bounded
-/// read loop is the real-socket slowloris cap.
+/// Every connection runs through the honeypot's streaming API, so the gate
+/// sheds and meters real sockets too; the bounded read loop is the
+/// real-socket slowloris cap.
 class TcpHoneypotFrontend {
  public:
   static std::unique_ptr<TcpHoneypotFrontend> create(

@@ -135,59 +135,14 @@ void RecursiveResolver::use_network(net::SimNetwork& network,
   net_.rng = util::Rng(jitter_seed);
 }
 
-std::optional<dns::Message> RecursiveResolver::query_endpoint(
-    const net::Endpoint& server, const dns::Message& query,
-    util::SimTime& now) {
-  const auto wire = dns::encode(query);
-  for (int attempt = 0; attempt < std::max(1, net_.policy.attempts); ++attempt) {
-    if (attempt > 0) {
-      now += net_.policy.backoff_before(attempt, net_.rng);
-      m_.retries.inc();
-    }
-    obs::SpanId try_span{};
-    if (tier_span_.sampled()) {
-      try_span = spans_->begin(tier_span_,
-                               "try" + std::to_string(attempt + 1), now,
-                               server.to_string());
-    }
-    net::SimPacket packet;
-    packet.protocol = net::Protocol::UDP;
-    packet.src = kResolverSource;
-    packet.dst = server;
-    packet.payload = wire;
-    m_.upstream_sends.inc();
-    const auto raw = net_.network->send(packet);
-    now += net_.network->last_injected_delay();
-    if (raw) {
-      auto reply = dns::decode(*raw);
-      if (reply && is_acceptable_reply(query, *reply)) {
-        if (spans_ != nullptr) spans_->end(try_span, now, attempt + 1);
-        return reply;
-      }
-      // Mangled or mismatched reply: treat like a lost packet and retry.
-    }
-    m_.timeouts.inc();
-    now += net_.policy.try_timeout;
-    if (spans_ != nullptr) {
-      spans_->end(try_span, now, -(attempt + 1), "timeout");
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<dns::Message> RecursiveResolver::query_tier(
     const std::vector<net::Endpoint>& servers, const dns::Message& query,
     util::SimTime& now) {
-  if (health_ == nullptr) {
-    // Historical fixed ordering: each server gets the full retry budget.
-    for (const auto& server : servers) {
-      if (auto reply = query_endpoint(server, query, now)) return reply;
-    }
-    return std::nullopt;
-  }
-  const std::vector<net::Endpoint> ranked = health_->rank(servers, now);
-  for (const auto& server : ranked) {
-    if (!health_->allow(server, now)) {
+  std::vector<net::Endpoint> ranked;
+  if (health_ != nullptr) ranked = health_->rank(servers, now);
+  const std::vector<net::Endpoint>& order = health_ != nullptr ? ranked : servers;
+  for (const auto& server : order) {
+    if (health_ != nullptr && !health_->allow(server, now)) {
       // Breaker open: skipping is the whole point — the server costs
       // nothing until its cooldown grants a probe.
       m_.breaker_skips.inc();
@@ -196,16 +151,14 @@ std::optional<dns::Message> RecursiveResolver::query_tier(
       }
       continue;
     }
-    if (auto reply = query_endpoint_adaptive(server, ranked, query, now)) {
-      return reply;
-    }
+    if (auto reply = query_server(server, order, query, now)) return reply;
   }
   // Every candidate exhausted or breaker-blocked.  The caller degrades to
   // SERVFAIL — an open breaker can never manufacture an NXDomain.
   return std::nullopt;
 }
 
-std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
+std::optional<dns::Message> RecursiveResolver::query_server(
     const net::Endpoint& server, const std::vector<net::Endpoint>& ranked,
     const dns::Message& query, util::SimTime& now) {
   const auto wire = dns::encode(query);
@@ -221,7 +174,9 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
                                server.to_string());
     }
     const util::SimTime try_timeout =
-        health_->adaptive_timeout(server, net_.policy.try_timeout);
+        health_ != nullptr
+            ? health_->adaptive_timeout(server, net_.policy.try_timeout)
+            : net_.policy.try_timeout;
 
     net::SimPacket packet;
     packet.protocol = net::Protocol::UDP;
@@ -238,14 +193,17 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         primary = std::move(reply);
       }
     }
-    // When this try completes: the reply's transit delay, or the adaptive
-    // timeout when nothing (acceptable) came back.
-    const util::SimTime primary_done = primary ? rtt : try_timeout;
+    // When this try completes: the reply's transit delay, or the timeout
+    // when nothing (acceptable) came back.  Without a health model a failed
+    // try is also charged the transit delay the fault plan injected.
+    const util::SimTime primary_done =
+        primary ? rtt : try_timeout + (health_ != nullptr ? 0 : rtt);
 
     // Hedge: once the try has been in flight past the server's tracked p95,
     // race the best breaker-closed sibling.  Probe slots are never spent on
     // hedges (closed() has no half-open semantics).
-    const util::SimTime hedge_after = health_->hedge_delay(server);
+    const util::SimTime hedge_after =
+        health_ != nullptr ? health_->hedge_delay(server) : 0;
     const net::Endpoint* hedge_server = nullptr;
     if (hedge_after > 0 && primary_done > hedge_after) {
       for (const auto& other : ranked) {
@@ -258,14 +216,16 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
 
     if (hedge_server == nullptr) {
       if (primary) {
-        health_->on_success(server, rtt, now + primary_done);
+        if (health_ != nullptr) {
+          health_->on_success(server, rtt, now + primary_done);
+        }
         now += primary_done;
         if (spans_ != nullptr) spans_->end(try_span, now, attempt + 1);
         return primary;
       }
       m_.timeouts.inc();
-      health_->on_failure(server, now + try_timeout);
-      now += try_timeout;
+      if (health_ != nullptr) health_->on_failure(server, now + primary_done);
+      now += primary_done;
       if (spans_ != nullptr) {
         spans_->end(try_span, now, -(attempt + 1), "timeout");
       }
@@ -339,7 +299,9 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         spans_->end(try_span, now, -(attempt + 1), "timeout");
       }
     }
-    if (!health_->closed(server)) break;  // breaker tripped mid-retries
+    if (health_ != nullptr && !health_->closed(server)) {
+      break;  // breaker tripped mid-retries
+    }
   }
   return std::nullopt;
 }

@@ -147,8 +147,9 @@ class RecursiveResolver {
   /// orders each tier's candidate set, per-try timeouts shrink toward the
   /// tracked SRTT (still capped by the RetryPolicy), circuit breakers skip
   /// dead servers, and slow tries are hedged to a healthy sibling.  Without
-  /// this call the resolver keeps its historical fixed-order behavior
-  /// bit-for-bit.  Replaces any previous model (estimates reset).
+  /// a model the same attempt loop runs in the configured server order with
+  /// the RetryPolicy's fixed timeout and no hedging.  Replaces any previous
+  /// model (estimates reset).
   void enable_health(HealthConfig config = {});
   void disable_health() noexcept { health_.reset(); }
   HealthModel* health() noexcept { return health_.get(); }
@@ -204,24 +205,19 @@ class RecursiveResolver {
   /// `now` by the simulated time the walk consumed.
   dns::Message resolve_via_network(const dns::Message& query, util::SimTime& now);
 
-  /// Query one server endpoint under the retry policy.  Advances `now` per
-  /// timeout/backoff; nullopt when every attempt was exhausted.
-  std::optional<dns::Message> query_endpoint(const net::Endpoint& server,
-                                             const dns::Message& query,
-                                             util::SimTime& now);
-
-  /// Query one tier's candidate servers.  Without a health model this is the
-  /// historical path: fixed order, full retry budget per server.  With one,
-  /// candidates are ranked by health, open breakers are skipped, and each
-  /// admitted server runs the adaptive attempt loop.
+  /// Query one tier's candidate servers, each with the full retry budget,
+  /// in the given order — or, with a health model, ranked by health with
+  /// open breakers skipped.
   std::optional<dns::Message> query_tier(
       const std::vector<net::Endpoint>& servers, const dns::Message& query,
       util::SimTime& now);
 
-  /// Health-model attempt loop for one admitted server: adaptive per-try
-  /// timeouts, hedged sends to the next-best closed-breaker sibling in
-  /// `ranked`, and early exit when the breaker trips mid-retries.
-  std::optional<dns::Message> query_endpoint_adaptive(
+  /// The attempt loop for one server under the retry policy.  Advances
+  /// `now` per timeout/backoff; nullopt when every attempt was exhausted.
+  /// With a health model, per-try timeouts adapt, slow tries are hedged to
+  /// the next-best closed-breaker sibling in `ranked`, and the loop exits
+  /// early when the breaker trips mid-retries.
+  std::optional<dns::Message> query_server(
       const net::Endpoint& server, const std::vector<net::Endpoint>& ranked,
       const dns::Message& query, util::SimTime& now);
 

@@ -1,5 +1,6 @@
 #include "util/civil_time.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace nxd::util {
@@ -16,6 +17,11 @@ Day to_day(const CivilDate& d) noexcept {
 }
 
 CivilDate from_day(Day z) noexcept {
+  // Days can come from outside input (a decoded pdns frame).  Clamping to
+  // +/-2^39 days (about 1.5 billion years) keeps every step below, and the
+  // int year, free of overflow.
+  constexpr Day kLimit = Day{1} << 39;
+  z = std::clamp(z, -kLimit, kLimit);
   z += 719468;
   const Day era = (z >= 0 ? z : z - 146096) / 146097;
   const unsigned doe = static_cast<unsigned>(z - era * 146097);          // [0, 146096]

@@ -30,7 +30,8 @@ struct CivilDate {
 /// Hinnant's days_from_civil: exact for all proleptic Gregorian dates.
 Day to_day(const CivilDate& d) noexcept;
 
-/// Inverse of to_day.
+/// Inverse of to_day.  Days beyond +/-2^39 (about 1.5 billion years) clamp
+/// to that bound, so any Day, even from outside input, yields a valid date.
 CivilDate from_day(Day z) noexcept;
 
 /// "YYYY-MM-DD".

@@ -1,7 +1,8 @@
 // Overload-resilience suite: util::TokenBucket / util::DeadlineQueue
 // primitives, the honeypot ConnectionGate (admission, per-IP rate limiting,
-// slowloris deadlines, graceful drain), DNS response rate limiting on the
-// UDP/TCP front ends, and the bounded rDNS cache.
+// slowloris deadlines, graceful drain, the default gate every honeypot
+// runs), DNS response rate limiting on the UDP/TCP front ends, and the
+// bounded rDNS cache.
 //
 // The chaos harnesses at the bottom are the ISSUE's contract: a seeded
 // flood and a slowloris barrage over simulated time must produce
@@ -20,6 +21,8 @@
 #include "resolver/rrl.hpp"
 #include "resolver/tcp_server.hpp"
 #include "resolver/udp_server.hpp"
+#include "synth/table1.hpp"
+#include "synth/traffic_model.hpp"
 #include "util/deadline_queue.hpp"
 #include "util/rng.hpp"
 #include "util/token_bucket.hpp"
@@ -428,6 +431,182 @@ TEST(Flood, TenTimesOverloadShedsAreByteReproducible) {
   EXPECT_EQ(other.accepted,
             other.completed + other.expired_total() + other.drain_forced_closes);
   EXPECT_EQ(other.opened, other.accepted + other.shed_total());
+}
+
+// ----------------------------------------------------------- default gate
+//
+// A honeypot that was never given enable_overload still runs every TCP
+// request through its ConnectionGate, with the default OverloadConfig: no
+// per-IP rate limit and a 256-connection cap, so a lone request is never
+// shed.
+
+/// The seeded Table-1 capture: every profile's traffic plus scanner noise.
+std::vector<honeypot::TrafficRecord> table1_capture() {
+  synth::TrafficModelConfig config;
+  config.seed = 42;
+  config.scale = 0.00005;
+  const synth::HoneypotTrafficModel model(config);
+  std::vector<honeypot::TrafficRecord> capture;
+  for (const auto& profile : synth::table1_profiles()) {
+    for (auto& record : model.generate_domain(profile)) {
+      capture.push_back(std::move(record));
+    }
+    for (auto& record : model.generate_noise(profile.domain, 3)) {
+      capture.push_back(std::move(record));
+    }
+  }
+  return capture;
+}
+
+/// One client connection to `frontend`: send `payload`, let the event loop
+/// serve it, then close.  Returns whatever the server answered.
+std::string loopback_exchange(honeypot::TcpHoneypotFrontend& frontend,
+                              net::EventLoop& loop, const std::string& payload) {
+  auto client = net::TcpStream::connect(frontend.local());
+  EXPECT_TRUE(client.has_value());
+  if (!client) return {};
+  client->write(payload);
+  loop.poll_once(std::chrono::milliseconds(200));
+  std::vector<std::uint8_t> reply;
+  for (int i = 0; i < 100 && !client->eof(); ++i) {
+    if (client->read(reply) <= 0 && !client->eof()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return as_text(reply);
+}
+
+TEST(DefaultGate, SimNetworkReplayOfTable1CaptureShedsNothing) {
+  const auto capture = table1_capture();
+  honeypot::TrafficRecorder recorder;
+  honeypot::NxdHoneypot pot({.domain = "replay.test"}, recorder);
+  net::SimNetwork network;
+  util::SimClock clock;
+  const auto host = dns::IPv4::from_octets(203, 0, 113, 80);
+  std::size_t answered = 0;
+  for (const auto& record : capture) {
+    pot.attach_port(network, host, record.dst_port, record.protocol, clock);
+    clock.set(record.when);
+    net::SimPacket packet;
+    packet.protocol = record.protocol;
+    packet.src = record.source;
+    packet.dst = net::Endpoint{host, record.dst_port};
+    packet.payload.assign(record.payload.begin(), record.payload.end());
+    if (network.send(packet)) ++answered;
+  }
+
+  EXPECT_EQ(pot.gate()->stats().shed_total(), 0u);
+  EXPECT_EQ(recorder.shed_connections(), 0u);
+  // Every packet is captured exactly as it was sent.
+  ASSERT_EQ(recorder.total(), capture.size());
+  for (std::size_t i = 0; i < capture.size(); ++i) {
+    const auto& got = recorder.records()[i];
+    EXPECT_EQ(got.protocol, capture[i].protocol) << i;
+    EXPECT_EQ(got.source, capture[i].source) << i;
+    EXPECT_EQ(got.dst_port, capture[i].dst_port) << i;
+    EXPECT_EQ(got.when, capture[i].when) << i;
+    EXPECT_EQ(got.payload, capture[i].payload) << i;
+  }
+  // Pinned counts: the same as a server that consulted no gate.
+  EXPECT_EQ(capture.size(), 344u);
+  EXPECT_EQ(answered, 308u);
+  EXPECT_EQ(pot.http_responses_sent(), 308u);
+}
+
+TEST(DefaultGate, LoopbackReplayOfTable1CaptureShedsNothing) {
+  std::vector<honeypot::TrafficRecord> tcp;
+  for (auto& record : table1_capture()) {
+    if (record.protocol == net::Protocol::TCP && !record.payload.empty()) {
+      tcp.push_back(std::move(record));
+    }
+  }
+  honeypot::TrafficRecorder recorder;
+  honeypot::NxdHoneypot pot({.domain = "replay.test"}, recorder);
+  util::SimClock clock;
+  auto frontend = honeypot::TcpHoneypotFrontend::create(
+      net::Endpoint{*dns::IPv4::parse("127.0.0.1"), 0}, pot, clock);
+  ASSERT_NE(frontend, nullptr);
+  net::EventLoop loop;
+  frontend->attach(loop);
+
+  std::size_t answered = 0;
+  for (const auto& record : tcp) {
+    clock.set(record.when);
+    if (!loopback_exchange(*frontend, loop, record.payload).empty()) {
+      ++answered;
+    }
+  }
+
+  const auto& stats = pot.gate()->stats();
+  EXPECT_EQ(stats.shed_total(), 0u);
+  EXPECT_EQ(stats.accepted, tcp.size());
+  EXPECT_EQ(stats.completed + stats.aborted, tcp.size());
+  EXPECT_EQ(pot.open_connections(), 0u);
+  ASSERT_EQ(recorder.total(), tcp.size());
+  for (std::size_t i = 0; i < tcp.size(); ++i) {
+    const auto& got = recorder.records()[i];
+    EXPECT_EQ(got.dst_port, frontend->local().port) << i;
+    EXPECT_EQ(got.when, tcp[i].when) << i;
+    EXPECT_EQ(got.payload, tcp[i].payload) << i;
+  }
+  // Pinned counts: the same as a server that consulted no gate.
+  EXPECT_EQ(tcp.size(), 344u);
+  EXPECT_EQ(answered, 308u);
+  EXPECT_EQ(pot.http_responses_sent(), 308u);
+}
+
+TEST(DefaultGate, PartialRequestThenCloseIsCapturedOnceAndAborted) {
+  honeypot::TrafficRecorder recorder;
+  honeypot::NxdHoneypot pot({.domain = "partial.test"}, recorder);
+  util::SimClock clock(30);
+  auto frontend = honeypot::TcpHoneypotFrontend::create(
+      net::Endpoint{*dns::IPv4::parse("127.0.0.1"), 0}, pot, clock);
+  ASSERT_NE(frontend, nullptr);
+  net::EventLoop loop;
+  frontend->attach(loop);
+
+  const std::string partial = "GET /half HTTP/1.1\r\nHost: partial.te";
+  EXPECT_EQ(loopback_exchange(*frontend, loop, partial), "");
+
+  // Capture-only: recorded once, answered never.
+  ASSERT_EQ(recorder.total(), 1u);
+  EXPECT_EQ(recorder.records()[0].payload, partial);
+  EXPECT_EQ(recorder.records()[0].when, 30);
+  EXPECT_EQ(pot.http_responses_sent(), 0u);
+  const auto& stats = pot.gate()->stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.aborted, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(pot.open_connections(), 0u);
+}
+
+TEST(DefaultGate, EveryFrontendConnectionEndsAConnSpan) {
+  honeypot::TrafficRecorder recorder;
+  honeypot::NxdHoneypot pot({.domain = "spans.test"}, recorder);
+  obs::SpanTracer spans;
+  pot.trace_spans(&spans);
+  util::SimClock clock(5);
+  auto frontend = honeypot::TcpHoneypotFrontend::create(
+      net::Endpoint{*dns::IPv4::parse("127.0.0.1"), 0}, pot, clock);
+  ASSERT_NE(frontend, nullptr);
+  net::EventLoop loop;
+  frontend->attach(loop);
+
+  // A full request, a half request, and complete junk (capture-only).
+  const std::string exchanges[] = {kRequest, "GET / HTTP/1.1\r\nHo",
+                                   "\x16\x03\x01 not http\r\n\r\n"};
+  for (const auto& payload : exchanges) {
+    loopback_exchange(*frontend, loop, payload);
+  }
+
+  EXPECT_EQ(spans.spans_open(), 0u);
+  std::vector<std::string> endings;
+  for (const auto& span : spans.finished()) {
+    if (span.name == "conn") endings.push_back(span.detail);
+  }
+  EXPECT_EQ(endings,
+            (std::vector<std::string>{"complete", "abort", "complete"}));
+  EXPECT_EQ(recorder.total(), 3u);
 }
 
 // ------------------------------------------------------------ DNS RRL

@@ -163,6 +163,72 @@ TEST(RetryAccounting, SingleAttemptPolicyNeverRetries) {
   EXPECT_EQ(resolver.stats().timeouts, 1u);
 }
 
+// Without a health model a failed try costs its injected transit delay plus
+// the fixed try timeout — also when the delayed reply is mangled, and when
+// the delayed packet reaches no service at all.  These two cases pin that
+// SimTime accounting and the packet counters to exact values.
+
+TEST(RetryAccounting, DelayedMangledReplyCostsDelayPlusTimeout) {
+  DnsHierarchy hierarchy;
+  net::SimNetwork network;
+  const HierarchyEndpoints endpoints;
+  // The root answers every query with a reply whose id does not match.
+  network.attach(endpoints.root, net::Protocol::UDP,
+                 [](const net::SimPacket& packet) {
+                   std::vector<std::uint8_t> reply = packet.payload;
+                   reply[0] ^= 0xff;
+                   reply[2] |= 0x80;  // QR: a response, but not to this query
+                   return std::optional<std::vector<std::uint8_t>>(reply);
+                 });
+  net::FaultPlan plan(1);
+  net::FaultSpec slow;
+  slow.delay = 1.0;
+  slow.delay_min = slow.delay_max = 3;
+  plan.set_for(endpoints.root, slow);
+  network.set_fault_plan(plan);
+
+  RetryPolicy policy;  // attempts=3, try_timeout=2, base=1, mult=2
+  policy.jitter = 0;
+  RecursiveResolver resolver(hierarchy);
+  resolver.use_network(network, endpoints, policy);
+
+  const auto outcome =
+      resolver.resolve(dns::make_query(1, dns::DomainName::must("a.com")), 0);
+  EXPECT_EQ(outcome.response.header.rcode, dns::RCode::ServFail);
+  // 3 tries x (3s delay + 2s timeout) + backoffs 1s + 2s.
+  EXPECT_EQ(outcome.elapsed, 18);
+  EXPECT_EQ(resolver.stats().retries, 2u);
+  EXPECT_EQ(resolver.stats().timeouts, 3u);
+  EXPECT_EQ(resolver.stats().upstream_sends, 3u);
+}
+
+TEST(RetryAccounting, DelayedSendToUnattachedEndpointCostsDelayPlusTimeout) {
+  DnsHierarchy hierarchy;
+  net::SimNetwork network;
+  net::FaultPlan plan(1);
+  net::FaultSpec slow;
+  slow.delay = 1.0;
+  slow.delay_min = slow.delay_max = 1;
+  plan.set_default(slow);
+  network.set_fault_plan(plan);  // nothing attached: every send is dropped
+
+  RetryPolicy policy;
+  policy.attempts = 2;
+  policy.try_timeout = 4;
+  policy.jitter = 0;
+  RecursiveResolver resolver(hierarchy);
+  resolver.use_network(network, {}, policy);
+
+  const auto outcome =
+      resolver.resolve(dns::make_query(1, dns::DomainName::must("b.org")), 0);
+  EXPECT_EQ(outcome.response.header.rcode, dns::RCode::ServFail);
+  // 2 tries x (1s delay + 4s timeout) + backoff 1s.
+  EXPECT_EQ(outcome.elapsed, 11);
+  EXPECT_EQ(resolver.stats().retries, 1u);
+  EXPECT_EQ(resolver.stats().timeouts, 2u);
+  EXPECT_EQ(resolver.stats().upstream_sends, 2u);
+}
+
 // ------------------------------------------------- SERVFAIL degradation
 
 TEST(ServFailDegradation, AuthorityOutageIsServFailNotNXDomain) {

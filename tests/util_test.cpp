@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <string_view>
@@ -314,6 +315,20 @@ TEST(CivilTime, MonthIndex) {
   EXPECT_EQ(month_index(d), 2021 * 12 + 6);
   EXPECT_EQ(format_month(month_index(d)), "2021-07");
   EXPECT_EQ(month_start(month_index(d)), to_day(CivilDate{2021, 7, 1}));
+}
+
+TEST(CivilTime, OutOfRangeDaysClampToTheEdgeDate) {
+  // A decoded pdns frame can carry any day index; the far edges clamp
+  // instead of overflowing the year arithmetic.
+  constexpr Day kLimit = Day{1} << 39;
+  constexpr Day kMax = std::numeric_limits<Day>::max();
+  constexpr Day kMin = std::numeric_limits<Day>::min();
+  EXPECT_EQ(from_day(kMax), from_day(kLimit));
+  EXPECT_EQ(from_day(kMin), from_day(-kLimit));
+  EXPECT_EQ(to_day(from_day(kLimit)), kLimit);
+  EXPECT_EQ(to_day(from_day(-kLimit)), -kLimit);
+  EXPECT_GT(month_index(kMax), month_index(0));
+  EXPECT_LT(month_index(kMin), month_index(0));
 }
 
 TEST(SimClock, AdvanceAndToday) {
