@@ -26,40 +26,180 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-/// Which chain files any decodable manifest still references.  Files outside
-/// this set are orphans: leftovers of a checkpoint that died before its
-/// manifest committed, or of an interrupted cleanup.
-struct ChainRefs {
-  bool any_manifest_decodable = false;
-  std::set<std::uint64_t> bases;
-  std::set<std::pair<std::uint64_t, std::uint32_t>> deltas;
-};
-
-ChainRefs collect_chain_refs(const std::string& dir) {
-  ChainRefs refs;
-  for (const auto& [frontier, path] : list_manifests(dir)) {
-    const auto m = load_manifest_file(path);
-    if (!m || m->frontier != frontier) continue;
-    refs.any_manifest_decodable = true;
-    if (m->base_batches > 0) refs.bases.insert(m->base_batches);
-    for (const auto& d : m->deltas) refs.deltas.insert({d.frontier, d.shard});
+/// Load a manifest's base image and absorb its deltas in chain order;
+/// nullopt at the first chain file that fails validation.
+std::optional<PassiveDnsStore> load_chain(const std::string& dir,
+                                          const Manifest& m,
+                                          const StoreConfig& store) {
+  PassiveDnsStore image(store);
+  if (m.base_batches > 0) {
+    auto loaded = load_base_file(base_path(dir, m.base_batches));
+    if (!loaded || loaded->batches != m.base_batches) return std::nullopt;
+    image = std::move(loaded->store);
   }
-  return refs;
+  for (const auto& d : m.deltas) {
+    const auto delta = load_delta_file(delta_path(dir, d.frontier, d.shard),
+                                       d.frontier, d.shard);
+    if (!delta) return std::nullopt;
+    image.absorb(*delta);
+  }
+  return image;
 }
 
-std::uint64_t count_orphaned_chain_files(const std::string& dir,
-                                         const ChainRefs& refs) {
-  std::uint64_t orphans = 0;
-  for (const auto& d : list_deltas(dir)) {
-    if (!refs.deltas.contains({d.frontier, d.shard})) ++orphans;
+/// The one reading of a durable directory: what open() restores, replays
+/// and repairs, and what fsck() reports.  Building it changes nothing on
+/// disk.
+struct DirScan {
+  explicit DirScan(const StoreConfig& store) : image(store) {}
+
+  DurableStore::RecoveryInfo info;  ///< all but the counts open() applies
+  PassiveDnsStore image;            ///< the winning frontier's store
+  Manifest current;  ///< the winner (a bare base poses as a chainless one)
+  std::optional<Manifest> previous;     ///< retention fallback behind it
+  std::vector<Wal::ReplayedBatch> run;  ///< seq frontier+1, frontier+2, ...
+  /// (segment index, bytes kept) for every segment holding refused bytes.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> wal_cuts;
+  std::uint64_t next_segment = 0;  ///< first index past every segment
+  std::uint64_t wal_segments = 0;
+  std::uint64_t wal_records = 0;
+  std::vector<std::string> tmp_files;  ///< uncommitted temporaries
+  // Filled only by a full scan (fsck): every manifest and base, validated.
+  std::vector<DurableStore::FsckManifest> manifests;
+  std::vector<DurableStore::FsckSnapshot> bases;
+};
+
+DirScan scan_dir(const std::string& dir, const StoreConfig& store,
+                 bool full) {
+  DirScan scan(store);
+  auto& info = scan.info;
+
+  // 1. The frontier: the newest manifest whose base and deltas all load.  A
+  //    damaged chain skips to the previous manifest, whose WAL floor is
+  //    still retained, so the skipped batches replay instead of being lost.
+  //    Past the winner only a full scan validates chains; open() merely
+  //    decodes the older manifests, for the retention fallback and the
+  //    orphan count.
+  bool any_decodable = false;
+  std::set<std::uint64_t> ref_bases;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> ref_deltas;
+  for (const auto& [frontier, path] : list_manifests(dir)) {
+    const auto m = load_manifest_file(path);
+    const bool decodable = m && m->frontier == frontier;
+    const bool pending = !info.snapshot_loaded;
+    std::optional<PassiveDnsStore> chain;
+    if (decodable) {
+      any_decodable = true;
+      if (m->base_batches > 0) ref_bases.insert(m->base_batches);
+      for (const auto& d : m->deltas) ref_deltas.insert({d.frontier, d.shard});
+      if (pending || full) chain = load_chain(dir, *m, store);
+    }
+    if (full) {
+      scan.manifests.push_back({path, frontier, decodable, chain.has_value(),
+                                decodable ? m->deltas.size() : 0});
+    }
+    if (!pending) {
+      // The retention fallback: the newest older manifest of a different
+      // base lineage (cleanup kept it on disk exactly for this).  Without
+      // it, the first post-recovery checkpoint would truncate the WAL up to
+      // the current lineage and re-open the shared-base fault window.
+      if (decodable && !scan.previous &&
+          m->base_batches != scan.current.base_batches) {
+        scan.previous = *m;
+      }
+      continue;
+    }
+    if (!chain) {
+      ++info.invalid_manifests;
+      if (decodable) ++info.corrupt_chain_files;
+      continue;
+    }
+    scan.image = std::move(*chain);
+    scan.current = *m;
+    info.snapshot_loaded = true;
+    info.snapshot_batches = frontier;
+    info.deltas_absorbed = m->deltas.size();
   }
-  // Without any manifest, bare snapshots are the legacy layout, not orphans.
-  if (refs.any_manifest_decodable) {
-    for (const auto& [batches, path] : list_bases(dir)) {
-      if (!refs.bases.contains(batches)) ++orphans;
+  info.frontier_degraded = info.invalid_manifests > 0;
+
+  // 2. Without a usable manifest the newest valid base alone is still an
+  //    exact prefix: legacy directories have no manifests at all, and a
+  //    multi-fault directory degrades here.  Chain files that no decodable
+  //    manifest references are orphans (a checkpoint that died before its
+  //    manifest, or an interrupted cleanup); without any manifest, bare
+  //    bases are the legacy layout, not orphans.
+  for (const auto& [batches, path] : list_bases(dir)) {
+    if (any_decodable && !ref_bases.contains(batches)) {
+      ++info.orphaned_chain_files;
+    }
+    if (info.snapshot_loaded && !full) continue;
+    auto loaded = load_base_file(path);
+    const bool valid = loaded && loaded->batches == batches;
+    if (full) scan.bases.push_back({path, batches, valid});
+    if (info.snapshot_loaded) continue;
+    if (!valid) {
+      ++info.invalid_snapshots;
+      continue;
+    }
+    scan.image = std::move(loaded->store);
+    scan.current = Manifest{batches, batches, 0, {}};
+    info.snapshot_loaded = true;
+    info.snapshot_batches = batches;
+  }
+  for (const auto& d : list_deltas(dir)) {
+    if (!ref_deltas.contains({d.frontier, d.shard})) {
+      ++info.orphaned_chain_files;
     }
   }
-  return orphans;
+
+  // 3. The WAL run: seq frontier+1, frontier+2, ... in segment order.  A
+  //    record at or below the frontier is stale.  The first sequence gap
+  //    (only possible under multiple independent faults) ends the run — an
+  //    exact prefix, just shorter — and refuses every record from it on.
+  auto wal = Wal::replay(dir);
+  const std::uint64_t frontier = info.snapshot_batches;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> gap;
+  for (auto& batch : wal.batches) {
+    if (batch.seq <= frontier) {
+      ++info.stale_batches_skipped;
+    } else if (batch.seq == frontier + scan.run.size() + 1) {
+      scan.run.push_back(std::move(batch));
+    } else {
+      gap = {batch.segment, batch.offset};
+      break;
+    }
+  }
+  info.wal_gap_detected = gap.has_value();
+  // Refused bytes: each damaged tail before the gap, everything from it on.
+  auto damaged = wal.cuts.begin();
+  for (const auto& [index, bytes] : wal.segments) {
+    std::uint64_t keep = bytes;
+    if (damaged != wal.cuts.end() && damaged->first == index) {
+      keep = (damaged++)->second;
+    }
+    if (gap && index >= gap->first) {
+      keep = index == gap->first ? gap->second : 0;
+    }
+    if (keep < bytes) {
+      scan.wal_cuts.emplace_back(index, keep);
+      info.discarded_wal_bytes += bytes - keep;
+    }
+  }
+  info.wal_tail_truncated = !scan.wal_cuts.empty();
+  scan.next_segment =
+      wal.segments.empty() ? 0 : wal.segments.back().first + 1;
+  scan.wal_segments = wal.segments.size();
+  scan.wal_records = wal.records_scanned;
+
+  // 4. Leftover atomic-commit temporaries: writes that died before their
+  //    rename, so removing one can never lose acked data.
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.is_regular_file(ec) &&
+        entry.path().extension().string() == ".tmp") {
+      scan.tmp_files.push_back(entry.path().string());
+    }
+  }
+  return scan;
 }
 
 }  // namespace
@@ -215,146 +355,42 @@ struct DurableStore::Core {
 // ------------------------------------------------------------------ recover
 
 bool DurableStore::Core::recover() {
-  // 1. Newest manifest whose whole chain validates pins the frontier.  A
-  //    corrupt manifest/base/delta skips to the previous manifest — whose
-  //    WAL floor is still retained, so the skipped batches replay instead
-  //    of being lost.
-  bool manifest_present = false;
-  bool restored = false;
-  std::uint64_t skipped_newer = 0;
-  for (const auto& [frontier, path] : list_manifests(dir)) {
-    manifest_present = true;
-    const auto m = load_manifest_file(path);
-    if (!m || m->frontier != frontier) {
-      ++recovery.invalid_manifests;
-      ++skipped_newer;
-      continue;
-    }
-    PassiveDnsStore candidate(config.store);
-    bool chain_ok = true;
-    std::uint64_t absorbed = 0;
-    if (m->base_batches > 0) {
-      auto loaded = load_base_file(base_path(dir, m->base_batches));
-      if (loaded && loaded->batches == m->base_batches) {
-        candidate = std::move(loaded->store);
-      } else {
-        chain_ok = false;
-        ++recovery.corrupt_chain_files;
-      }
-    }
-    if (chain_ok) {
-      for (const auto& d : m->deltas) {
-        auto delta = load_delta_file(delta_path(dir, d.frontier, d.shard),
-                                     d.frontier, d.shard);
-        if (!delta) {
-          chain_ok = false;
-          ++recovery.corrupt_chain_files;
-          break;
-        }
-        candidate.absorb(*delta);
-        ++absorbed;
-      }
-    }
-    if (!chain_ok) {
-      ++recovery.invalid_manifests;
-      ++skipped_newer;
-      continue;
-    }
-    base = std::move(candidate);
-    committed.store(m->frontier, std::memory_order_relaxed);
-    current = *m;
-    recovery.snapshot_loaded = true;
-    recovery.snapshot_batches = m->frontier;
-    recovery.deltas_absorbed = absorbed;
-    restored = true;
-    break;
-  }
-  recovery.frontier_degraded = restored ? skipped_newer > 0 : manifest_present;
+  auto scan = scan_dir(dir, config.store, /*full=*/false);
+  recovery = scan.info;
+  base = std::move(scan.image);
+  current = scan.current;
+  previous = scan.previous;
 
-  if (restored) {
-    // Re-pin the retention fallback: the newest older manifest from a
-    // different base lineage (cleanup kept it on disk exactly for this).
-    // Without it, the first post-recovery checkpoint would truncate the WAL
-    // up to the current lineage and re-open the shared-base fault window.
-    for (const auto& [frontier, path] : list_manifests(dir)) {
-      if (frontier >= current.frontier) continue;
-      const auto m = load_manifest_file(path);
-      if (!m || m->frontier != frontier) continue;
-      if (m->base_batches == current.base_batches) continue;
-      previous = *m;
-      break;
+  // Replay the run zero-copy on top of the frontier, as one group.
+  std::vector<std::span<const std::uint8_t>> frames;
+  frames.reserve(scan.run.size());
+  for (const auto& batch : scan.run) frames.emplace_back(batch.frame);
+  tail.ingest_frames(frames, *pool);
+  const std::uint64_t frontier = scan.info.snapshot_batches + scan.run.size();
+  committed.store(frontier, std::memory_order_relaxed);
+  recovery.replayed_batches = scan.run.size();
+  since_delta = scan.run.size();
+
+  // Repair before the new segment is armed: durably remove every WAL byte
+  // the scan refused, so the log holds exactly the recovered prefix and no
+  // later recovery can trip over it.  Idempotent — a death mid-repair
+  // leaves a directory that scans to the same decision.
+  for (const auto& [index, keep] : scan.wal_cuts) {
+    const std::string path = Wal::segment_path(dir, index);
+    if (!(keep == 0 ? util::remove_file(path, crash)
+                    : util::truncate_file(path, keep, crash))) {
+      return false;
     }
   }
-
-  if (!restored) {
-    // No usable manifest.  The newest valid full base alone is still an
-    // exact prefix: legacy directories have no manifests at all, and a
-    // multi-fault directory degrades here (the replay contiguity guard
-    // below keeps the result a prefix even then).
-    for (const auto& [batches, path] : list_bases(dir)) {
-      if (auto loaded = load_base_file(path);
-          loaded && loaded->batches == batches) {
-        base = std::move(loaded->store);
-        committed.store(batches, std::memory_order_relaxed);
-        current = Manifest{batches, batches, 0, {}};
-        recovery.snapshot_loaded = true;
-        recovery.snapshot_batches = batches;
-        break;
-      }
-      ++recovery.invalid_snapshots;
-    }
-  }
-
-  // 2. Strict, zero-copy WAL tail replay on top of the frontier.
-  auto replay = Wal::replay(dir);
-  recovery.discarded_wal_bytes = replay.discarded_bytes;
-  recovery.wal_tail_truncated = replay.tail_truncated;
-  for (auto& replayed : replay.batches) {
-    const std::uint64_t at = committed.load(std::memory_order_relaxed);
-    if (replayed.seq <= at) {
-      ++recovery.stale_batches_skipped;
-      continue;
-    }
-    if (replayed.seq != at + 1) {
-      // seq jumped past the frontier: retention was violated by multiple
-      // independent faults.  Applying across the gap would yield a
-      // non-prefix state, so stop here — still exact, just shorter.
-      recovery.wal_gap_detected = true;
-      break;
-    }
-    const std::span<const std::uint8_t> frame(replayed.frame);
-    tail.ingest_frames(std::span<const std::span<const std::uint8_t>>(&frame, 1),
-                       *pool);
-    committed.store(replayed.seq, std::memory_order_relaxed);
-    ++recovery.replayed_batches;
-    ++since_delta;
-  }
-
-  // 3. Sweep leftover atomic-commit temporaries: a `.tmp` is by definition
-  //    an uncommitted write that died before its rename, so deleting it can
-  //    never lose acked data.  No crash hook — a death mid-sweep just leaves
-  //    files for the next open to sweep again.  Orphaned chain files (a
-  //    checkpoint that died before its manifest) are counted but kept; the
-  //    next successful checkpoint's cleanup retires them.
+  // No crash hook for the temporaries: a death mid-sweep just leaves files
+  // for the next open to sweep again.  Orphaned chain files are counted but
+  // kept; the next successful checkpoint's cleanup retires them.
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) &&
-        entry.path().extension().string() == ".tmp") {
-      if (std::filesystem::remove(entry.path(), ec)) {
-        ++recovery.removed_tmp_files;
-      }
-    }
+  for (const auto& path : scan.tmp_files) {
+    if (std::filesystem::remove(path, ec)) ++recovery.removed_tmp_files;
   }
-  recovery.orphaned_chain_files =
-      count_orphaned_chain_files(dir, collect_chain_refs(dir));
 
-  // 4. New batches go to a fresh segment past everything on disk; a torn
-  //    tail segment is never appended to.
-  std::uint64_t next_segment = 0;
-  const auto segments = Wal::list_segments(dir);
-  if (!segments.empty()) next_segment = segments.back().first + 1;
-  const std::uint64_t frontier = committed.load(std::memory_order_relaxed);
-  wal = Wal::create(dir, config.wal, next_segment, frontier + 1, crash);
+  wal = Wal::create(dir, config.wal, scan.next_segment, frontier + 1, crash);
   if (!wal) return false;
   next_seq = frontier + 1;
   done_seq = frontier;
@@ -876,11 +912,6 @@ DurableStore::DurableStore(DurableStore&&) noexcept = default;
 DurableStore& DurableStore::operator=(DurableStore&&) noexcept = default;
 DurableStore::~DurableStore() = default;
 
-std::string DurableStore::snapshot_path(const std::string& dir,
-                                        std::uint64_t batches) {
-  return base_path(dir, batches);
-}
-
 std::optional<DurableStore> DurableStore::open(std::string dir, Config config,
                                                util::CrashPoint* crash) {
   config.shard_count = std::clamp<std::size_t>(config.shard_count, 1,
@@ -970,89 +1001,28 @@ obs::PressureInputs DurableStore::pressure_inputs() const {
 // ------------------------------------------------------------------- fsck
 
 DurableStore::FsckReport DurableStore::fsck(const std::string& dir) {
+  auto scan = scan_dir(dir, StoreConfig{}, /*full=*/true);
+  const auto& info = scan.info;
   FsckReport report;
-  ChainRefs refs;
-  bool frontier_found = false;
-  for (const auto& [frontier, path] : list_manifests(dir)) {
-    FsckManifest info;
-    info.path = path;
-    info.frontier = frontier;
-    const auto m = load_manifest_file(path);
-    info.decodable = m.has_value() && m->frontier == frontier;
-    if (info.decodable) {
-      refs.any_manifest_decodable = true;
-      info.usable = true;
-      info.chain_deltas = m->deltas.size();
-      if (m->base_batches > 0) {
-        refs.bases.insert(m->base_batches);
-        const auto loaded = load_base_file(base_path(dir, m->base_batches));
-        if (!loaded || loaded->batches != m->base_batches) info.usable = false;
-      }
-      for (const auto& d : m->deltas) {
-        refs.deltas.insert({d.frontier, d.shard});
-        if (info.usable &&
-            !load_delta_file(delta_path(dir, d.frontier, d.shard), d.frontier,
-                             d.shard)) {
-          info.usable = false;
-        }
-      }
-    }
-    if (info.usable && !frontier_found) {
-      report.frontier = frontier;
-      report.chain_deltas = info.chain_deltas;
-      frontier_found = true;
-    }
-    if (!info.usable) report.clean = false;
-    report.manifests.push_back(std::move(info));
-  }
-
-  bool best_base_found = false;
-  for (const auto& [batches, path] : list_bases(dir)) {
-    FsckSnapshot info;
-    info.path = path;
-    info.batches = batches;
-    const auto loaded = load_base_file(path);
-    info.valid = loaded.has_value() && loaded->batches == batches;
-    if (info.valid && !best_base_found) {
-      report.best_snapshot_batches = batches;
-      best_base_found = true;
-    }
-    if (!info.valid) report.clean = false;
-    report.snapshots.push_back(std::move(info));
-  }
-  if (!frontier_found) report.frontier = report.best_snapshot_batches;
-
-  report.orphaned_chain_files = count_orphaned_chain_files(dir, refs);
-  if (report.orphaned_chain_files > 0) report.clean = false;
-
-  const auto replay = Wal::replay(dir);
-  report.wal_segments = Wal::list_segments(dir).size();
-  report.wal_records = replay.records_scanned;
-  report.discarded_wal_bytes = replay.discarded_bytes;
-  report.wal_tail_truncated = replay.tail_truncated;
-  if (replay.tail_truncated) report.clean = false;
-  std::uint64_t expected = report.frontier;
-  for (const auto& replayed : replay.batches) {
-    if (replayed.seq <= report.frontier) {
-      ++report.stale_batches;
-    } else if (replayed.seq == expected + 1) {
-      ++report.replayable_batches;
-      expected = replayed.seq;
-    } else {
-      break;  // gap: recovery would stop here too
-    }
-  }
+  report.frontier = info.snapshot_batches;
+  report.best_snapshot_batches = scan.current.base_batches;
+  report.chain_deltas = scan.current.deltas.size();
+  report.orphaned_chain_files = info.orphaned_chain_files;
+  report.wal_segments = scan.wal_segments;
+  report.wal_records = scan.wal_records;
+  report.replayable_batches = scan.run.size();
+  report.stale_batches = info.stale_batches_skipped;
   report.recoverable_batches = report.frontier + report.replayable_batches;
   report.compaction_debt = report.chain_deltas + report.replayable_batches;
-
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) &&
-        entry.path().extension().string() == ".tmp") {
-      ++report.tmp_files;
-      report.clean = false;
-    }
-  }
+  report.discarded_wal_bytes = info.discarded_wal_bytes;
+  report.tmp_files = scan.tmp_files.size();
+  report.wal_tail_truncated = info.wal_tail_truncated;
+  report.clean = report.orphaned_chain_files == 0 && report.tmp_files == 0 &&
+                 !report.wal_tail_truncated;
+  for (const auto& m : scan.manifests) report.clean &= m.usable;
+  for (const auto& b : scan.bases) report.clean &= b.valid;
+  report.manifests = std::move(scan.manifests);
+  report.snapshots = std::move(scan.bases);
   return report;
 }
 

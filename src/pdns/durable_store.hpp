@@ -22,15 +22,20 @@
 //                pinning {base image, delta chain, WAL floor}.  Ingest never
 //                waits for serialization.  Every `compact_every_deltas`
 //                rounds the worker folds the chain into a fresh full base.
-//   open:        newest manifest whose whole chain validates wins; its
-//                frontier is restored byte-exactly, then the WAL tail
-//                (seq > frontier) replays zero-copy on top.  A corrupt
-//                manifest, base, or delta file degrades recovery to the
-//                previous manifest plus a longer WAL replay — the retention
-//                rule (keep two manifests, keep WAL segments back to the
-//                OLDER one's floor) makes that fallback always sufficient
-//                under a single fault.  Never data loss, never a partial
-//                image.
+//   open:        one read-only scan decides recovery, and fsck() reports
+//                that same scan: the newest manifest whose base and deltas
+//                all load wins (else the newest valid bare base); its
+//                frontier is restored byte-exactly, then the WAL run — seq
+//                frontier+1, frontier+2, ... in segment order — replays
+//                zero-copy on top.  Stale records (seq ≤ frontier) are
+//                skipped, damage ends only its own segment, and the first
+//                sequence gap ends the run.  A corrupt manifest, base, or
+//                delta degrades to the previous manifest plus a longer
+//                replay — retention (keep two manifests, keep WAL back to
+//                the OLDER one's floor) makes that fallback sufficient
+//                under any single fault.  Before arming its new segment,
+//                open removes every WAL byte it refused.  Never data loss,
+//                never a partial image.
 //
 // Invariants (pinned by tests/crash_recovery_test.cpp across the full
 // CrashPoint matrix — kill, torn write, bit flip, short write, fsync stall,
@@ -118,23 +123,23 @@ class DurableStore {
     std::uint64_t invalid_snapshots = 0;    ///< corrupt legacy full snapshots skipped
     std::uint64_t deltas_absorbed = 0;      ///< chain files folded into the base
     std::uint64_t orphaned_chain_files = 0; ///< chain files no valid manifest references
-    std::uint64_t discarded_wal_bytes = 0;  ///< torn/corrupt tail dropped
+    std::uint64_t discarded_wal_bytes = 0;  ///< refused WAL bytes, removed
     std::uint64_t removed_tmp_files = 0;    ///< uncommitted temporaries swept
-    bool wal_tail_truncated = false;
+    bool wal_tail_truncated = false;  ///< damaged tails or records past a gap
     /// The newest manifest was unusable and recovery fell back to an older
     /// frontier (single-fault degradation: same batches, longer replay).
     bool frontier_degraded = false;
-    /// Replay found seq > frontier+1 before reaching the frontier — only
-    /// possible under multiple independent faults.  Replay stops at the gap
-    /// so the state is still an exact serial prefix.
+    /// The WAL run hit a sequence gap — only possible under multiple
+    /// independent faults.  Replay stops at the gap so the state is still
+    /// an exact serial prefix.
     bool wal_gap_detected = false;
   };
 
-  /// Open-or-recover: restores the newest fully-valid manifest frontier
-  /// (or the newest legacy snapshot), replays the WAL tail, and arms a
-  /// fresh WAL segment plus the writer/checkpoint machinery.  On a fresh
-  /// directory this is simply "create".  nullopt only when the directory is
-  /// unusable (or the injected crash fires during setup).
+  /// Open-or-recover: restores the winning frontier, replays the WAL run,
+  /// removes the WAL bytes it refused, and arms a fresh WAL segment plus
+  /// the writer/checkpoint machinery.  On a fresh directory this is simply
+  /// "create".  nullopt only when the directory is unusable (or the
+  /// injected crash fires during setup or the idempotent repair).
   static std::optional<DurableStore> open(std::string dir, Config config,
                                           util::CrashPoint* crash = nullptr);
 
@@ -218,8 +223,8 @@ class DurableStore {
   struct FsckReport {
     std::vector<FsckManifest> manifests;  ///< newest first
     std::vector<FsckSnapshot> snapshots;  ///< base images, newest first
-    std::uint64_t frontier = 0;  ///< best recoverable manifest/base frontier
-    std::uint64_t best_snapshot_batches = 0;  ///< best valid full base image
+    std::uint64_t frontier = 0;  ///< the frontier open() restores
+    std::uint64_t best_snapshot_batches = 0;  ///< base image behind `frontier`
     std::uint64_t chain_deltas = 0;  ///< delta files behind `frontier`
     std::uint64_t orphaned_chain_files = 0;  ///< referenced by no valid manifest
     std::uint64_t wal_segments = 0;
@@ -231,17 +236,17 @@ class DurableStore {
     /// absorb plus WAL batches to replay.  What `nxdtool recover` (forced
     /// compaction) would reduce to zero.
     std::uint64_t compaction_debt = 0;
-    std::uint64_t discarded_wal_bytes = 0;
+    std::uint64_t discarded_wal_bytes = 0;  ///< refused bytes open removes
     std::uint64_t tmp_files = 0;  ///< leftover uncommitted temporaries
-    bool wal_tail_truncated = false;
+    bool wal_tail_truncated = false;  ///< refused WAL bytes exist
     /// True when nothing needs repair: no corrupt manifests or chain files,
-    /// no orphans, no torn WAL tail, no leftover temporaries.
+    /// no orphans, no refused WAL bytes, no leftover temporaries.
     bool clean = true;
   };
+  /// The scan open() applies, read-only: `frontier` and
+  /// `recoverable_batches` are what open() would restore.  Only fsck
+  /// validates the chains of manifests older than the winner.
   static FsckReport fsck(const std::string& dir);
-
-  static std::string snapshot_path(const std::string& dir,
-                                   std::uint64_t batches);
 
   /// Mirror the durable-ingest counters into a shared registry (committed
   /// batches, groups, checkpoints carry over).  Also binds the live tail

@@ -7,8 +7,10 @@
 //   base    "snapshot-<batches>.nxs"        full store image
 //             payload: magic "NXCP" u32 | version u16 | batches u64 |
 //                      v2 snapshot bytes
-//             (the pre-manifest checkpoint format, unchanged — a legacy
-//             directory's newest snapshot is simply a base with no manifest)
+//             (the pre-manifest checkpoint format, unchanged; when no
+//             manifest's chain loads — a legacy directory, or one whose
+//             every manifest is damaged — the newest valid base is the
+//             frontier on its own)
 //
 //   delta   "delta-<frontier>-<shard>.nxd"  one shard's tail at a frontier
 //             payload: magic "NXDL" u32 | version u16 | frontier u64 |
@@ -21,7 +23,8 @@
 //
 // A manifest pins a byte-exact recovery frontier: load the base image
 // (batches 1..base_batches), absorb each listed delta in order (reaching
-// 1..frontier), then replay WAL records with seq > frontier.  Every listed
+// 1..frontier), then replay the WAL run seq frontier+1, frontier+2, ...
+// (pdns/durable_store.hpp has the one recovery rule).  Every listed
 // file must validate; a manifest whose chain is damaged is unusable as a
 // whole and recovery falls back to the previous manifest — whose WAL floor
 // is still retained, so the same batches are recovered through a longer

@@ -132,47 +132,34 @@ bool Wal::drop_segments_below(const std::string& dir, std::uint64_t keep_from,
 Wal::Replay Wal::replay(const std::string& dir) {
   Replay out;
   std::uint64_t last_seq = 0;
-  bool stopped = false;
   for (const auto& [index, path] : list_segments(dir)) {
     const auto bytes = util::read_file(path);
+    out.segments.emplace_back(index, bytes ? bytes->size() : 0);
     if (!bytes) continue;
-    if (stopped) {
-      // Everything past a damaged point is untrusted.
-      out.discarded_bytes += bytes->size();
-      continue;
-    }
-    ++out.segments_scanned;
-    const auto scan = util::scan_records(*bytes);
-    for (const auto& record : scan.records) {
-      if (stopped) {
-        out.discarded_bytes += record.size();
-        continue;
-      }
+    // The segment's valid prefix: whole records, each a strict frame whose
+    // seq is above every seq before it.  Damage ends this segment only.
+    std::uint64_t offset = 0;
+    for (const auto& record : util::scan_records(*bytes).records) {
       ++out.records_scanned;
       util::ByteReader r(record);
       const std::uint64_t hi = r.u32();
       const std::uint64_t seq = (hi << 32) | r.u32();
-      const auto frame_bytes = record.size() >= 8
-                                   ? std::span(record).subspan(8)
-                                   : std::span<const std::uint8_t>{};
+      const auto frame_bytes = std::span(record).subspan(r.ok() ? 8 : 0);
       const auto view = r.ok() ? FrameView::parse(frame_bytes) : std::nullopt;
-      if (!r.ok() || !view || (last_seq != 0 && seq <= last_seq) || seq == 0) {
-        out.discarded_bytes += record.size();
-        stopped = true;
-        continue;
-      }
+      if (!view || seq <= last_seq) break;
       last_seq = seq;
       out.batches.push_back(
           {seq,
            std::vector<std::uint8_t>(frame_bytes.begin(), frame_bytes.end()),
-           view->size()});
+           view->size(), index, offset});
+      offset += util::kRecordHeaderBytes + record.size();
     }
-    if (scan.truncated_tail) {
-      out.discarded_bytes += scan.total_bytes - scan.valid_bytes;
-      stopped = true;
+    if (offset < bytes->size()) {
+      out.cuts.emplace_back(index, offset);
+      out.discarded_bytes += bytes->size() - offset;
     }
   }
-  out.tail_truncated = stopped;
+  out.tail_truncated = !out.cuts.empty();
   return out;
 }
 

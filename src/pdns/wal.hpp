@@ -18,15 +18,15 @@
 // group of batches and pays one fsync for all of them — the acks ride that
 // single barrier; a group of one is simply append_frame() + sync().
 //
-// Recovery semantics are strict and asymmetric, like the frame decoder's:
-//   - a torn/corrupt record truncates the tail — everything from the first
-//     invalid byte on is discarded, so a batch whose append was interrupted
-//     is never partially visible (all-or-nothing per batch, and a torn
-//     group record drops whole batches, never fractions of one);
-//   - a record that passes its CRC but fails strict frame validation, or
-//     whose sequence number does not increase, also stops the replay
-//     (conservative corruption handling — nothing after a damaged point is
-//     trusted).
+// Recovery reads each segment on its own: its valid prefix is the run of
+// whole records that pass the CRC, strict frame validation, and have a seq
+// above every seq read before.  A torn/corrupt record ends its segment — the
+// record and everything after it in that segment are refused, so a batch
+// whose append was interrupted is never partially visible (a torn group
+// record drops whole batches, never fractions of one) — but damage never
+// reaches into the next segment.  Which of the valid records replay, and
+// which refused bytes recovery removes from disk, is DurableStore's one
+// recovery rule (pdns/durable_store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,7 @@ class Wal {
 
   /// Open a fresh appender in `dir`, writing segments from `segment_index`
   /// up and numbering batches from `next_seq`.  Never appends to an existing
-  /// segment file — after recovery the caller passes the next free index, so
-  /// a possibly-torn tail segment stays immutable evidence.
+  /// segment file — after recovery the caller passes the next free index.
   static std::optional<Wal> create(std::string dir, Config config,
                                    std::uint64_t segment_index,
                                    std::uint64_t next_seq,
@@ -95,13 +94,18 @@ class Wal {
     /// codec; both see identical observations.
     std::vector<std::uint8_t> frame;
     std::uint32_t observations = 0;
+    std::uint64_t segment = 0;  ///< index of the segment holding the record
+    std::uint64_t offset = 0;   ///< where the record starts in that segment
   };
   struct Replay {
-    std::vector<ReplayedBatch> batches;  ///< valid prefix, seq ascending
-    std::uint64_t segments_scanned = 0;
+    std::vector<ReplayedBatch> batches;  ///< every valid prefix, seq ascending
+    /// (index, file bytes) of every segment read, ascending.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> segments;
+    /// (index, valid prefix bytes) of every segment with a damaged tail.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cuts;
     std::uint64_t records_scanned = 0;
-    std::uint64_t discarded_bytes = 0;  ///< torn/corrupt tail bytes dropped
-    bool tail_truncated = false;
+    std::uint64_t discarded_bytes = 0;  ///< torn/corrupt tail bytes refused
+    bool tail_truncated = false;        ///< some segment has a damaged tail
   };
   static Replay replay(const std::string& dir);
 

@@ -1,5 +1,6 @@
 #include "util/checked_io.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@ namespace nxd::util {
 
 namespace {
 constexpr std::uint32_t kRecordMagic = 0x434b5231;  // "CKR1"
-constexpr std::size_t kRecordHeaderBytes = 12;      // magic + len + crc
 }  // namespace
 
 // ---------------------------------------------------------------- CrashPoint
@@ -235,6 +235,19 @@ bool remove_file(const std::string& path, CrashPoint* crash) {
   if (barrier == CrashPoint::Barrier::Die) return false;
   std::remove(path.c_str());
   return barrier != CrashPoint::Barrier::DieAfter;
+}
+
+bool truncate_file(const std::string& path, std::uint64_t size,
+                   CrashPoint* crash) {
+  const auto barrier =
+      crash != nullptr ? crash->on_barrier() : CrashPoint::Barrier::Proceed;
+  if (barrier == CrashPoint::Barrier::Die) return false;
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return false;
+  const bool cut = ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
+                   ::fsync(fd) == 0;
+  ::close(fd);
+  return cut && barrier != CrashPoint::Barrier::DieAfter;
 }
 
 }  // namespace nxd::util

@@ -12,10 +12,11 @@
 // semantics.
 //
 // Crash model: the process can die at any *operation* boundary — a record
-// write, a flush, a file open, a rename, or an unlink.  Every boundary asks
-// the CrashPoint (when armed) whether to proceed; a triggered crash latches,
-// so every later operation fails too, exactly like code running after the
-// kill would never run.  Failure modes cover both sides of an operation:
+// write, a flush, a file open, a rename, a truncation, or an unlink.  Every
+// boundary asks the CrashPoint (when armed) whether to proceed; a triggered
+// crash latches, so every later operation fails too, exactly like code
+// running after the kill would never run.  Failure modes cover both sides
+// of an operation:
 //
 //   Kill        die before the op takes effect (classic power cut);
 //   Torn        write op: a seeded strict prefix reaches the file, then die;
@@ -52,6 +53,8 @@ namespace nxd::util {
 /// Largest record the reader will admit; bigger length fields are treated as
 /// corruption (a flipped length byte must not trigger a giant allocation).
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 26;  // 64 MiB
+/// Framing bytes in front of every record's payload (magic + len + crc).
+inline constexpr std::size_t kRecordHeaderBytes = 12;
 
 class CrashPoint {
  public:
@@ -98,10 +101,10 @@ class CrashPoint {
   /// proceeds normally, 0 for every op after the crash.
   std::size_t on_write(std::vector<std::uint8_t>& buf) noexcept;
 
-  /// Non-data boundary (open, flush, rename, unlink).  Die = the simulated
-  /// process is dead and the operation must not happen; DieAfter = perform
-  /// the operation, then fail (FsyncStall: the barrier landed on disk but
-  /// nobody lived to see it).
+  /// Non-data boundary (open, flush, rename, truncate, unlink).  Die = the
+  /// simulated process is dead and the operation must not happen; DieAfter
+  /// = perform the operation, then fail (FsyncStall: the barrier landed on
+  /// disk but nobody lived to see it).
   Barrier on_barrier() noexcept;
 
  private:
@@ -187,5 +190,10 @@ std::optional<std::vector<std::uint8_t>> read_file_checked(
 
 /// Crash-guarded unlink.  True when the file is gone (or never existed).
 bool remove_file(const std::string& path, CrashPoint* crash = nullptr);
+
+/// Crash-guarded, durable truncation: cut `path` to its first `size` bytes
+/// and fsync it, as one operation.
+bool truncate_file(const std::string& path, std::uint64_t size,
+                   CrashPoint* crash = nullptr);
 
 }  // namespace nxd::util

@@ -12,10 +12,14 @@
 // ctest entry does).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -164,17 +168,24 @@ ScriptResult run_script(
   return result;
 }
 
-/// Flip one seeded byte somewhere in `path` — the CRC32C framing must turn
-/// any such mutation into a detected, recoverable fault.
-void flip_byte_in_file(const std::string& path, std::uint64_t seed) {
+/// Overwrite one byte of `path` with its complement.
+void flip_byte_at(const std::string& path, std::size_t offset) {
   auto bytes = util::read_file(path);
   ASSERT_TRUE(bytes.has_value()) << path;
-  ASSERT_FALSE(bytes->empty()) << path;
-  util::Rng rng(seed);
-  (*bytes)[rng.bounded(bytes->size())] ^= 0xFF;
+  ASSERT_LT(offset, bytes->size()) << path;
+  (*bytes)[offset] ^= 0xFF;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes->data()),
             static_cast<std::streamsize>(bytes->size()));
+}
+
+/// Flip one seeded byte somewhere in `path` — the CRC32C framing must turn
+/// any such mutation into a detected, recoverable fault.
+void flip_byte_in_file(const std::string& path, std::uint64_t seed) {
+  const auto size = std::filesystem::file_size(path);
+  ASSERT_GT(size, 0u) << path;
+  util::Rng rng(seed);
+  flip_byte_at(path, rng.bounded(size));
 }
 
 /// Every checkpoint-chain file (manifests, bases, deltas) currently in `dir`.
@@ -188,6 +199,67 @@ std::vector<std::string> chain_files(const std::string& dir) {
   }
   for (const auto& delta : pdns::list_deltas(dir)) files.push_back(delta.path);
   return files;
+}
+
+/// Bytes a death mid-append leaves behind: a record header cut short.
+const std::vector<std::uint8_t> kTornTail = {0, 0, 1, 0, 1, 2, 3, 4, 5, 6};
+
+/// Append `tail` to the newest WAL segment in `dir`.
+void append_to_last_segment(const std::string& dir,
+                            const std::vector<std::uint8_t>& tail) {
+  const auto segments = pdns::Wal::list_segments(dir);
+  ASSERT_FALSE(segments.empty()) << dir;
+  std::ofstream out(segments.back().second, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(tail.data()),
+            static_cast<std::streamsize>(tail.size()));
+}
+
+/// Acked ingest of batches[from, to), checkpointing after every batch index
+/// listed in `checkpoint_after`.
+void ingest_range(pdns::DurableStore& store,
+                  std::span<const std::vector<pdns::Observation>> batches,
+                  std::size_t from, std::size_t to,
+                  std::initializer_list<std::size_t> checkpoint_after = {}) {
+  for (std::size_t b = from; b < to; ++b) {
+    ASSERT_TRUE(ingest(store, batches[b])) << "batch " << b;
+    if (std::find(checkpoint_after.begin(), checkpoint_after.end(), b) !=
+        checkpoint_after.end()) {
+      ASSERT_TRUE(store.checkpoint()) << "after batch " << b;
+    }
+  }
+}
+
+/// fsck read before `recovered` opened must have predicted what it
+/// restored, and the open must have left no refused WAL bytes and no
+/// temporaries behind.
+void expect_fsck_predicted_open(const pdns::DurableStore::FsckReport& before,
+                                const pdns::DurableStore& recovered) {
+  EXPECT_EQ(before.frontier, recovered.recovery().snapshot_batches);
+  EXPECT_EQ(before.recoverable_batches, recovered.committed_batches());
+  const auto after = pdns::DurableStore::fsck(recovered.dir());
+  EXPECT_FALSE(after.wal_tail_truncated);
+  EXPECT_EQ(after.discarded_wal_bytes, 0u);
+  EXPECT_EQ(after.tmp_files, 0u);
+}
+
+/// The second round: submit every batch the recovery did not bring back,
+/// close, reopen, and require all of them, byte-identical to serial ingest.
+void expect_second_round_complete(
+    std::optional<pdns::DurableStore>& store,
+    const pdns::DurableStore::Config& config,
+    std::span<const std::vector<pdns::Observation>> batches,
+    const std::vector<std::uint8_t>& want_all) {
+  const std::string dir = store->dir();
+  std::vector<std::uint64_t> tickets;
+  for (std::size_t b = store->committed_batches(); b < batches.size(); ++b) {
+    tickets.push_back(submit(*store, batches[b]));
+  }
+  for (const auto ticket : tickets) ASSERT_TRUE(store->wait_batch(ticket));
+  store.reset();
+  auto reopened = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->committed_batches(), batches.size());
+  EXPECT_EQ(reopened->snapshot_bytes(), want_all);
 }
 
 // -------------------------------------------------------------- checked_io
@@ -788,6 +860,155 @@ TEST(DurableStore, MultiFaultCorruptionStillYieldsExactPrefix) {
   EXPECT_FALSE(report.clean);
 }
 
+// ------------------------------------------- one recovery rule, repaired
+
+/// Damage in an old WAL segment ends that segment only.  Every record in
+/// segment 1 is at or below the frontier (4), so the batches of segment 2
+/// still replay and nothing acked is lost.
+TEST(DurableStore, DamageInAnOldSegmentEndsOnlyThatSegment) {
+  const std::string dir = fresh_dir("ds_old_segment");
+  const auto batches = make_batches(505, 6, 20);
+  const pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 0, 6, {1, 3});
+  }
+  flip_byte_at(pdns::Wal::segment_path(dir, 1), 14);
+
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_EQ(report.frontier, 4u);
+  EXPECT_EQ(report.recoverable_batches, 6u);
+  auto recovered = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->committed_batches(), 6u);
+  EXPECT_FALSE(recovered->recovery().frontier_degraded);
+  EXPECT_TRUE(recovered->recovery().wal_tail_truncated);
+  EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 6));
+  expect_fsck_predicted_open(report, *recovered);
+}
+
+/// A torn tail is cut off on open, so batches acked after that recovery
+/// survive the next one.
+TEST(DurableStore, TornTailIsRepairedSoLaterBatchesSurvive) {
+  const std::string dir = fresh_dir("ds_torn_repair");
+  const auto batches = make_batches(606, 5, 20);
+  const pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 0, 3);
+  }
+  append_to_last_segment(dir, kTornTail);
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    EXPECT_EQ(store->committed_batches(), 3u);
+    EXPECT_TRUE(store->recovery().wal_tail_truncated);
+    EXPECT_EQ(store->recovery().discarded_wal_bytes, kTornTail.size());
+    ingest_range(*store, batches, 3, 5);
+  }
+  auto reopened = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->committed_batches(), 5u);
+  EXPECT_FALSE(reopened->recovery().wal_tail_truncated);
+  EXPECT_EQ(reopened->snapshot_bytes(), serial_snapshot(batches, 5));
+}
+
+/// What `nxdtool recover` does — open, then a forced checkpoint — leaves a
+/// clean directory after a torn tail, and later batches survive.
+TEST(DurableStore, RecoverThenCheckpointLeavesACleanDirectory) {
+  const std::string dir = fresh_dir("ds_torn_recover");
+  const auto batches = make_batches(607, 6, 20);
+  const pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 0, 4, {1});
+  }
+  append_to_last_segment(dir, kTornTail);
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    EXPECT_EQ(store->committed_batches(), 4u);
+    ASSERT_TRUE(store->checkpoint());
+  }
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_TRUE(report.clean);
+  EXPECT_FALSE(report.wal_tail_truncated);
+  EXPECT_EQ(report.recoverable_batches, 4u);
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 4, 6);
+  }
+  auto reopened = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->committed_batches(), 6u);
+  EXPECT_EQ(reopened->snapshot_bytes(), serial_snapshot(batches, 6));
+}
+
+/// After a multi-fault recovery stops at a WAL gap, the records past the
+/// gap are removed, so the batches acked next replay on the following open.
+TEST(DurableStore, WalGapIsRepairedSoLaterBatchesSurvive) {
+  const std::string dir = fresh_dir("ds_gap_repair");
+  const auto batches = make_batches(608, 6, 20);
+  const pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 0, 6, {1, 3});
+  }
+  std::uint64_t mutated = 0;
+  for (const auto& [frontier, path] : pdns::list_manifests(dir)) {
+    flip_byte_in_file(path, 600 + mutated++);
+  }
+  for (const auto& [count, path] : pdns::list_bases(dir)) {
+    flip_byte_in_file(path, 600 + mutated++);
+  }
+  ASSERT_GE(mutated, 4u);
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    EXPECT_EQ(store->committed_batches(), 0u);
+    EXPECT_TRUE(store->recovery().wal_gap_detected);
+    ingest_range(*store, batches, 0, 2);
+  }
+  auto reopened = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->committed_batches(), 2u);
+  EXPECT_FALSE(reopened->recovery().wal_gap_detected);
+  EXPECT_EQ(reopened->snapshot_bytes(), serial_snapshot(batches, 2));
+}
+
+/// fsck names the base image open restores: the winning manifest's, not
+/// the newest valid base on disk.
+TEST(DurableStore, FsckNamesTheBaseOpenRestores) {
+  const std::string dir = fresh_dir("ds_fsck_base");
+  const auto batches = make_batches(609, 4, 20);
+  const pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    ingest_range(*store, batches, 0, 4, {1, 3});
+  }
+  const auto manifests = pdns::list_manifests(dir);
+  ASSERT_EQ(manifests.size(), 2u);
+  ASSERT_EQ(pdns::list_bases(dir).size(), 2u);
+  flip_byte_in_file(manifests.front().second, /*seed=*/406);
+
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_EQ(report.frontier, 2u);
+  EXPECT_EQ(report.best_snapshot_batches, 2u);
+  EXPECT_EQ(report.chain_deltas, 0u);
+  EXPECT_EQ(report.recoverable_batches, 4u);
+  auto recovered = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->recovery().snapshot_batches, 2u);
+  EXPECT_EQ(recovered->committed_batches(), 4u);
+  EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 4));
+}
+
 // ----------------------------------------------------------- crash harness
 
 /// The tentpole property.  For every I/O boundary `op` of the scripted
@@ -798,7 +1019,10 @@ TEST(DurableStore, MultiFaultCorruptionStillYieldsExactPrefix) {
 ///     is admitted (it must have become durable before the death —
 ///     FsyncStall's durable-but-unacked window);
 ///   - the recovered store's snapshot is byte-identical to an uninterrupted
-///     serial ingest of exactly the recovered batch prefix.
+///     serial ingest of exactly the recovered batch prefix;
+///   - fsck, read before the open, predicted its frontier and batch count,
+///     and the open left no refused WAL bytes and no temporaries;
+///   - a second round (ingest the rest, close, reopen) holds every batch.
 /// The scripted run exercises group commit (synchronous groups of one),
 /// delta checkpoints, compaction, manifest commits, and retention cleanup.
 void enumerate_crash_points(const std::string& tag, std::size_t shards,
@@ -839,19 +1063,20 @@ void enumerate_crash_points(const std::string& tag, std::size_t shards,
       const auto result = run_script(dir, batches, shards, &crash);
       ASSERT_TRUE(crash.crashed()) << "op=" << op << " never fired";
 
+      SCOPED_TRACE("op=" + std::to_string(op) +
+                   " mode=" + std::to_string(static_cast<int>(mode)));
+      const auto predicted = pdns::DurableStore::fsck(dir);
       auto recovered = pdns::DurableStore::open(dir, script_config(shards));
-      ASSERT_TRUE(recovered.has_value())
-          << "op=" << op << " mode=" << static_cast<int>(mode);
+      ASSERT_TRUE(recovered.has_value());
       const std::uint64_t r = recovered->committed_batches();
-      ASSERT_GE(r, result.acked) << "acked batch lost at op=" << op
-                                 << " mode=" << static_cast<int>(mode);
-      ASSERT_LE(r, result.acked + 1)
-          << "more than one unacked batch admitted at op=" << op
-          << " mode=" << static_cast<int>(mode);
+      ASSERT_GE(r, result.acked) << "acked batch lost";
+      ASSERT_LE(r, result.acked + 1) << "more than one unacked batch admitted";
       ASSERT_LE(r, batches.size());
       EXPECT_EQ(recovered->snapshot_bytes(), want[r])
-          << "op=" << op << " mode=" << static_cast<int>(mode)
-          << " acked=" << result.acked << " recovered=" << r;
+          << "acked=" << result.acked << " recovered=" << r;
+      expect_fsck_predicted_open(predicted, *recovered);
+      expect_second_round_complete(recovered, script_config(shards), batches,
+                                   want.back());
     }
   }
 }
@@ -903,15 +1128,97 @@ TEST(CrashHarness, AsyncGroupCommitCrashKeepsAckedPrefixExact) {
         }
       }
 
+      SCOPED_TRACE("trigger=" + std::to_string(trigger) +
+                   " mode=" + std::to_string(static_cast<int>(mode)));
+      const auto predicted = pdns::DurableStore::fsck(dir);
       auto recovered = pdns::DurableStore::open(dir, config);
-      ASSERT_TRUE(recovered.has_value())
-          << "trigger=" << trigger << " mode=" << static_cast<int>(mode);
+      ASSERT_TRUE(recovered.has_value());
       const std::uint64_t r = recovered->committed_batches();
-      ASSERT_GE(r, acked) << "acked batch lost, trigger=" << trigger;
+      ASSERT_GE(r, acked) << "acked batch lost";
       ASSERT_LE(r, batches.size());
       EXPECT_EQ(recovered->snapshot_bytes(), want[r])
-          << "trigger=" << trigger << " mode=" << static_cast<int>(mode)
-          << " acked=" << acked << " recovered=" << r;
+          << "acked=" << acked << " recovered=" << r;
+      expect_fsck_predicted_open(predicted, *recovered);
+      expect_second_round_complete(recovered, config, batches, want.back());
+    }
+  }
+}
+
+/// The repair itself under fire.  Two damaged directories — a torn tail
+/// plus a damaged stale segment plus a leftover temporary, and a multi-fault
+/// WAL gap — each take a repairing open whose every I/O op (segment cuts,
+/// then the new segment) is crashed in every mode.  The next open must
+/// still recover exactly what fsck predicted, leave nothing refused, and
+/// take the rest of the batches.
+TEST(CrashHarness, RepairingOpenRecoversExactlyAtEveryOp) {
+  const auto batches = make_batches(0xBADC0DE, 8, 20);
+  std::vector<std::vector<std::uint8_t>> want;
+  for (std::uint64_t r = 0; r <= batches.size(); ++r) {
+    want.push_back(serial_snapshot(batches, r));
+  }
+  const auto config = script_config(1);
+  const auto torn = [&](const std::string& dir) {
+    const auto manifest = pdns::load_manifest_file(
+        pdns::list_manifests(dir).front().second);
+    ASSERT_TRUE(manifest.has_value());
+    const auto segments = pdns::Wal::list_segments(dir);
+    ASSERT_LT(segments.front().first, manifest->wal_floor_segment);
+    flip_byte_at(segments.front().second, 14);  // every record stale
+    append_to_last_segment(dir, kTornTail);
+    std::ofstream(dir + "/manifest-000000000099.nxm.tmp") << "junk";
+  };
+  const auto gap = [&](const std::string& dir) {
+    std::uint64_t mutated = 0;
+    for (const auto& file : chain_files(dir)) {
+      if (file.find("delta-") == std::string::npos) {
+        flip_byte_in_file(file, 700 + mutated++);
+      }
+    }
+  };
+  struct Damage {
+    std::string tag;
+    std::uint64_t repair_ops;  // segment cuts the open makes
+    std::function<void(const std::string&)> apply;
+  };
+  for (const auto& [tag, repair_ops, damage] :
+       {Damage{"torn", 2, torn}, Damage{"gap", 1, gap}}) {
+    const std::string source = fresh_dir("repair_src_" + tag);
+    {
+      auto store = pdns::DurableStore::open(source, config);
+      ASSERT_TRUE(store.has_value());
+      ingest_range(*store, batches, 0, batches.size());
+    }
+    damage(source);
+    const auto predicted = pdns::DurableStore::fsck(source);
+    ASSERT_TRUE(predicted.wal_tail_truncated) << tag;
+
+    const std::string dir = fresh_dir("repair_" + tag);
+    const auto restore = [&] {
+      std::filesystem::remove_all(dir);
+      std::filesystem::copy(source, dir);
+    };
+    restore();
+    CrashPoint probe;
+    ASSERT_TRUE(pdns::DurableStore::open(dir, config, &probe).has_value());
+    const std::uint64_t total_ops = probe.ops_seen();
+    ASSERT_EQ(total_ops, repair_ops + 1) << tag << ": cuts, then the segment";
+
+    for (std::uint64_t op = 0; op < total_ops; ++op) {
+      for (const auto mode : CrashPoint::kAllModes) {
+        SCOPED_TRACE(tag + " op=" + std::to_string(op) +
+                     " mode=" + std::to_string(static_cast<int>(mode)));
+        restore();
+        CrashPoint crash(op, mode, /*seed=*/0x2E9A + op);
+        EXPECT_FALSE(pdns::DurableStore::open(dir, config, &crash).has_value());
+        EXPECT_TRUE(crash.crashed());
+        auto recovered = pdns::DurableStore::open(dir, config);
+        ASSERT_TRUE(recovered.has_value());
+        const std::uint64_t r = recovered->committed_batches();
+        EXPECT_EQ(r, predicted.recoverable_batches);
+        EXPECT_EQ(recovered->snapshot_bytes(), want[r]);
+        expect_fsck_predicted_open(predicted, *recovered);
+        expect_second_round_complete(recovered, config, batches, want.back());
+      }
     }
   }
 }

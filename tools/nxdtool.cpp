@@ -13,7 +13,8 @@
 //   resolve <domain>...          resolve against a demo hierarchy (shows
 //                                NXDomain vs NOERROR and the Fig-1 trace)
 //   recover <dir>                recover a durable ingest directory (WAL
-//                                replay + fresh checkpoint) and print stats
+//                                replay + repair + fresh checkpoint) and
+//                                print stats
 //   fsck <dir>                   read-only health report of a durable
 //                                ingest directory
 //   metrics <file>               re-render a metrics snapshot (written by
@@ -308,7 +309,7 @@ int cmd_recover(int argc, char** argv) {
                 "(multi-fault damage); state is an exact shorter prefix\n");
   }
   if (r.wal_tail_truncated) {
-    std::printf("  torn tail:         %llu bytes discarded\n",
+    std::printf("  wal repaired:      %llu refused bytes removed\n",
                 static_cast<unsigned long long>(r.discarded_wal_bytes));
   }
   if (r.invalid_snapshots > 0) {
@@ -324,8 +325,10 @@ int cmd_recover(int argc, char** argv) {
     std::printf("  temporaries:       %llu swept\n",
                 static_cast<unsigned long long>(r.removed_tmp_files));
   }
+  // open() applied the one recovery rule fsck reports: it restored the
+  // frontier, replayed the WAL run, and removed every WAL byte it refused.
   // Compact: fold everything into a fresh checkpoint so the next open
-  // replays nothing and any torn tail is gone for good.
+  // replays nothing and the chain files no manifest needs are retired.
   if (!store->checkpoint()) {
     std::fprintf(stderr, "nxdtool: checkpoint after recovery failed\n");
     return 1;
@@ -374,7 +377,8 @@ int cmd_fsck(int argc, char** argv) {
               static_cast<unsigned long long>(report.replayable_batches),
               static_cast<unsigned long long>(report.stale_batches));
   if (report.wal_tail_truncated) {
-    std::printf("  torn wal tail: %llu bytes would be discarded\n",
+    std::printf("  refused wal bytes: %llu (torn tail or past a gap; open "
+                "removes them)\n",
                 static_cast<unsigned long long>(report.discarded_wal_bytes));
   }
   if (report.orphaned_chain_files > 0) {
@@ -401,7 +405,7 @@ int cmd_fsck(int argc, char** argv) {
               "%s%s%s) — run `nxdtool recover %s`\n",
               static_cast<unsigned long long>(corrupt_manifests),
               static_cast<unsigned long long>(corrupt_snapshots),
-              report.wal_tail_truncated ? ", torn wal tail" : "",
+              report.wal_tail_truncated ? ", refused wal bytes" : "",
               report.orphaned_chain_files > 0 ? ", orphaned chain files" : "",
               report.tmp_files > 0 ? ", leftover temporaries" : "",
               dir.c_str());
