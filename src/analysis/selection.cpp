@@ -1,7 +1,6 @@
 #include "analysis/selection.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace nxd::analysis {
 
@@ -22,12 +21,7 @@ std::optional<Candidate> DomainSelector::evaluate(
   }
 
   // Criterion 1: peak calendar-month NX query volume.
-  std::map<std::int64_t, std::uint64_t> per_month;
-  for (const auto& [day, count] : agg->daily_nx) {
-    per_month[util::month_index(day)] += count;
-  }
-  std::uint64_t peak = 0;
-  for (const auto& [month, count] : per_month) peak = std::max(peak, count);
+  const std::uint64_t peak = pdns::peak_monthly_nx(agg->daily_nx);
   if (peak < criteria.min_monthly_queries) return std::nullopt;
 
   Candidate c;

@@ -6,16 +6,13 @@ namespace {
 constexpr std::size_t kInitialCapacity = 64;  // power of two
 }  // namespace
 
-InternTable::Slot& InternTable::probe(std::uint64_t hash,
-                                      std::string_view name) noexcept {
+std::size_t InternTable::probe(std::uint32_t hash,
+                               std::string_view name) const noexcept {
   std::size_t i = hash & mask_;
   for (;;) {
-    Slot& slot = slots_[i];
-    if (slot.id == kInvalidId) return slot;
-    if (slot.hash == hash &&
-        std::string_view(slot.data, slot.len) == name) {
-      return slot;
-    }
+    const Slot& slot = slots_[i];
+    if (slot.id == kInvalidId) return i;
+    if (slot.hash == hash && name_of(slot.id) == name) return i;
     i = (i + 1) & mask_;
   }
 }
@@ -35,33 +32,21 @@ void InternTable::grow() {
 
 InternTable::Result InternTable::intern(std::string_view name) {
   // Keep load factor under 1/2 so probe chains stay short.
-  if (slots_.empty() || (names_.size() + 1) * 2 > slots_.size()) grow();
-  const std::uint64_t hash = util::fnv1a(name);
-  Slot& slot = probe(hash, name);
+  if (slots_.empty() || (size() + 1) * 2 > slots_.size()) grow();
+  const auto hash = static_cast<std::uint32_t>(util::fnv1a(name));
+  Slot& slot = slots_[probe(hash, name)];
   if (slot.id != kInvalidId) return {slot.id, false};
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  const std::string_view stored = arena_.store(name);
-  names_.push_back(stored);
+  const auto id = static_cast<std::uint32_t>(size());
+  bytes_.append(name);
+  offsets_.push_back(bytes_.size());
   slot.hash = hash;
-  slot.data = stored.data();
-  slot.len = static_cast<std::uint32_t>(stored.size());
   slot.id = id;
   return {id, true};
 }
 
 std::uint32_t InternTable::find(std::string_view name) const {
   if (slots_.empty()) return kInvalidId;
-  const std::uint64_t hash = util::fnv1a(name);
-  // const probe (same walk as probe(), without handing out a mutable slot)
-  std::size_t i = hash & mask_;
-  for (;;) {
-    const Slot& slot = slots_[i];
-    if (slot.id == kInvalidId) return kInvalidId;
-    if (slot.hash == hash && std::string_view(slot.data, slot.len) == name) {
-      return slot.id;
-    }
-    i = (i + 1) & mask_;
-  }
+  return slots_[probe(static_cast<std::uint32_t>(util::fnv1a(name)), name)].id;
 }
 
 }  // namespace nxd::pdns

@@ -1,30 +1,29 @@
-// Domain-name interning for the ingest hot path.
+// Domain-name interning: the passive-DNS store's one name index.
 //
 // A passive-DNS feed is heavy-tailed: a handful of registered domains
 // account for most observations (the paper's §3.3 selection keeps exactly
 // the >10k-queries-per-month head).  Interning maps each distinct
-// registered-domain key to a dense u32 id once, so every subsequent
-// observation of a hot key resolves through one hash probe to an id — and
-// the store attaches its per-domain aggregate pointers to that id, turning
-// the steady-state ingest of a hot domain into "hash once, follow two
-// pointers" instead of two string-keyed map lookups.
+// registered-domain key to a dense u32 id once, and the store keeps every
+// per-domain aggregate in a vector indexed by that id, so the steady-state
+// ingest of a hot domain is one hash probe and two array indexes.
 //
-// Key bytes live in a util::Arena, so the string_views used as map keys and
-// returned by name_of() are stable across any growth (the invariant test in
-// tests/ingest_fastpath_test pins id<->name round-trips across forced arena
-// growth).
+// Each name is stored exactly once, back to back in one contiguous byte
+// buffer, and addressed by offset; views returned by name_of() are valid
+// until the next intern() (which may grow the buffer).  Being plain vectors,
+// a table copies and moves by default.
 //
 // The index is a flat open-addressing table (power-of-two capacity, linear
-// probing, 64-bit FNV-1a with stored hashes) rather than std::unordered_map:
-// the node-based map costs an extra pointer chase per probe, which at feed
-// scale is a measurable slice of the whole ingest budget.
+// probing, FNV-1a with the hash's low 32 bits stored beside the id) rather
+// than std::unordered_map: the node-based map costs an extra pointer chase
+// per probe, which at feed scale is a measurable slice of the whole ingest
+// budget.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace nxd::pdns {
@@ -32,11 +31,6 @@ namespace nxd::pdns {
 class InternTable {
  public:
   static constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
-
-  /// `arena_block` sizes the arena's first block; tests shrink it to force
-  /// growth early.
-  explicit InternTable(std::size_t arena_block = util::Arena::kDefaultFirstBlock)
-      : arena_(arena_block) {}
 
   struct Result {
     std::uint32_t id;
@@ -49,30 +43,28 @@ class InternTable {
   /// kInvalidId when the name has never been interned.
   std::uint32_t find(std::string_view name) const;
 
-  /// Stable view of the interned bytes; empty view for out-of-range ids.
+  /// The interned bytes; empty view for out-of-range ids.
   std::string_view name_of(std::uint32_t id) const noexcept {
-    return id < names_.size() ? names_[id] : std::string_view{};
+    if (id >= size()) return {};
+    return {bytes_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
   }
 
-  std::size_t size() const noexcept { return names_.size(); }
-  std::size_t arena_bytes() const noexcept { return arena_.bytes_stored(); }
-  std::size_t arena_blocks() const noexcept { return arena_.block_count(); }
+  std::size_t size() const noexcept { return offsets_.size() - 1; }
 
  private:
   struct Slot {
-    std::uint64_t hash = 0;
-    const char* data = nullptr;     // arena bytes, for the verify compare
-    std::uint32_t len = 0;
+    std::uint32_t hash = 0;         // low 32 bits: ample for 2^32 slots
     std::uint32_t id = kInvalidId;  // kInvalidId marks an empty slot
   };
 
-  /// Probe for `name` (by hash, verified by byte compare); returns the slot
-  /// holding it or the empty slot where it belongs.
-  Slot& probe(std::uint64_t hash, std::string_view name) noexcept;
+  /// Probe for `name` (by hash, verified by byte compare); returns the index
+  /// of the slot holding it or of the empty slot where it belongs.
+  std::size_t probe(std::uint32_t hash, std::string_view name) const noexcept;
   void grow();
 
-  util::Arena arena_;
-  std::vector<std::string_view> names_;  // id -> arena-backed name
+  // Every name back to back; name `id` is bytes_[offsets_[id], offsets_[id+1]).
+  std::string bytes_;
+  std::vector<std::size_t> offsets_{0};
   std::vector<Slot> slots_;              // open addressing, capacity 2^k
   std::size_t mask_ = 0;                 // capacity - 1
 };

@@ -1,6 +1,7 @@
 #include "pdns/snapshot.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/bytes.hpp"
 
@@ -61,15 +62,18 @@ std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store) {
     u64(entry->second.distinct_nx_names);
   }
 
-  std::vector<const std::pair<const std::string, DomainAggregate>*> domains;
-  for (const auto& entry : store.domains_) domains.push_back(&entry);
-  std::sort(domains.begin(), domains.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w.u32(static_cast<std::uint32_t>(domains.size()));
-  for (const auto* entry : domains) {
-    const auto& agg = entry->second;
-    w.u16(static_cast<std::uint16_t>(entry->first.size()));
-    w.bytes(entry->first);
+  const InternTable& names = store.intern_;
+  std::vector<std::uint32_t> ids(names.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  std::sort(ids.begin(), ids.end(), [&names](std::uint32_t a, std::uint32_t b) {
+    return names.name_of(a) < names.name_of(b);
+  });
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const std::uint32_t id : ids) {
+    const std::string_view name = names.name_of(id);
+    const auto& agg = store.domains_[id];
+    w.u16(static_cast<std::uint16_t>(name.size()));
+    w.bytes(name);
     u64(bias(agg.first_seen));
     u64(bias(agg.last_seen));
     u64(bias(agg.first_nx_seen));
@@ -115,7 +119,10 @@ std::optional<PassiveDnsStore> load_snapshot(
   // Every section count is validated against the bytes actually present
   // (each entry has a known minimum encoding size) before its loop runs, so
   // a corrupted count field fails fast instead of iterating 2^32 times
-  // inserting garbage entries.
+  // inserting garbage entries.  save_snapshot writes the month, TLD, domain
+  // and per-domain day sections in strictly ascending key order; a repeated
+  // or out-of-order key is corruption (loading it would silently merge
+  // entries), so it is rejected.
   auto plausible = [&r](std::uint32_t count, std::size_t min_entry_bytes) {
     return static_cast<std::uint64_t>(count) * min_entry_bytes <=
            r.remaining();
@@ -125,23 +132,32 @@ std::optional<PassiveDnsStore> load_snapshot(
   if (!r.ok() || !plausible(months, 16)) return std::nullopt;
   for (std::uint32_t i = 0; i < months && r.ok(); ++i) {
     const auto month = unbias(u64());
-    store.monthly_nx_[month] = u64();
+    if (i > 0 && month <= store.monthly_nx_.rbegin()->first) {
+      return std::nullopt;
+    }
+    store.monthly_nx_.emplace_hint(store.monthly_nx_.end(), month, u64());
   }
 
   const std::uint32_t tlds = r.u32();
   if (!r.ok() || !plausible(tlds, 17)) return std::nullopt;
+  std::string prev_tld;
   for (std::uint32_t i = 0; i < tlds && r.ok(); ++i) {
-    const std::string tld = r.str(r.u8());
+    std::string tld = r.str(r.u8());
+    if (i > 0 && tld <= prev_tld) return std::nullopt;
     TldAggregate agg;
     agg.nx_queries = u64();
     agg.distinct_nx_names = u64();
-    store.tlds_[tld] = agg;
+    store.tlds_.emplace(tld, agg);
+    prev_tld = std::move(tld);
   }
 
   const std::uint32_t domains = r.u32();
   if (!r.ok() || !plausible(domains, 46)) return std::nullopt;
   for (std::uint32_t i = 0; i < domains && r.ok(); ++i) {
     const std::string name = r.str(r.u16());
+    if (i > 0 && name <= store.intern_.name_of(store.intern_.size() - 1)) {
+      return std::nullopt;
+    }
     DomainAggregate agg;
     agg.first_seen = unbias(u64());
     agg.last_seen = unbias(u64());
@@ -150,11 +166,14 @@ std::optional<PassiveDnsStore> load_snapshot(
     agg.ok_queries = u64();
     const std::uint32_t days = r.u32();
     if (!r.ok() || !plausible(days, 12)) return std::nullopt;
+    util::Day prev_day = INT64_MIN;
     for (std::uint32_t d = 0; d < days && r.ok(); ++d) {
       const auto day = unbias(u64());
+      if (d > 0 && day <= prev_day) return std::nullopt;
       agg.daily_nx[day] = r.u32();
+      prev_day = day;
     }
-    store.domains_[name] = std::move(agg);
+    store.domains_[store.index_domain(name).id] = std::move(agg);
   }
 
   const std::uint32_t sensors = r.u32();

@@ -13,7 +13,9 @@
 //     nx_queries u64, ok_queries u64,
 //     daily count u32, then (day i64, count u32)*
 //   sensor section: count u32, then (len u8, bytes, count u64)*
-// Days/months are biased by +2^62 when stored (they can be negative).
+// Days/months are biased by +2^62 when stored (they can be negative).  The
+// monthly, tld, domain and per-domain daily entries are in strictly
+// ascending key order.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,9 @@ namespace nxd::pdns {
 std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store);
 
 /// Rebuild a store from snapshot bytes; nullopt on corrupt/unsupported
-/// input.  The restored store compares equal on every query surface.
+/// input, including a month, TLD, domain or day key that does not strictly
+/// follow the one before it.  The restored store compares equal on every
+/// query surface.
 std::optional<PassiveDnsStore> load_snapshot(
     std::span<const std::uint8_t> bytes);
 

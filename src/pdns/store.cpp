@@ -1,6 +1,7 @@
 #include "pdns/store.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace nxd::pdns {
 
@@ -13,7 +14,27 @@ std::string_view tld_of_key(std::string_view key) {
   return dot == std::string_view::npos ? key : key.substr(dot + 1);
 }
 
+// Growing domains_ must move each aggregate (keeping its series buffer, which
+// cached day cells point into), never copy it.
+static_assert(std::is_nothrow_move_constructible_v<DomainAggregate>);
+
 }  // namespace
+
+std::uint64_t peak_monthly_nx(const DailySeries& daily_nx) {
+  std::uint64_t peak = 0;
+  std::uint64_t month_total = 0;
+  std::int64_t month = INT64_MIN;
+  for (const auto& [day, count] : daily_nx) {
+    const std::int64_t m = util::month_index(day);
+    if (m != month) {
+      month = m;
+      month_total = 0;
+    }
+    month_total += count;
+    peak = std::max(peak, month_total);
+  }
+  return peak;
+}
 
 PassiveDnsStore::PassiveDnsStore(const PassiveDnsStore& other)
     : config_(other.config_),
@@ -21,15 +42,17 @@ PassiveDnsStore::PassiveDnsStore(const PassiveDnsStore& other)
       nx_responses_(other.nx_responses_),
       distinct_nx_(other.distinct_nx_),
       servfail_responses_(other.servfail_responses_),
+      intern_(other.intern_),
       domains_(other.domains_),
       tlds_(other.tlds_),
       monthly_nx_(other.monthly_nx_),
       sensor_volume_(other.sensor_volume_),
+      caches_(other.caches_.size()),
       intern_hits_(other.intern_hits_),
       intern_misses_(other.intern_misses_),
       m_(other.m_) {
-  // intern_/slots_/cached_month_slot_/sensor_slots_ deliberately not copied:
-  // they point into `other`'s maps.  The caches rebuild lazily on ingest.
+  // The pointer caches (caches_, cached_month_slot_, sensor_slots_) start
+  // empty: `other`'s point into `other`.  They refill lazily on ingest.
 }
 
 PassiveDnsStore& PassiveDnsStore::operator=(const PassiveDnsStore& other) {
@@ -93,29 +116,18 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
     return;
   }
 
-  // One intern probe replaces the string-keyed domain lookup on every hit;
-  // the per-id slot carries direct pointers to the aggregates (heap nodes —
-  // stable across rehash, insertion, and absorb).
-  const auto [id, inserted] = intern_.intern(key);
+  // One intern probe resolves the domain; its aggregate and pointer cache
+  // sit at that id.
+  const auto [id, inserted] = index_domain(key);
   if (inserted) {
     ++intern_misses_;
     m_.intern_misses.inc();
-    auto domain_it = domains_.find(key);
-    if (domain_it == domains_.end()) {
-      // Not in the intern table but possibly already in the map: stores
-      // rebuilt from snapshots or filled by absorb() start with an empty
-      // intern cache over a populated domain index.
-      domain_it = domains_.try_emplace(std::string(key)).first;
-    }
-    if (slots_.size() <= id) slots_.resize(id + 1);
-    slots_[id].domain = &domain_it->second;
-    slots_[id].tld = nullptr;
   } else {
     ++intern_hits_;
     m_.intern_hits.inc();
   }
-  InternSlot& slot = slots_[id];
-  DomainAggregate& agg = *slot.domain;
+  IdCache& slot = caches_[id];
+  DomainAggregate& agg = domains_[id];
   const util::Day day = when / util::kSecondsPerDay;
   agg.first_seen = std::min(agg.first_seen, day);
   agg.last_seen = std::max(agg.last_seen, day);
@@ -167,6 +179,15 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
   }
 }
 
+InternTable::Result PassiveDnsStore::index_domain(std::string_view name) {
+  const auto result = intern_.intern(name);
+  if (result.inserted) {
+    domains_.emplace_back();
+    caches_.emplace_back();
+  }
+  return result;
+}
+
 void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
   total_ += other.total_;
   nx_responses_ += other.nx_responses_;
@@ -185,10 +206,16 @@ void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
     mine.distinct_nx_names += agg.distinct_nx_names;
   }
 
-  for (const auto& [name, agg] : other.domains_) {
-    auto [it, inserted] = domains_.try_emplace(name, agg);
-    if (inserted) continue;
-    DomainAggregate& mine = it->second;
+  for (std::uint32_t other_id = 0; other_id < other.domains_.size();
+       ++other_id) {
+    const std::string_view name = other.intern_.name_of(other_id);
+    const DomainAggregate& agg = other.domains_[other_id];
+    const auto [id, inserted] = index_domain(name);
+    DomainAggregate& mine = domains_[id];
+    if (inserted) {
+      mine = agg;
+      continue;
+    }
     // Both stores saw this domain.  If both saw it go NX, the summed
     // distinct counters double-counted it — correct globally and per TLD.
     if (mine.ever_nx() && agg.ever_nx()) {
@@ -211,9 +238,9 @@ void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
   }
 
   // The daily merges above may have reallocated series storage; the cached
-  // day cells can dangle.  The domain/TLD pointers stay valid (map nodes
-  // never move), as do the month and sensor cells (node-stable maps).
-  for (InternSlot& slot : slots_) {
+  // day cells can dangle.  The TLD pointers stay valid (map nodes never
+  // move), as do the month and sensor cells (node-stable maps).
+  for (IdCache& slot : caches_) {
     slot.daily_day = INT64_MIN;
     slot.daily_cell = nullptr;
   }
@@ -221,14 +248,16 @@ void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
 
 const DomainAggregate* PassiveDnsStore::domain(
     std::string_view registered_name) const {
-  const auto it = domains_.find(registered_name);
-  return it == domains_.end() ? nullptr : &it->second;
+  const auto id = intern_.find(registered_name);
+  return id == InternTable::kInvalidId ? nullptr : &domains_[id];
 }
 
 std::vector<std::string> PassiveDnsStore::domain_names_sorted() const {
   std::vector<std::string> names;
-  names.reserve(domains_.size());
-  for (const auto& [name, agg] : domains_) names.push_back(name);
+  names.reserve(intern_.size());
+  for (std::uint32_t id = 0; id < intern_.size(); ++id) {
+    names.emplace_back(intern_.name_of(id));
+  }
   std::sort(names.begin(), names.end());
   return names;
 }
@@ -236,15 +265,11 @@ std::vector<std::string> PassiveDnsStore::domain_names_sorted() const {
 std::vector<std::string> PassiveDnsStore::high_traffic_nxdomains(
     std::uint32_t threshold) const {
   std::vector<std::string> out;
-  for (const auto& [name, agg] : domains_) {
-    std::map<std::int64_t, std::uint64_t> per_month;
-    for (const auto& [day, count] : agg.daily_nx) {
-      per_month[util::month_index(day)] += count;
+  for (std::uint32_t id = 0; id < intern_.size(); ++id) {
+    const DailySeries& daily_nx = domains_[id].daily_nx;
+    if (!daily_nx.empty() && peak_monthly_nx(daily_nx) >= threshold) {
+      out.emplace_back(intern_.name_of(id));
     }
-    const bool qualifies = std::any_of(
-        per_month.begin(), per_month.end(),
-        [threshold](const auto& kv) { return kv.second >= threshold; });
-    if (qualifies) out.push_back(name);
   }
   std::sort(out.begin(), out.end());
   return out;

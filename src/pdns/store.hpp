@@ -8,12 +8,15 @@
 //   - per month: total NXDomain responses (Fig 3)
 //   - per sensor class: volume (vantage-point breakdown)
 //
-// The hot path is allocation-light: domain and TLD indexes use transparent
-// (heterogeneous) hashing so a lookup never materializes a std::string, and
-// the registered-domain key is composed into a stack buffer.  Stores merge
-// exactly via absorb() — every aggregate is a commutative fold (sum, min,
-// max), so N hash-partitioned shards collapse into the same store serial
-// ingest would have produced (see pdns/sharded_store.hpp).
+// The domain index is the intern table (pdns/intern.hpp): each registered
+// domain's name is stored once there, and its aggregate sits in a dense
+// vector indexed by the name's intern id.  The hot path is allocation-light:
+// the registered-domain key is composed into a stack buffer, and the TLD
+// index uses transparent (heterogeneous) hashing so a lookup never
+// materializes a std::string.  Stores merge exactly via absorb() — every
+// aggregate is a commutative fold (sum, min, max), so N hash-partitioned
+// shards collapse into the same store serial ingest would have produced
+// (see pdns/sharded_store.hpp).
 #pragma once
 
 #include <algorithm>
@@ -92,6 +95,10 @@ struct DomainAggregate {
   bool ever_nx() const noexcept { return first_nx_seen != INT64_MAX; }
 };
 
+/// Largest calendar-month total of an ascending per-day series (0 when
+/// empty): one pass, since a month's days are adjacent in day order.
+std::uint64_t peak_monthly_nx(const DailySeries& daily_nx);
+
 struct TldAggregate {
   std::uint64_t nx_queries = 0;
   std::uint64_t distinct_nx_names = 0;
@@ -131,10 +138,9 @@ class PassiveDnsStore {
  public:
   explicit PassiveDnsStore(StoreConfig config = {}) : config_(config) {}
 
-  /// Copies drop the intern-table acceleration cache (it holds pointers into
-  /// the source store's maps); the copied aggregates are complete and the
-  /// cache rebuilds lazily on the next ingest.  Moves keep it — the pointers
-  /// target heap nodes, which survive a map move.
+  /// Copies reset the ingest pointer caches (they point into the source
+  /// store); the caches refill lazily on the next ingest.  Moves keep them —
+  /// the pointers target map nodes and series buffers, which survive a move.
   PassiveDnsStore(const PassiveDnsStore& other);
   PassiveDnsStore& operator=(const PassiveDnsStore& other);
   PassiveDnsStore(PassiveDnsStore&&) = default;
@@ -160,7 +166,7 @@ class PassiveDnsStore {
   // ---- scalar totals ------------------------------------------------------
   std::uint64_t total_observations() const noexcept { return total_; }
   std::uint64_t nx_responses() const noexcept { return nx_responses_; }
-  std::uint64_t distinct_domains() const noexcept { return domains_.size(); }
+  std::uint64_t distinct_domains() const noexcept { return intern_.size(); }
   std::uint64_t distinct_nxdomains() const noexcept { return distinct_nx_; }
   /// SERVFAIL observations — resolution failures, not proof of
   /// non-existence.  Tracked separately so scale analyses can distinguish
@@ -191,12 +197,12 @@ class PassiveDnsStore {
   // ---- per-sensor ---------------------------------------------------------
   const util::Counter& sensor_volume() const noexcept { return sensor_volume_; }
 
-  // ---- intern table (hot-path acceleration) -------------------------------
-  /// Hits/misses over the registered-domain intern table.  Every
-  /// non-SERVFAIL ingest is exactly one hit or one miss, so
-  /// hits + misses + servfail_responses == total_observations for a store
-  /// fed only through ingest()/ingest_view() (absorb and snapshot loads
-  /// bypass the intern path).
+  // ---- intern table (the domain index) ------------------------------------
+  /// Hits/misses of ingest()/ingest_view() over the domain index.  Every
+  /// non-SERVFAIL ingest is exactly one of them, so hits + misses +
+  /// servfail_responses == observations ingested, and a miss is exactly a
+  /// domain that ingest added to the index — also in a store restored by
+  /// load_snapshot or filled by absorb(), which index without counting.
   std::uint64_t intern_hits() const noexcept { return intern_hits_; }
   std::uint64_t intern_misses() const noexcept { return intern_misses_; }
   const InternTable& intern_table() const noexcept { return intern_; }
@@ -217,8 +223,6 @@ class PassiveDnsStore {
       std::span<const std::uint8_t> bytes);
   friend std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store);
 
-  using DomainMap = std::unordered_map<std::string, DomainAggregate,
-                                       TransparentStringHash, std::equal_to<>>;
   using TldMap = std::unordered_map<std::string, TldAggregate,
                                     TransparentStringHash, std::equal_to<>>;
 
@@ -230,33 +234,36 @@ class PassiveDnsStore {
   void ingest_keyed(std::string_view key, dns::RCode rcode, util::SimTime when,
                     SensorClass cls);
 
+  /// Find-or-insert `name` in the domain index, growing domains_ and
+  /// caches_ with it on insertion.
+  InternTable::Result index_domain(std::string_view name);
+
   StoreConfig config_;
   std::uint64_t total_ = 0;
   std::uint64_t nx_responses_ = 0;
   std::uint64_t distinct_nx_ = 0;
   std::uint64_t servfail_responses_ = 0;
 
-  DomainMap domains_;
+  // The domain index: registered-domain name -> dense id, and the id's
+  // aggregate (vector moves keep each series' buffer, so cached day cells
+  // survive growth).
+  InternTable intern_;
+  std::vector<DomainAggregate> domains_;  // indexed by intern id
   TldMap tlds_;
   std::map<std::int64_t, std::uint64_t> monthly_nx_;
   util::Counter sensor_volume_;
 
-  // Intern acceleration: key -> dense id, and per-id direct pointers to the
-  // domain/TLD aggregates (stable: unordered_map values are heap nodes).
-  // Purely an accelerator — domains_/tlds_ stay the source of truth and the
-  // snapshot format is untouched.
-  struct InternSlot {
-    DomainAggregate* domain = nullptr;
-    TldAggregate* tld = nullptr;  // cached on the domain's first NX response
-    // Current-day cell of domain->daily_nx.  Valid while daily_day matches:
-    // the only operation that can move the cell (an insert into that series)
-    // happens on a day change, which also misses this cache.  absorb()
-    // mutates series outside the ingest path and resets these.
+  // Ingest pointer caches, indexed by intern id and always sized to the index.
+  struct IdCache {
+    TldAggregate* tld = nullptr;  // tlds_ node, cached on the first NX response
+    // Current-day cell of the domain's daily_nx.  Valid while daily_day
+    // matches: the only operation that can move the cell (an insert into
+    // that series) happens on a day change, which also misses this cache.
+    // absorb() mutates series outside the ingest path and resets these.
     util::Day daily_day = INT64_MIN;
     std::uint32_t* daily_cell = nullptr;
   };
-  InternTable intern_;
-  std::vector<InternSlot> slots_;  // indexed by intern id
+  std::vector<IdCache> caches_;
   std::int64_t cached_month_ = INT64_MIN;
   std::uint64_t* cached_month_slot_ = nullptr;  // monthly_nx_ node (stable)
   // Per-class count cells of sensor_volume_ (stable heap nodes), fetched on

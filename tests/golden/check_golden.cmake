@@ -6,7 +6,9 @@
 #
 # When DIR is given it is removed first, `{dir}` in ARGS is replaced by it,
 # and every occurrence of it in the output is masked as `<dir>`, so the
-# durable run's directory echo does not depend on the build tree.
+# durable run's directory echo does not depend on the build tree.  On a
+# mismatch the fresh output is left beside the test as <name>.actual.txt; a
+# deliberate output change is accepted by copying it over the golden file.
 cmake_minimum_required(VERSION 3.16)
 
 if(DEFINED DIR)

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -15,6 +17,7 @@
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "synth/scale_models.hpp"
+#include "util/bytes.hpp"
 #include "whois/dropcatch.hpp"
 
 namespace nxd {
@@ -168,6 +171,107 @@ TEST(Snapshot, CorruptInputRejected) {
   auto trailing = bytes;
   trailing.push_back(0);
   EXPECT_FALSE(pdns::load_snapshot(trailing).has_value());
+}
+
+// A hand-built v2 snapshot holding the given month, TLD and domain keys in
+// the order given.  Each domain saw one NXDomain response on each of its
+// days; the totals count those responses.
+struct HandDomain {
+  std::string name;
+  std::vector<util::Day> days;
+};
+std::vector<std::uint8_t> hand_built_snapshot(
+    const std::vector<std::int64_t>& months,
+    const std::vector<std::string>& tlds,
+    const std::vector<HandDomain>& domains) {
+  util::ByteWriter w;
+  auto u64 = [&w](std::uint64_t v) {
+    w.u32(static_cast<std::uint32_t>(v >> 32));
+    w.u32(static_cast<std::uint32_t>(v));
+  };
+  auto biased = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(v) + (1ULL << 62);
+  };
+  std::uint64_t responses = 0;
+  for (const auto& d : domains) responses += d.days.size();
+  w.u32(0x4e584450);  // "NXDP"
+  w.u16(2);           // version
+  w.u16(1);           // track_daily
+  u64(responses);     // total
+  u64(responses);     // nx_responses
+  u64(domains.size());  // distinct_nx
+  u64(0);             // servfail_responses
+  w.u32(static_cast<std::uint32_t>(months.size()));
+  for (const auto month : months) {
+    u64(biased(month));
+    u64(1);
+  }
+  w.u32(static_cast<std::uint32_t>(tlds.size()));
+  for (const auto& tld : tlds) {
+    w.u8(static_cast<std::uint8_t>(tld.size()));
+    w.bytes(tld);
+    u64(1);
+    u64(1);
+  }
+  w.u32(static_cast<std::uint32_t>(domains.size()));
+  for (const auto& d : domains) {
+    w.u16(static_cast<std::uint16_t>(d.name.size()));
+    w.bytes(d.name);
+    u64(biased(d.days.front()));
+    u64(biased(d.days.back()));
+    u64(biased(d.days.front()));
+    u64(d.days.size());  // nx_queries
+    u64(0);              // ok_queries
+    w.u32(static_cast<std::uint32_t>(d.days.size()));
+    for (const auto day : d.days) {
+      u64(biased(day));
+      w.u32(1);
+    }
+  }
+  w.u32(0);  // no sensors
+  return std::move(w).take();
+}
+
+TEST(Snapshot, RepeatedKeysRejected) {
+  // Loading a repeated key would merge its entries silently: the store
+  // would hold fewer domains (or days, months, TLDs) than the snapshot has
+  // entries, and its counters would no longer sum.  save_snapshot writes
+  // every keyed section in strictly ascending order, so anything else is
+  // corruption.
+  const std::vector<std::int64_t> months = {100, 101};
+  const std::vector<std::string> tlds = {"com", "net"};
+  const std::vector<HandDomain> domains = {{"a.com", {3040, 3041}},
+                                           {"b.net", {3070}}};
+  const auto good = pdns::load_snapshot(hand_built_snapshot(months, tlds, domains));
+  ASSERT_TRUE(good.has_value()) << "the well-formed hand-built snapshot must load";
+  EXPECT_EQ(good->distinct_domains(), 2u);
+  EXPECT_EQ(good->domain("a.com")->daily_nx.size(), 2u);
+
+  auto repeated_domain = domains;
+  repeated_domain.insert(repeated_domain.begin() + 1, domains[0]);
+  EXPECT_FALSE(pdns::load_snapshot(hand_built_snapshot(months, tlds, repeated_domain))
+                   .has_value())
+      << "a repeated domain entry loaded";
+
+  auto repeated_day = domains;
+  repeated_day[0].days = {3040, 3040, 3041};
+  EXPECT_FALSE(
+      pdns::load_snapshot(hand_built_snapshot(months, tlds, repeated_day)).has_value())
+      << "a repeated day loaded";
+
+  EXPECT_FALSE(
+      pdns::load_snapshot(hand_built_snapshot({100, 100}, tlds, domains)).has_value())
+      << "a repeated month loaded";
+  EXPECT_FALSE(
+      pdns::load_snapshot(hand_built_snapshot(months, {"com", "com"}, domains))
+          .has_value())
+      << "a repeated TLD loaded";
+
+  auto descending = domains;
+  std::swap(descending[0], descending[1]);
+  EXPECT_FALSE(pdns::load_snapshot(hand_built_snapshot(months, tlds, descending))
+                   .has_value())
+      << "out-of-order domains loaded";
 }
 
 // ------------------------------------------------------------ durable store
