@@ -113,6 +113,44 @@ void BM_NameParse(benchmark::State& state) {
 }
 BENCHMARK(BM_NameParse);
 
+// An NXNS-style NS target: four labels, 34 bytes.
+const dns::DomainName kNsTarget =
+    dns::DomainName::must("ns-42-7-11.sub7.attacker-ns.example");
+
+void BM_NameCopy(benchmark::State& state) {
+  for (auto _ : state) {
+    dns::DomainName copy = kNsTarget;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NameCopy);
+
+void BM_NameParent(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kNsTarget.parent());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NameParent);
+
+void BM_NameRegisteredDomain(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kNsTarget.registered_domain());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NameRegisteredDomain);
+
+void BM_NameHash(benchmark::State& state) {
+  const dns::DomainNameHash hash;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash(kNsTarget));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NameHash);
+
 void BM_RecursiveResolveNxCached(benchmark::State& state) {
   resolver::DnsHierarchy hierarchy;
   resolver::RecursiveResolver resolver(hierarchy);

@@ -369,7 +369,8 @@ int main(int argc, char** argv) {
     // checkpoints run in the background, and the run ends with a forced
     // compaction, so a kill at any point loses only unacked batches.
     // Opening an existing directory recovers the previous run's committed
-    // prefix first.
+    // prefix first, and the run resumes after it: the stream is the same
+    // for the same seed, so the recovered batches are not submitted again.
     synth::HistoryStreamConfig history;
     history.scale = 5e-9;
     history.seed = seed;
@@ -399,8 +400,10 @@ int main(int argc, char** argv) {
                   durable_dir.c_str());
     }
     constexpr std::size_t kBatch = 10'000;
+    const std::uint64_t recovered = durable->committed_batches();
     std::uint64_t batch_no = 0;
     for (std::size_t at = 0; at < observations.size(); at += kBatch) {
+      if (at / kBatch < recovered) continue;
       const auto n = std::min(kBatch, observations.size() - at);
       // Encode once at the edge; submit_frame pipelines: the WAL writer
       // coalesces whatever queues up while the previous group's fsync is in

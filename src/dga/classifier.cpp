@@ -155,7 +155,7 @@ Verdict DgaClassifier::classify(const dns::DomainName& name) const {
   const auto sld = name.sld();
   if (!sld.empty()) return classify_label(sld);
   if (name.label_count() == 1) {
-    return classify_label(name.labels().front());
+    return classify_label(name.label(0));
   }
   return Verdict{};
 }

@@ -175,7 +175,7 @@ LexicalFeatures extract_features(std::string_view label) {
 LexicalFeatures extract_features(const dns::DomainName& name) {
   const auto sld = name.sld();
   if (sld.empty() && name.label_count() == 1) {
-    return extract_features(std::string_view(name.labels().front()));
+    return extract_features(name.label(0));
   }
   return extract_features(sld);
 }

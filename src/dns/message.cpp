@@ -54,13 +54,14 @@ class NameEncoder {
       : w_(w), offsets_(offsets) {}
 
   void write(const DomainName& name) {
-    const auto& labels = name.labels();
+    const std::string_view wire = name.wire();
     // Only earlier names can match: this name's own entries are longer
     // suffixes of it, and they are not fully written yet.
     const std::size_t earlier = offsets_.size();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
+    for (std::size_t i = 0; i < wire.size();) {
+      const std::string_view rest = wire.substr(i);
       for (std::size_t k = 0; k < earlier; ++k) {
-        if (spells(offsets_[k], labels, i)) {
+        if (spells(offsets_[k], rest)) {
           w_.u16(static_cast<std::uint16_t>(0xc000 | offsets_[k]));
           return;
         }
@@ -68,30 +69,31 @@ class NameEncoder {
       if (w_.size() <= kMaxPointerOffset) {
         offsets_.push_back(static_cast<std::uint16_t>(w_.size()));
       }
-      w_.u8(static_cast<std::uint8_t>(labels[i].size()));
-      w_.bytes(labels[i]);
+      const std::size_t label_octets = 1 + static_cast<std::uint8_t>(rest[0]);
+      w_.bytes(rest.substr(0, label_octets));
+      i += label_octets;
     }
     w_.u8(0);  // root label
   }
 
  private:
-  /// True when the name written at wire offset `at` is labels[i..].
-  bool spells(std::size_t at, const std::vector<std::string>& labels,
-              std::size_t i) const {
+  /// True when the name written at wire offset `at` is the name whose
+  /// wire form (without its root octet) is `rest`.
+  bool spells(std::size_t at, std::string_view rest) const {
     const auto wire = w_.view();
-    for (;; ++i) {
+    for (std::size_t i = 0;;) {
       std::uint8_t len = wire[at];
       while ((len & kPointerTag) == kPointerTag) {
         at = (static_cast<std::size_t>(len & 0x3f) << 8) | wire[at + 1];
         len = wire[at];
       }
-      if (i == labels.size()) return len == 0;
-      const std::string& label = labels[i];
-      if (len != label.size() ||
-          std::memcmp(&wire[at + 1], label.data(), len) != 0) {
+      if (i == rest.size()) return len == 0;
+      if (len != static_cast<std::uint8_t>(rest[i]) ||
+          std::memcmp(&wire[at + 1], rest.data() + i + 1, len) != 0) {
         return false;
       }
       at += 1 + len;
+      i += 1 + len;
     }
   }
 
@@ -143,10 +145,7 @@ void write_rr(util::ByteWriter& w, NameEncoder& names, const ResourceRecord& rr)
       // RFC 4034 §4.1: next domain name (never compressed) + type bitmap.
       // We carry one bit of the bitmap — NS present at the owner — encoded
       // as window block 0, length 1, bit 2 set (0x80 >> 2 = 0x20).
-      for (const auto& label : d.next.labels()) {
-        w.u8(static_cast<std::uint8_t>(label.size()));
-        w.bytes(label);
-      }
+      w.bytes(d.next.wire());
       w.u8(0);
       if (d.owner_is_delegation) {
         w.u8(0x00);  // window block 0
@@ -162,11 +161,9 @@ void write_rr(util::ByteWriter& w, NameEncoder& names, const ResourceRecord& rr)
 /// Decode a (possibly compressed) name starting at the reader's cursor.
 /// After return the cursor sits just past the name's in-place bytes.
 std::optional<DomainName> read_name(util::ByteReader& r) {
-  std::vector<std::string> labels;
-  labels.reserve(4);  // enough for most names, so usually one allocation
+  DomainName name;
   std::size_t jumps = 0;
   std::optional<std::size_t> resume;
-  std::size_t total_len = 0;
 
   for (;;) {
     const std::uint8_t len = r.u8();
@@ -186,14 +183,16 @@ std::optional<DomainName> read_name(util::ByteReader& r) {
       continue;
     }
     if ((len & kPointerTag) != 0) return std::nullopt;  // reserved tags 01/10
-    std::string label = r.str(len);
+    const auto label = r.bytes(len);
     if (!r.ok()) return std::nullopt;
-    total_len += label.size() + 1;
-    if (total_len > 255) return std::nullopt;
-    labels.push_back(std::move(label));
+    // Validates, lowercases, and rejects a name over 255 wire octets.
+    if (!name.append_label({reinterpret_cast<const char*>(label.data()),
+                            label.size()})) {
+      return std::nullopt;
+    }
   }
   if (resume) r.seek(*resume);
-  return DomainName::from_labels(std::move(labels));
+  return name;
 }
 
 std::optional<ResourceRecord> read_rr(util::ByteReader& r) {

@@ -115,16 +115,15 @@ struct TransparentStringHash {
 
 /// Compose `name`'s registered-domain key (the store's domain index key)
 /// into `buf` without allocating; the returned view aliases `buf` or the
-/// name's own label storage.  Mirrors DomainName::registered_domain(): the
-/// last two labels, the single label, or "." for the root.
+/// name's own bytes.  Mirrors DomainName::registered_domain(): the last two
+/// labels, the single label, or "." for the root.
 inline std::string_view registered_domain_key(const dns::DomainName& name,
                                               std::array<char, 160>& buf) {
-  const auto& labels = name.labels();
-  const std::size_t n = labels.size();
+  const std::size_t n = name.label_count();
   if (n == 0) return ".";
-  if (n == 1) return labels[0];
-  const std::string& sld = labels[n - 2];
-  const std::string& tld = labels[n - 1];
+  if (n == 1) return name.label(0);
+  const std::string_view sld = name.sld();
+  const std::string_view tld = name.tld();
   char* p = buf.data();
   std::memcpy(p, sld.data(), sld.size());
   p += sld.size();

@@ -5,32 +5,30 @@
 namespace nxd::resolver {
 
 Zone& AuthoritativeServer::add_zone(dns::DomainName origin, dns::SoaData soa) {
-  auto& zone = zones_[origin.to_string()];
+  auto& zone = zones_[std::string(origin.wire())];
   if (!zone) zone = std::make_unique<Zone>(std::move(origin), std::move(soa));
   return *zone;
 }
 
 const Zone* AuthoritativeServer::find_zone(const dns::DomainName& name) const {
-  // Each tail of the text after a dot is an ancestor's text; "." is last.
-  const std::string text = name.to_string();
-  std::string_view suffix = text;
-  while (true) {
-    if (const auto it = zones_.find(suffix); it != zones_.end()) {
+  // Each tail of the wire form at a label boundary is an ancestor's wire
+  // form; the root's (empty) is last.
+  const std::string_view wire = name.wire();
+  for (std::size_t at = 0;; at += 1 + static_cast<std::uint8_t>(wire[at])) {
+    if (const auto it = zones_.find(wire.substr(at)); it != zones_.end()) {
       return it->second.get();
     }
-    if (suffix == ".") return nullptr;
-    const std::size_t dot = suffix.find('.');
-    suffix = dot == std::string_view::npos ? "." : suffix.substr(dot + 1);
+    if (at == wire.size()) return nullptr;
   }
 }
 
 const Zone* AuthoritativeServer::zone_at(const dns::DomainName& origin) const {
-  const auto it = zones_.find(origin.to_string());
+  const auto it = zones_.find(origin.wire());
   return it == zones_.end() ? nullptr : it->second.get();
 }
 
 bool AuthoritativeServer::remove_zone(const dns::DomainName& origin) {
-  return zones_.erase(origin.to_string()) > 0;
+  return zones_.erase(std::string(origin.wire())) > 0;
 }
 
 dns::Message AuthoritativeServer::answer(const dns::Message& query) const {

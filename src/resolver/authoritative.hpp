@@ -51,16 +51,17 @@ class AuthoritativeServer {
   std::uint64_t nxdomains_served() const noexcept { return nxdomains_; }
 
  private:
-  // Zones by origin text.  Labels hold no dots, so every tail of a name's
-  // text after a dot is an ancestor's text: find_zone probes those views
-  // without building names.  unique_ptr keeps each Zone* valid on rehash.
-  struct TextHash {
+  // Zones by origin wire form (DomainName::wire(), empty for the root).
+  // The tail of a name's wire form at each label boundary is an ancestor's
+  // wire form: find_zone probes those views without building names or
+  // text.  unique_ptr keeps each Zone* valid on rehash.
+  struct WireHash {
     using is_transparent = void;
-    std::size_t operator()(std::string_view text) const noexcept {
-      return std::hash<std::string_view>{}(text);
+    std::size_t operator()(std::string_view wire) const noexcept {
+      return std::hash<std::string_view>{}(wire);
     }
   };
-  std::unordered_map<std::string, std::unique_ptr<Zone>, TextHash, std::equal_to<>>
+  std::unordered_map<std::string, std::unique_ptr<Zone>, WireHash, std::equal_to<>>
       zones_;
   bool range_proofs_ = false;
   mutable std::uint64_t queries_ = 0;

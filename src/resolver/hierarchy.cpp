@@ -132,7 +132,7 @@ dns::Message DnsHierarchy::answer_at(ServerTier tier,
       }
       dns::Message referral = dns::make_response(query, dns::RCode::NoError);
       referral.authorities.push_back(
-          dns::make_ns(dns::DomainName::must(tld), kTldSoa.mname));
+          dns::make_ns(qname.suffix(1), kTldSoa.mname));
       return referral;
     }
 
@@ -147,7 +147,7 @@ dns::Message DnsHierarchy::answer_at(ServerTier tier,
       const dns::DomainName reg = qname.registered_domain();
       if (auth_.zone_at(reg) == nullptr) {
         return dns::make_nxdomain(
-            query, dns::make_soa(dns::DomainName::must(tld), kTldSoa));
+            query, dns::make_soa(qname.suffix(1), kTldSoa));
       }
       dns::Message referral = dns::make_response(query, dns::RCode::NoError);
       if (const auto ns1 = reg.child("ns1")) {

@@ -320,8 +320,7 @@ dns::Message RecursiveResolver::resolve_via_network(const dns::Message& query,
   for (std::size_t hop = 0; hop < std::size(chain); ++hop) {
     dns::Message sent = query;
     if (minimize && hop == 0) {
-      sent = dns::make_query(query.header.id,
-                             dns::DomainName::must(std::string(q.name.tld())),
+      sent = dns::make_query(query.header.id, q.name.suffix(1),
                              dns::RRType::NS);
     } else if (minimize && hop == 1) {
       sent = dns::make_query(query.header.id, q.name.registered_domain(),

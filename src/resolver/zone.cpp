@@ -31,13 +31,10 @@ LookupResult Zone::lookup(const dns::DomainName& name, dns::RRType type) const {
   // records at the zone apex are authoritative data, not a cut, and the
   // walk never reaches the apex.
   const std::size_t origin_depth = origin_.label_count();
-  const auto& qlabels = name.labels();
-  for (std::size_t depth = origin_depth + 1; depth <= qlabels.size(); ++depth) {
-    std::vector<std::string> suffix(qlabels.end() - static_cast<std::ptrdiff_t>(depth),
-                                    qlabels.end());
-    const auto ancestor = dns::DomainName::from_labels(std::move(suffix));
-    if (!ancestor) break;
-    const auto it = nodes_.find(*ancestor);
+  for (std::size_t depth = origin_depth + 1; depth <= name.label_count();
+       ++depth) {
+    const dns::DomainName ancestor = name.suffix(depth);
+    const auto it = nodes_.find(ancestor);
     if (it == nodes_.end()) continue;
     const bool has_ns = std::any_of(
         it->second.begin(), it->second.end(),
@@ -46,7 +43,7 @@ LookupResult Zone::lookup(const dns::DomainName& name, dns::RRType type) const {
     // A cut at the query name itself still delegates (the parent side of a
     // cut is never authoritative for it) — except for the NS set itself,
     // which the parent may serve as the referral data.
-    if (*ancestor == name && type == dns::RRType::NS) break;
+    if (ancestor == name && type == dns::RRType::NS) break;
     LookupResult out{LookupKind::Delegation, {}};
     for (const auto& ns : it->second) {
       if (ns.type() == dns::RRType::NS) out.records.push_back(ns);

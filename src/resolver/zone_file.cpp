@@ -32,10 +32,10 @@ std::optional<dns::DomainName> resolve_name(std::string_view token,
   }
   auto relative = dns::DomainName::parse(token);
   if (!relative) return std::nullopt;
-  // Append origin labels.
-  std::vector<std::string> labels = relative->labels();
-  for (const auto& label : origin.labels()) labels.push_back(label);
-  return dns::DomainName::from_labels(std::move(labels));
+  for (std::size_t i = 0; i < origin.label_count(); ++i) {
+    if (!relative->append_label(origin.label(i))) return std::nullopt;
+  }
+  return relative;
 }
 
 std::optional<std::uint32_t> parse_u32(std::string_view token) {

@@ -114,8 +114,9 @@ std::optional<const Target*> SquatDetector::dot_target(
   // Join all labels except the TLD and compare against "www"+brand or brand.
   if (name.label_count() < 2) return std::nullopt;
   std::string joined;
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i + 1 < labels.size(); ++i) joined += labels[i];
+  for (std::size_t i = 0; i + 1 < name.label_count(); ++i) {
+    joined += name.label(i);
+  }
   const std::string tld(name.tld());
 
   for (const auto& target : targets_) {

@@ -1,9 +1,19 @@
 // Unit tests for nxd::dns — names, records, and the wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "dns/message.hpp"
 #include "dns/name.hpp"
 #include "dns/record.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace nxd::dns {
 namespace {
@@ -92,6 +102,357 @@ TEST(DomainName, WireLength) {
   // "example.com" -> 1+7 + 1+3 + 1 = 13.
   EXPECT_EQ(DomainName::must("example.com").wire_length(), 13u);
   EXPECT_EQ(DomainName{}.wire_length(), 1u);
+}
+
+// ------------------------------------------- DomainName differential suite
+//
+// RefName is a plain vector-of-labels name with the semantics DomainName
+// must keep (parsing, lowercasing, limits, both orders, the hash value).
+// Every DomainName operation is checked against it over seeded names.
+
+bool ref_valid_label(std::string_view label) {
+  if (label.empty() || label.size() > 63) return false;
+  for (const char c : label) {
+    if (c <= ' ' || c > '~' || c == '.') return false;
+  }
+  return true;
+}
+
+struct RefName {
+  std::vector<std::string> labels;
+
+  static std::optional<RefName> from_labels(std::vector<std::string> labels) {
+    std::size_t total = 0;
+    for (auto& label : labels) {
+      if (!ref_valid_label(label)) return std::nullopt;
+      label = util::to_lower(label);
+      total += label.size() + 1;
+    }
+    if (total > 254) return std::nullopt;
+    return RefName{std::move(labels)};
+  }
+
+  static std::optional<RefName> parse(std::string_view text) {
+    if (text == "." || text.empty()) return RefName{};
+    if (text.back() == '.') text.remove_suffix(1);
+    if (text.size() > 253) return std::nullopt;
+    std::vector<std::string> labels;
+    for (const auto piece : util::split(text, '.')) {
+      labels.emplace_back(piece);
+    }
+    return from_labels(std::move(labels));
+  }
+
+  std::string to_string() const {
+    return labels.empty() ? "." : util::join(labels, ".");
+  }
+  std::string_view tld() const {
+    return labels.empty() ? std::string_view{} : labels.back();
+  }
+  std::string_view sld() const {
+    return labels.size() < 2 ? std::string_view{} : labels[labels.size() - 2];
+  }
+  RefName suffix(std::size_t n) const {
+    if (n >= labels.size()) return *this;
+    return RefName{{labels.end() - static_cast<std::ptrdiff_t>(n), labels.end()}};
+  }
+  RefName registered_domain() const { return suffix(2); }
+  RefName parent() const {
+    return suffix(labels.empty() ? 0 : labels.size() - 1);
+  }
+  std::optional<RefName> child(std::string_view label) const {
+    std::vector<std::string> out{std::string(label)};
+    out.insert(out.end(), labels.begin(), labels.end());
+    return from_labels(std::move(out));
+  }
+  bool is_subdomain_of(const RefName& ancestor) const {
+    if (ancestor.labels.size() > labels.size()) return false;
+    return std::equal(ancestor.labels.begin(), ancestor.labels.end(),
+                      labels.end() - static_cast<std::ptrdiff_t>(
+                                         ancestor.labels.size()));
+  }
+  std::size_t wire_length() const {
+    std::size_t total = 1;
+    for (const auto& label : labels) total += label.size() + 1;
+    return total;
+  }
+  std::size_t hash() const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto& label : labels) {
+      for (const char c : label) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ULL;
+      }
+      h ^= '.';
+      h *= 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+  friend int canonical_compare(const RefName& a, const RefName& b) {
+    const std::size_t n = std::min(a.labels.size(), b.labels.size());
+    for (std::size_t i = 1; i <= n; ++i) {
+      const int c = a.labels[a.labels.size() - i].compare(
+          b.labels[b.labels.size() - i]);
+      if (c != 0) return c < 0 ? -1 : 1;
+    }
+    if (a.labels.size() != b.labels.size()) {
+      return a.labels.size() < b.labels.size() ? -1 : 1;
+    }
+    return 0;
+  }
+  friend bool operator==(const RefName&, const RefName&) = default;
+  friend auto operator<=>(const RefName&, const RefName&) = default;
+};
+
+int sign(std::strong_ordering o) { return o < 0 ? -1 : (o > 0 ? 1 : 0); }
+int sign(int v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
+
+/// The name and the reference agree on every observer.
+::testing::AssertionResult same(const DomainName& name, const RefName& ref) {
+  std::vector<std::string_view> labels;
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    labels.push_back(name.label(i));
+  }
+  std::string wire;
+  for (const auto& label : ref.labels) {
+    wire += static_cast<char>(label.size());
+    wire += label;
+  }
+  if (name.to_string() != ref.to_string() ||
+      name.label_count() != ref.labels.size() ||
+      !std::equal(labels.begin(), labels.end(), ref.labels.begin(),
+                  ref.labels.end()) ||
+      name.wire() != wire || name.is_root() != ref.labels.empty() ||
+      name.tld() != ref.tld() || name.sld() != ref.sld() ||
+      name.wire_length() != ref.wire_length() ||
+      DomainNameHash{}(name) != ref.hash()) {
+    return ::testing::AssertionFailure() << "name " << name.to_string()
+                                         << " vs reference " << ref.to_string();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Labels drawn to cover short names, names around any inline capacity up
+/// to 100 octets, names at the 255-octet limit, and byte values that look
+/// like length octets ('!' is 33).
+std::vector<std::string> random_labels(util::Rng& rng) {
+  static constexpr std::string_view kAlphabet =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_*!~/";
+  static const std::vector<std::string> kSuffixes = {"com", "net", "example",
+                                                     "co", "uk", "Com"};
+  auto label_of = [&](std::size_t len) {
+    std::string label;
+    for (std::size_t j = 0; j < len; ++j) {
+      label += rng.chance(0.85) ? kAlphabet[rng.bounded(26)]
+                                : kAlphabet[rng.bounded(kAlphabet.size())];
+    }
+    return label;
+  };
+  std::vector<std::string> labels;
+  const auto shape = rng.bounded(4);
+  if (shape == 0) {
+    // Short, with shared suffixes so orders and subdomains tie often.
+    const std::size_t count = rng.bounded(5);
+    for (std::size_t i = 0; i < count; ++i) {
+      labels.push_back(rng.chance(0.5) ? kSuffixes[rng.bounded(kSuffixes.size())]
+                                       : label_of(1 + rng.bounded(12)));
+    }
+  } else {
+    // Fill a target of label octets: 40..100, or anywhere up to 256.
+    const std::size_t target =
+        shape == 3 ? 2 + rng.bounded(255) : 40 + rng.bounded(61);
+    std::size_t octets = 0;
+    while (octets + 2 <= target) {
+      const std::size_t room = std::min<std::size_t>(63, target - octets - 1);
+      const std::size_t len = rng.chance(0.3) ? room : 1 + rng.bounded(room);
+      labels.push_back(label_of(len));
+      octets += 1 + len;
+    }
+  }
+  // Now and then an invalid label: empty, too long, or a bad byte.
+  if (!labels.empty() && rng.chance(0.03)) {
+    auto& victim = labels[rng.bounded(labels.size())];
+    switch (rng.bounded(3)) {
+      case 0: victim.clear(); break;
+      case 1: victim = std::string(64, 'z'); break;
+      default: victim[rng.bounded(victim.size())] = " .\t\x7f"[rng.bounded(4)];
+    }
+  }
+  return labels;
+}
+
+TEST(DomainNameDifferential, AgreesWithVectorOfLabelsModel) {
+  util::Rng rng(0x5eed'0f'd0'a1'9eULL);
+  std::optional<DomainName> prev;
+  std::optional<RefName> prev_ref;
+  std::size_t accepted = 0;
+  std::size_t spilled = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    auto labels = random_labels(rng);
+    const auto name = DomainName::from_labels(labels);
+    const auto ref = RefName::from_labels(labels);
+    ASSERT_EQ(name.has_value(), ref.has_value()) << i;
+
+    // parse agrees on the presentation text, with or without a trailing dot.
+    std::string text = util::join(labels, ".");
+    if (rng.chance(0.2)) text += '.';
+    const auto parsed = DomainName::parse(text);
+    const auto parsed_ref = RefName::parse(text);
+    ASSERT_EQ(parsed.has_value(), parsed_ref.has_value()) << text;
+    if (parsed) {
+      ASSERT_TRUE(same(*parsed, *parsed_ref)) << text;
+    }
+    if (!name) continue;
+
+    ++accepted;
+    if (name->wire_length() - 1 > DomainName::kInlineCapacity) ++spilled;
+    ASSERT_TRUE(same(*name, *ref));
+    ASSERT_TRUE(same(name->parent(), ref->parent()));
+    ASSERT_TRUE(same(name->registered_domain(), ref->registered_domain()));
+    const std::size_t keep = rng.bounded(name->label_count() + 2);
+    ASSERT_TRUE(same(name->suffix(keep), ref->suffix(keep)));
+    if (parsed) {
+      EXPECT_EQ(*parsed, *name) << text;
+    }
+
+    // child: a short label, a 63-octet label, or one past the length limit.
+    const std::string extra = rng.chance(0.5) ? std::string(1 + rng.bounded(5), 'W')
+                                              : std::string(63, 'k');
+    const auto kid = name->child(extra);
+    const auto kid_ref = ref->child(extra);
+    ASSERT_EQ(kid.has_value(), kid_ref.has_value()) << ref->to_string();
+    if (kid) {
+      ASSERT_TRUE(same(*kid, *kid_ref));
+      EXPECT_TRUE(kid->is_subdomain_of(*name));
+      EXPECT_EQ(kid->parent(), *name);
+    }
+
+    // Pairwise against the previous name and against one of its own
+    // ancestors (so subdomain answers are often true).
+    if (prev) {
+      EXPECT_EQ(*name == *prev, *ref == *prev_ref);
+      EXPECT_EQ(sign(*name <=> *prev), sign(*ref <=> *prev_ref))
+          << ref->to_string() << " vs " << prev_ref->to_string();
+      EXPECT_EQ(sign(canonical_compare(*name, *prev)),
+                sign(canonical_compare(*ref, *prev_ref)));
+      EXPECT_EQ(name->is_subdomain_of(*prev), ref->is_subdomain_of(*prev_ref));
+      EXPECT_EQ(prev->is_subdomain_of(*name), prev_ref->is_subdomain_of(*ref));
+    }
+    const auto ancestor = name->suffix(keep);
+    const auto ancestor_ref = ref->suffix(keep);
+    EXPECT_EQ(name->is_subdomain_of(ancestor),
+              ref->is_subdomain_of(ancestor_ref));
+    EXPECT_EQ(sign(*name <=> ancestor), sign(*ref <=> ancestor_ref));
+    EXPECT_EQ(sign(canonical_compare(ancestor, *name)),
+              sign(canonical_compare(ancestor_ref, *ref)));
+    if (HasFailure()) FAIL() << "stopped at name " << i;
+    prev = name;
+    prev_ref = ref;
+  }
+  // The draw really reached both representations.
+  EXPECT_GT(accepted, 90'000u);
+  EXPECT_GT(spilled, 20'000u);
+}
+
+TEST(DomainNameDifferential, EdgeCases) {
+  const std::string l63(63, 'a');
+  const std::string inline_full =  // label octets == kInlineCapacity
+      std::string(DomainName::kInlineCapacity - 5, 'b') + ".com";
+  const std::string inline_over =  // one octet more
+      std::string(DomainName::kInlineCapacity - 4, 'b') + ".com";
+  const std::string inline_under =  // one octet less
+      std::string(DomainName::kInlineCapacity - 6, 'b') + ".com";
+  const std::vector<std::string> texts = {
+      ".", "", "com", "COM", "Www.Example.COM.", "_dmarc.example.com",
+      "*.example.com", "!.a.b", "a!b.c",
+      l63 + ".com",
+      l63 + "." + l63 + "." + l63 + "." + std::string(61, 'c'),  // 253 chars
+      l63 + "." + l63 + "." + l63 + "." + std::string(62, 'c'),  // 254
+      inline_full, inline_over, inline_under,
+      std::string(64, 'a') + ".com", "a..b", ".a", "a b.com"};
+  for (const auto& text : texts) {
+    const auto name = DomainName::parse(text);
+    const auto ref = RefName::parse(text);
+    ASSERT_EQ(name.has_value(), ref.has_value()) << text;
+    if (!name) continue;
+    EXPECT_TRUE(same(*name, *ref)) << text;
+    EXPECT_TRUE(same(name->parent(), ref->parent())) << text;
+    EXPECT_TRUE(same(name->registered_domain(), ref->registered_domain()));
+    for (const std::string_view extra : {"x", "X_", "*"}) {
+      const auto kid = name->child(extra);
+      const auto kid_ref = ref->child(extra);
+      ASSERT_EQ(kid.has_value(), kid_ref.has_value()) << text;
+      if (kid) {
+        EXPECT_TRUE(same(*kid, *kid_ref)) << text;
+      }
+    }
+  }
+  EXPECT_EQ(DomainName::must(inline_full).wire_length() - 1,
+            DomainName::kInlineCapacity);
+  EXPECT_EQ(DomainName::must(inline_over).wire_length() - 1,
+            DomainName::kInlineCapacity + 1);
+  // child rejects a result over 255 wire octets, and an invalid label.
+  const auto full =
+      DomainName::must(l63 + "." + l63 + "." + l63 + "." + std::string(61, 'c'));
+  EXPECT_FALSE(full.child("x").has_value());
+  EXPECT_TRUE(full.parent().child(std::string(63, 'x')).has_value());  // 255
+  EXPECT_FALSE(DomainName::must(l63 + "." + l63 + "." + std::string(62, 'c'))
+                   .child(std::string(63, 'x'))
+                   .has_value());  // 256
+  EXPECT_FALSE(DomainName::must("a.com").child("").has_value());
+  EXPECT_FALSE(DomainName::must("a.com").child("a.b").has_value());
+  // '!' is octet 33, the length octet of a 33-octet label: these bytes
+  // match the ancestor's wire form from mid-label, which is no subdomain.
+  const auto ancestor = DomainName::must(std::string(33, 'a') + ".com");
+  const auto lookalike =
+      DomainName::must("x!" + std::string(33, 'a') + ".com");
+  EXPECT_EQ(lookalike.wire().substr(2), ancestor.wire());
+  EXPECT_FALSE(lookalike.is_subdomain_of(ancestor));
+}
+
+TEST(DomainNameDifferential, SpilledCopyMoveAndSelfAssignment) {
+  const auto long_text = std::string(60, 'l') + "." + std::string(40, 'm') +
+                         ".example.com";
+  const auto short_name = DomainName::must("www.example.com");
+  DomainName a = DomainName::must(long_text);
+  ASSERT_GT(a.wire_length() - 1, DomainName::kInlineCapacity);
+
+  DomainName copy(a);
+  EXPECT_EQ(copy, a);
+  EXPECT_NE(copy.wire().data(), a.wire().data());  // its own heap block
+  DomainName moved(std::move(copy));
+  EXPECT_EQ(moved.to_string(), long_text);
+  copy = a;  // assign into a moved-from name
+  EXPECT_EQ(copy, a);
+
+  DomainName* alias = &copy;
+  copy = *alias;  // self copy-assignment
+  EXPECT_EQ(copy.to_string(), long_text);
+  copy = std::move(*alias);  // self move-assignment
+  EXPECT_EQ(copy.to_string(), long_text);
+
+  copy = short_name;  // spilled <- inline
+  EXPECT_EQ(copy, short_name);
+  copy = moved;  // inline <- spilled
+  EXPECT_EQ(copy.to_string(), long_text);
+  copy = std::move(moved);  // spilled <- spilled, by move
+  EXPECT_EQ(copy.to_string(), long_text);
+
+  // Growing a name past the inline buffer keeps its labels.
+  DomainName grown = DomainName::must(std::string(58, 'g'));
+  ASSERT_TRUE(grown.append_label("example"));
+  ASSERT_TRUE(grown.append_label("com"));
+  EXPECT_EQ(grown.to_string(), std::string(58, 'g') + ".example.com");
+  EXPECT_EQ(grown.parent().to_string(), "example.com");
+  DomainName kept = grown;
+  EXPECT_FALSE(grown.append_label(std::string(64, 'x')));
+  EXPECT_EQ(grown, kept);  // a rejected label leaves the name unchanged
+
+  std::vector<DomainName> names(50, a);  // reallocation moves spilled names
+  names.push_back(short_name);
+  names.insert(names.begin(), a);
+  EXPECT_EQ(names.front(), a);
+  EXPECT_EQ(names.back(), short_name);
 }
 
 // ------------------------------------------------------------------ IPv4
@@ -291,6 +652,117 @@ TEST(Codec, ReservedLabelTagsRejected) {
       0x00, 0x01, 0x00, 0x01,
   };
   EXPECT_FALSE(decode(wire).has_value());
+}
+
+// ------------------------------------------------------- decode name limits
+
+/// A one-question query whose qname is the raw label octets `labels`
+/// (length-prefixed, root octet appended here).
+std::vector<std::uint8_t> query_with_raw_qname(
+    const std::vector<std::uint8_t>& labels) {
+  std::vector<std::uint8_t> wire = {0x00, 0x01, 0x01, 0x00, 0x00, 0x01,
+                                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  for (const std::uint8_t b : labels) wire.push_back(b);
+  for (const int b : {0x00, 0x00, 0x01, 0x00, 0x01}) {
+    wire.push_back(static_cast<std::uint8_t>(b));  // root, type A, class IN
+  }
+  return wire;
+}
+
+/// Label octets for labels of the given lengths, each filled with `fill`.
+std::vector<std::uint8_t> raw_labels(std::initializer_list<std::size_t> lengths,
+                                     char fill = 'a') {
+  std::vector<std::uint8_t> out;
+  for (const std::size_t len : lengths) {
+    out.push_back(static_cast<std::uint8_t>(len));
+    out.insert(out.end(), len, static_cast<std::uint8_t>(fill));
+  }
+  return out;
+}
+
+TEST(CodecNameLimits, Accepts255WireOctetsRejects256) {
+  // 3 x (1 + 63) + (1 + 61) + root = 255.
+  const auto at_limit = decode(query_with_raw_qname(raw_labels({63, 63, 63, 61})));
+  ASSERT_TRUE(at_limit.has_value());
+  EXPECT_EQ(at_limit->questions[0].name.wire_length(), 255u);
+  EXPECT_EQ(at_limit->questions[0].name.to_string().size(), 253u);
+  // One more octet: 256.
+  EXPECT_FALSE(
+      decode(query_with_raw_qname(raw_labels({63, 63, 63, 62}))).has_value());
+  // The same limit reached through a compression pointer: a 255-octet
+  // owner is fine, a one-label prefix on top of it is not.
+  Message msg = make_query(1, at_limit->questions[0].name);
+  const auto wire = encode(msg);
+  ASSERT_TRUE(decode(wire).has_value());
+  auto over = wire;
+  over[5] = 2;  // qdcount 2
+  for (const int b : {0x01, int{'x'}, 0xc0, 0x0c, 0x00, 0x01, 0x00, 0x01}) {
+    over.push_back(static_cast<std::uint8_t>(b));
+  }
+  EXPECT_FALSE(decode(over).has_value());
+}
+
+TEST(CodecNameLimits, RejectsDotAndControlBytesInLabels) {
+  for (const int bad : {int{'.'}, 0x00, 0x01, 0x09, int{' '}, 0x7f, 0x80, 0xff}) {
+    const std::vector<std::uint8_t> labels = {
+        3, 'a', static_cast<std::uint8_t>(bad), 'b', 3, 'c', 'o', 'm'};
+    EXPECT_FALSE(decode(query_with_raw_qname(labels)).has_value())
+        << "byte " << bad;
+  }
+  // Every other printable byte, including '_', '*' and '!', is accepted.
+  for (const char ok : {'_', '*', '!', '~', '-', '/'}) {
+    const std::vector<std::uint8_t> labels = {
+        3, 'a', static_cast<std::uint8_t>(ok), 'b', 3, 'c', 'o', 'm'};
+    EXPECT_TRUE(decode(query_with_raw_qname(labels)).has_value())
+        << "byte " << ok;
+  }
+}
+
+TEST(CodecNameLimits, UppercaseLabelsAreLowercased) {
+  const std::vector<std::uint8_t> labels = {3, 'W', 'w', 'W', 7, 'E', 'x', 'A',
+                                            'm', 'P', 'l', 'E', 3, 'C', 'O', 'M'};
+  const auto decoded = decode(query_with_raw_qname(labels));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->questions[0].name, DomainName::must("www.example.com"));
+  EXPECT_EQ(decoded->questions[0].name.to_string(), "www.example.com");
+  // Re-encoding emits the lowercased bytes.
+  const auto wire = encode(*decoded);
+  const std::vector<std::uint8_t> lower = {3, 'w', 'w', 'w', 7, 'e', 'x', 'a',
+                                           'm', 'p', 'l', 'e', 3, 'c', 'o', 'm',
+                                           0};
+  ASSERT_GE(wire.size(), 12 + lower.size());
+  EXPECT_TRUE(std::equal(lower.begin(), lower.end(), wire.begin() + 12));
+}
+
+TEST(CodecNameLimits, LongNamesDecode) {
+  // 100 label octets: longer than any inline buffer a name might keep.
+  const auto decoded = decode(query_with_raw_qname(raw_labels({40, 40, 17}, 'Q')));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->questions[0].name,
+            DomainName::must(std::string(40, 'q') + "." + std::string(40, 'q') +
+                             "." + std::string(17, 'q')));
+}
+
+TEST(CodecNameLimits, RoundTripsNamesAroundSixtyOctets) {
+  // Owner, NS target, SOA names and NSEC next of 50..76 label octets, with
+  // shared suffixes so compression pointers land inside long names.
+  for (std::size_t octets = 50; octets <= 76; ++octets) {
+    // "x...x.example.com": 1 + n + 8 + 4 label octets.
+    const std::size_t n = octets - 13;
+    const auto owner =
+        DomainName::must(std::string(n, 'x') + ".example.com");
+    ASSERT_EQ(owner.wire_length(), octets + 1);
+    Message msg = make_response(make_query(7, owner), RCode::NXDomain);
+    msg.answers.push_back(make_ns(owner, *owner.child("ns1")));
+    SoaData soa;
+    soa.mname = owner;
+    soa.rname = *owner.parent().child(std::string(n, 'h'));
+    msg.authorities.push_back(make_soa(owner.parent(), soa));
+    msg.authorities.push_back(make_nsec(owner, *owner.child("a")));
+    const auto decoded = decode(encode(msg));
+    ASSERT_TRUE(decoded.has_value()) << octets;
+    EXPECT_EQ(*decoded, msg) << octets;
+  }
 }
 
 TEST(Codec, FlagsRoundTrip) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -195,7 +196,10 @@ class ReferenceNameEncoder {
   explicit ReferenceNameEncoder(util::ByteWriter& w) : w_(w) {}
 
   void write(const dns::DomainName& name) {
-    const auto& labels = name.labels();
+    std::vector<std::string_view> labels;
+    for (std::size_t i = 0; i < name.label_count(); ++i) {
+      labels.push_back(name.label(i));
+    }
     for (std::size_t i = 0; i < labels.size(); ++i) {
       std::string key;
       for (std::size_t j = i; j < labels.size(); ++j) {
@@ -260,9 +264,9 @@ void reference_write_rr(util::ByteWriter& w, ReferenceNameEncoder& names,
     }
     void operator()(const dns::AaaaData& d) const { w.bytes(d.addr); }
     void operator()(const dns::NsecData& d) const {
-      for (const auto& label : d.next.labels()) {
-        w.u8(static_cast<std::uint8_t>(label.size()));
-        w.bytes(label);
+      for (std::size_t i = 0; i < d.next.label_count(); ++i) {
+        w.u8(static_cast<std::uint8_t>(d.next.label(i).size()));
+        w.bytes(d.next.label(i));
       }
       w.u8(0);
       if (d.owner_is_delegation) {

@@ -6,8 +6,11 @@
 #
 # When DIR is given it is removed first, `{dir}` in ARGS is replaced by it,
 # and every occurrence of it in the output is masked as `<dir>`, so the
-# durable run's directory echo does not depend on the build tree.  On a
-# mismatch the fresh output is left beside the test as <name>.actual.txt; a
+# durable run's directory echo does not depend on the build tree.  With
+# -DRERUN=1 the command runs twice on the same DIR and only the second run's
+# output is compared, with the "(durable ...)" status lines (recovery and
+# commit counts) dropped from both sides: a rerun must resume, not repeat.  On
+# a mismatch the fresh output is left beside the test as <name>.actual.txt; a
 # deliberate output change is accepted by copying it over the golden file.
 cmake_minimum_required(VERSION 3.16)
 
@@ -16,6 +19,14 @@ if(DEFINED DIR)
   string(REPLACE "{dir}" "${DIR}" ARGS "${ARGS}")
 endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(RERUN)
+  execute_process(COMMAND "${BIN}" ${args}
+                  OUTPUT_QUIET
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${BIN} ${ARGS} (first run) exited ${rc}")
+  endif()
+endif()
 execute_process(COMMAND "${BIN}" ${args}
                 OUTPUT_VARIABLE out
                 RESULT_VARIABLE rc)
@@ -27,6 +38,10 @@ if(DEFINED DIR)
   file(REMOVE_RECURSE "${DIR}")
 endif()
 file(READ "${GOLDEN}" want)
+if(RERUN)
+  string(REGEX REPLACE "\n\\(durable[^\n]*" "" out "${out}")
+  string(REGEX REPLACE "\n\\(durable[^\n]*" "" want "${want}")
+endif()
 if(NOT out STREQUAL want)
   get_filename_component(name "${GOLDEN}" NAME_WE)
   set(actual "${CMAKE_CURRENT_BINARY_DIR}/${name}.actual.txt")
