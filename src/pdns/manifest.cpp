@@ -34,44 +34,6 @@ std::uint64_t get_u64(util::ByteReader& r) {
   return (hi << 32) | r.u32();
 }
 
-/// Parse "<prefix><decimal digits><suffix>" → the digits' value.
-std::optional<std::uint64_t> parse_numbered(std::string_view filename,
-                                            std::string_view prefix,
-                                            std::string_view suffix) {
-  if (!filename.starts_with(prefix) || !filename.ends_with(suffix)) {
-    return std::nullopt;
-  }
-  const auto digits = filename.substr(
-      prefix.size(), filename.size() - prefix.size() - suffix.size());
-  if (digits.empty() || digits.size() > 20) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
-    const std::string& dir, std::string_view prefix, std::string_view suffix,
-    bool newest_first) {
-  std::vector<std::pair<std::uint64_t, std::string>> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string filename = entry.path().filename().string();
-    if (const auto value = parse_numbered(filename, prefix, suffix)) {
-      out.emplace_back(*value, entry.path().string());
-    }
-  }
-  if (newest_first) {
-    std::sort(out.begin(), out.end(), std::greater<>());
-  } else {
-    std::sort(out.begin(), out.end());
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---- file naming -----------------------------------------------------------
@@ -98,12 +60,16 @@ std::string manifest_path(const std::string& dir, std::uint64_t frontier) {
 
 std::vector<std::pair<std::uint64_t, std::string>> list_bases(
     const std::string& dir) {
-  return list_numbered(dir, "snapshot-", ".nxs", /*newest_first=*/true);
+  auto out = util::list_numbered(dir, "snapshot-", ".nxs");
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::vector<std::pair<std::uint64_t, std::string>> list_manifests(
     const std::string& dir) {
-  return list_numbered(dir, "manifest-", ".nxm", /*newest_first=*/true);
+  auto out = util::list_numbered(dir, "manifest-", ".nxm");
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::vector<DeltaFile> list_deltas(const std::string& dir) {
@@ -118,9 +84,9 @@ std::vector<DeltaFile> list_deltas(const std::string& dir) {
     }
     const auto dash = filename.rfind('-');
     if (dash == std::string::npos || dash <= 6) continue;
-    const auto frontier = parse_numbered(filename.substr(0, dash), "delta-", "");
-    const auto shard =
-        parse_numbered(filename.substr(dash), "-", ".nxd");
+    const auto frontier =
+        util::parse_numbered(filename.substr(0, dash), "delta-", "");
+    const auto shard = util::parse_numbered(filename.substr(dash), "-", ".nxd");
     if (!frontier || !shard || *shard > 0xffffffffULL) continue;
     out.push_back({*frontier, static_cast<std::uint32_t>(*shard),
                    entry.path().string()});

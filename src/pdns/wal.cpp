@@ -1,38 +1,12 @@
 #include "pdns/wal.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
 
 #include "pdns/frame_view.hpp"
 #include "util/bytes.hpp"
 
 namespace nxd::pdns {
-
-namespace {
-
-constexpr std::string_view kSegmentPrefix = "wal-";
-constexpr std::string_view kSegmentSuffix = ".log";
-
-std::optional<std::uint64_t> parse_segment_index(std::string_view filename) {
-  if (!filename.starts_with(kSegmentPrefix) ||
-      !filename.ends_with(kSegmentSuffix)) {
-    return std::nullopt;
-  }
-  const auto digits = filename.substr(
-      kSegmentPrefix.size(),
-      filename.size() - kSegmentPrefix.size() - kSegmentSuffix.size());
-  if (digits.empty() || digits.size() > 20) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string Wal::segment_path(const std::string& dir, std::uint64_t index) {
   char name[48];
@@ -42,17 +16,7 @@ std::string Wal::segment_path(const std::string& dir, std::uint64_t index) {
 
 std::vector<std::pair<std::uint64_t, std::string>> Wal::list_segments(
     const std::string& dir) {
-  std::vector<std::pair<std::uint64_t, std::string>> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string filename = entry.path().filename().string();
-    if (const auto index = parse_segment_index(filename)) {
-      out.emplace_back(*index, entry.path().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return util::list_numbered(dir, "wal-", ".log");
 }
 
 std::optional<Wal> Wal::create(std::string dir, Config config,

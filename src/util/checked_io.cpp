@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "util/bytes.hpp"
@@ -248,6 +249,41 @@ bool truncate_file(const std::string& path, std::uint64_t size,
                    ::fsync(fd) == 0;
   ::close(fd);
   return cut && barrier != CrashPoint::Barrier::DieAfter;
+}
+
+std::optional<std::uint64_t> parse_numbered(std::string_view filename,
+                                            std::string_view prefix,
+                                            std::string_view suffix) {
+  if (filename.size() <= prefix.size() + suffix.size() ||
+      !filename.starts_with(prefix) || !filename.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  const auto digits = filename.substr(
+      prefix.size(), filename.size() - prefix.size() - suffix.size());
+  if (digits.size() > 20) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
+    const std::string& dir, std::string_view prefix, std::string_view suffix) {
+  std::vector<std::pair<std::uint64_t, std::string>> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::string filename = entry.path().filename().string();
+    if (const auto value = parse_numbered(filename, prefix, suffix)) {
+      out.emplace_back(*value, entry.path().string());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace nxd::util

@@ -46,6 +46,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace nxd::util {
@@ -195,5 +197,17 @@ bool remove_file(const std::string& path, CrashPoint* crash = nullptr);
 /// and fsync it, as one operation.
 bool truncate_file(const std::string& path, std::uint64_t size,
                    CrashPoint* crash = nullptr);
+
+/// Value of a file name "<prefix><decimal digits><suffix>"; nullopt for any
+/// other shape, including digits past UINT64_MAX (a stray name must never
+/// wrap onto a small number the store then reads or deletes).
+std::optional<std::uint64_t> parse_numbered(std::string_view filename,
+                                            std::string_view prefix,
+                                            std::string_view suffix);
+
+/// Every regular file in `dir` that parse_numbered accepts, as (value, path)
+/// pairs in ascending order.
+std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
+    const std::string& dir, std::string_view prefix, std::string_view suffix);
 
 }  // namespace nxd::util

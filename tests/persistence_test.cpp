@@ -16,8 +16,10 @@
 #include "pdns/durable_store.hpp"
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
+#include "pdns/wal.hpp"
 #include "synth/scale_models.hpp"
 #include "util/bytes.hpp"
+#include "util/checked_io.hpp"
 #include "whois/dropcatch.hpp"
 
 namespace nxd {
@@ -335,6 +337,57 @@ TEST(DurableStore, CheckpointRecoverEqualsSerialAcrossSeedsAndShardCounts) {
       std::filesystem::remove_all(dir);
     }
   }
+}
+
+// File numbers past UINT64_MAX used to wrap: a stray manifest and WAL
+// segment named with 20 nines read as frontier 7766279631452241919, open
+// armed the segment after the stray one, and the first checkpoint's cleanup
+// deleted the stray manifest — a file the store never wrote.
+TEST(DurableStore, OverflowingFileNumbersAreNotStoreFiles) {
+  EXPECT_EQ(util::parse_numbered("wal-18446744073709551615.log", "wal-", ".log"),
+            UINT64_MAX);
+  EXPECT_EQ(util::parse_numbered("wal-18446744073709551616.log", "wal-", ".log"),
+            std::nullopt);
+  EXPECT_EQ(util::parse_numbered("wal-99999999999999999999.log", "wal-", ".log"),
+            std::nullopt);
+  EXPECT_EQ(util::parse_numbered("wal-.log", "wal-", ".log"), std::nullopt);
+  EXPECT_EQ(util::parse_numbered("wal-000000000007.log", "wal-", ".log"), 7u);
+
+  const std::string dir = ::testing::TempDir() + "nxd_durable_stray_numbers";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stray_manifest = dir + "/manifest-99999999999999999999.nxm";
+  const std::string stray_wal = dir + "/wal-99999999999999999999.log";
+  const std::vector<std::uint8_t> junk{'n', 'o', 't', ' ', 'm', 'i', 'n', 'e'};
+  ASSERT_TRUE(util::write_file_atomic(stray_manifest, junk));
+  ASSERT_TRUE(util::write_file_atomic(stray_wal, junk));
+
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_TRUE(report.manifests.empty());
+  EXPECT_EQ(report.frontier, 0u);
+  EXPECT_EQ(report.wal_segments, 0u);
+
+  pdns::DurableStore::Config config;
+  {
+    auto store = pdns::DurableStore::open(dir, config);
+    ASSERT_TRUE(store.has_value());
+    const auto segments = pdns::Wal::list_segments(dir);
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_LT(segments[0].first, 16u) << segments[0].second;
+    std::vector<pdns::Observation> batch(1);
+    batch[0].name = DomainName::must("stray-test.com");
+    batch[0].rcode = dns::RCode::NXDomain;
+    ASSERT_TRUE(store->wait_batch(
+        store->submit_frame(pdns::encode_batch_frame(batch))));
+    ASSERT_TRUE(store->checkpoint());
+  }
+  EXPECT_TRUE(std::filesystem::exists(stray_manifest));
+  EXPECT_TRUE(std::filesystem::exists(stray_wal));
+  auto reopened = pdns::DurableStore::open(dir, config);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->committed_batches(), 1u);
+  EXPECT_EQ(reopened->materialize().nx_responses(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------------- drop-catch
