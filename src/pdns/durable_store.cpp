@@ -257,7 +257,6 @@ struct DurableStore::Core {
   std::uint64_t done_seq = 0;   // highest seq decided (acked or failed)
   std::uint64_t acked_seq = 0;  // highest seq durably acked
   bool closing = false;
-  bool writer_busy = false;
 
   // ---- applied state (apply_mutex) ----------------------------------------
   std::mutex apply_mutex;
@@ -511,7 +510,6 @@ void DurableStore::Core::writer_loop() {
           }
         }
       }
-      writer_busy = true;
     }
     if (control != nullptr) {
       {
@@ -521,17 +519,11 @@ void DurableStore::Core::writer_loop() {
       {
         std::lock_guard<std::mutex> lock(queue_mutex);
         control->control->done = true;
-        writer_busy = false;
       }
       done_cv.notify_all();
       continue;
     }
-    commit_group(group);
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      writer_busy = false;
-    }
-    done_cv.notify_all();
+    commit_group(group);  // publishes done_seq and wakes the riders
   }
 }
 
