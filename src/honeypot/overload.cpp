@@ -5,7 +5,10 @@
 namespace nxd::honeypot {
 
 ConnectionGate::ConnectionGate(OverloadConfig config)
-    : config_(config), own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+    : config_(config),
+      buckets_(config.per_ip_burst, config.per_ip_rate,
+               config.max_tracked_ips),
+      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
   acquire_metrics(*own_registry_);
 }
 
@@ -77,36 +80,15 @@ const OverloadStats& ConnectionGate::stats() const noexcept {
 
 bool ConnectionGate::rate_admit(net::IPv4 source, util::SimTime now) {
   if (config_.per_ip_rate <= 0) return true;
-  auto it = buckets_.find(source);
-  if (it == buckets_.end()) {
-    if (config_.max_tracked_ips != 0 &&
-        buckets_.size() >= config_.max_tracked_ips) {
-      // Sweep buckets that have fully refilled (idle long enough to hold no
-      // state worth keeping).  A spoofed flood of fresh sources therefore
-      // recycles table slots instead of growing memory.
-      for (auto victim = buckets_.begin(); victim != buckets_.end();) {
-        if (victim->second.tokens_at(now) >= victim->second.capacity()) {
-          victim = buckets_.erase(victim);
-          m_.rate_sources_evicted.inc();
-        } else {
-          ++victim;
-        }
-      }
-    }
-    if (config_.max_tracked_ips != 0 &&
-        buckets_.size() >= config_.max_tracked_ips) {
-      // Every tracked source is actively metered and the table is full:
-      // fail open for the newcomer (admitting one request is cheaper than
-      // letting an attacker evict real limiter state), but count it.
-      m_.rate_table_overflow.inc();
-      return true;
-    }
-    it = buckets_
-             .emplace(source, util::TokenBucket(config_.per_ip_burst,
-                                                config_.per_ip_rate))
-             .first;
+  const auto found = buckets_.find_or_insert(source, now);
+  if (found.evicted != 0) m_.rate_sources_evicted.inc(found.evicted);
+  if (found.entry == nullptr) {
+    // Every tracked source is actively metered and the table is full: fail
+    // open for the newcomer, but count it.
+    m_.rate_table_overflow.inc();
+    return true;
   }
-  return it->second.try_acquire(now);
+  return found.entry->bucket.try_acquire(now);
 }
 
 ConnectionGate::Admission ConnectionGate::open(net::IPv4 source,

@@ -190,7 +190,7 @@ class ConnectionGate {
   mutable OverloadStats stats_;  // cache refreshed from handles by stats()
   std::unordered_map<std::uint64_t, Conn> conns_;
   util::DeadlineQueue deadlines_;
-  std::unordered_map<net::IPv4, util::TokenBucket, dns::IPv4Hash> buckets_;
+  util::SourceBuckets<net::IPv4, dns::IPv4Hash> buckets_;
   std::uint64_t next_id_ = 1;
   bool draining_ = false;
   util::SimTime drain_started_ = 0;

@@ -3,7 +3,10 @@
 namespace nxd::resolver {
 
 ResponseRateLimiter::ResponseRateLimiter(RrlConfig config)
-    : config_(config), own_registry_(std::make_unique<obs::MetricsRegistry>()) {
+    : config_(config),
+      sources_(config.burst, config.responses_per_second,
+               config.max_tracked_sources),
+      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
   acquire_metrics(*own_registry_);
 }
 
@@ -59,37 +62,15 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
     span_verdict(now, source, "pass");
     return RrlVerdict::Pass;
   }
-  auto it = sources_.find(source);
-  if (it == sources_.end()) {
-    if (config_.max_tracked_sources != 0 &&
-        sources_.size() >= config_.max_tracked_sources) {
-      // Sweep sources whose buckets have fully refilled — idle long enough
-      // that forgetting them changes no verdict.
-      for (auto victim = sources_.begin(); victim != sources_.end();) {
-        if (victim->second.bucket.tokens_at(now) >=
-            victim->second.bucket.capacity()) {
-          victim = sources_.erase(victim);
-          m_.sources_evicted.inc();
-        } else {
-          ++victim;
-        }
-      }
-    }
-    if (config_.max_tracked_sources != 0 &&
-        sources_.size() >= config_.max_tracked_sources) {
-      // Table full of actively metered sources: answer the newcomer
-      // unmetered rather than evicting live limiter state, but count it.
-      m_.table_overflow.inc();
-      m_.passed.inc();
-      span_verdict(now, source, "pass_overflow");
-      return RrlVerdict::Pass;
-    }
-    it = sources_
-             .emplace(source,
-                      Source{util::TokenBucket(config_.burst,
-                                               config_.responses_per_second),
-                             0})
-             .first;
+  const auto found = sources_.find_or_insert(source, now);
+  if (found.evicted != 0) m_.sources_evicted.inc(found.evicted);
+  if (found.entry == nullptr) {
+    // Table full of actively metered sources: answer the newcomer
+    // unmetered rather than evicting live limiter state, but count it.
+    m_.table_overflow.inc();
+    m_.passed.inc();
+    span_verdict(now, source, "pass_overflow");
+    return RrlVerdict::Pass;
   }
   // Degradation ladder: above Normal, every response costs more tokens —
   // the effective per-source rate shrinks by 25%/50%/75% without touching
@@ -102,14 +83,14 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
       m_.pressure_scaled.inc();
     }
   }
-  if (it->second.bucket.try_acquire(now, cost)) {
+  if (found.entry->bucket.try_acquire(now, cost)) {
     m_.passed.inc();
     span_verdict(now, source, "pass");
     return RrlVerdict::Pass;
   }
   // Limited: slip every `slip`-th limited response, drop the rest.
-  ++it->second.limited_count;
-  if (config_.slip != 0 && it->second.limited_count % config_.slip == 0) {
+  ++found.entry->limited;
+  if (config_.slip != 0 && found.entry->limited % config_.slip == 0) {
     m_.slipped.inc();
     span_verdict(now, source, "slip");
     return RrlVerdict::Slip;

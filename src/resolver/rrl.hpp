@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "dns/message.hpp"
 #include "net/endpoint.hpp"
@@ -104,11 +103,6 @@ class ResponseRateLimiter {
   void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
  private:
-  struct Source {
-    util::TokenBucket bucket;
-    std::uint32_t limited_count = 0;  // drives the slip cadence
-  };
-
   struct Metrics {
     obs::Counter checked;
     obs::Counter passed;
@@ -124,7 +118,7 @@ class ResponseRateLimiter {
 
   RrlConfig config_;
   mutable RrlStats stats_;  // cache refreshed from the handles by stats()
-  std::unordered_map<net::IPv4, Source, dns::IPv4Hash> sources_;
+  util::SourceBuckets<net::IPv4, dns::IPv4Hash> sources_;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
   obs::SpanTracer* spans_ = nullptr;

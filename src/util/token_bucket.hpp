@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <unordered_map>
 
 #include "util/civil_time.hpp"
 
@@ -43,6 +45,79 @@ class TokenBucket {
   SimTime last_ = 0;
   std::uint64_t granted_ = 0;
   std::uint64_t denied_ = 0;
+};
+
+/// Bounded per-source bucket table, shared by the DNS response-rate limiter
+/// and the honeypot's per-IP admission.  A newcomer finding the table full
+/// first sweeps every bucket that has fully refilled (idle long enough that
+/// forgetting it changes no verdict); if the table is still full of actively
+/// metered sources, find_or_insert returns no entry and the caller fails
+/// open (admitting one request is cheaper than letting a spoofed flood evict
+/// real limiter state).
+///
+/// One sweep per instant: after a sweep at `now` leaves the table full, a
+/// newcomer at any instant no later than it skips the sweep.  That is
+/// exact: until time passes, buckets only drain, so the sweep would find
+/// nothing — and a spoofed flood costs O(1) per newcomer, not a table scan.
+template <class Key, class Hash>
+class SourceBuckets {
+ public:
+  struct Entry {
+    TokenBucket bucket;
+    std::uint32_t limited = 0;  ///< caller's per-source count (RRL slip cadence)
+  };
+  struct Found {
+    Entry* entry = nullptr;  ///< nullptr: table full of active sources
+    std::uint64_t evicted = 0;  ///< idle buckets swept to make room
+  };
+
+  /// Fresh buckets hold `burst` tokens refilled at `rate` per second; at
+  /// most `max_sources` are tracked (0 = unbounded).
+  SourceBuckets(double burst, double rate, std::size_t max_sources)
+      : burst_(burst), rate_(rate), max_sources_(max_sources) {}
+
+  Found find_or_insert(const Key& source, SimTime now) {
+    Found found;
+    if (const auto it = entries_.find(source); it != entries_.end()) {
+      found.entry = &it->second;
+      return found;
+    }
+    if (full()) {
+      if (full_sweep_at_.has_value() && now <= *full_sweep_at_) return found;
+      for (auto victim = entries_.begin(); victim != entries_.end();) {
+        if (victim->second.bucket.tokens_at(now) >=
+            victim->second.bucket.capacity()) {
+          victim = entries_.erase(victim);
+          ++found.evicted;
+        } else {
+          ++victim;
+        }
+      }
+      if (full()) {
+        full_sweep_at_ = now;
+        return found;
+      }
+    }
+    full_sweep_at_.reset();
+    found.entry =
+        &entries_.emplace(source, Entry{TokenBucket(burst_, rate_), 0})
+             .first->second;
+    return found;
+  }
+
+  std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  bool full() const noexcept {
+    return max_sources_ != 0 && entries_.size() >= max_sources_;
+  }
+
+  double burst_;
+  double rate_;
+  std::size_t max_sources_;
+  std::unordered_map<Key, Entry, Hash> entries_;
+  /// Instant of the last sweep that left the table full.
+  std::optional<SimTime> full_sweep_at_;
 };
 
 }  // namespace nxd::util

@@ -167,6 +167,38 @@ TEST(ConnectionGate, BucketTableStaysBoundedUnderSpoofedFlood) {
   EXPECT_EQ(gate.tracked_sources(), 1u);
 }
 
+TEST(ConnectionGate, SpoofedNewcomerFloodSweepsOncePerInstant) {
+  honeypot::OverloadConfig config;
+  config.max_connections = 0;
+  config.per_ip_rate = 1;
+  config.per_ip_burst = 2;
+  config.max_tracked_ips = 4096;
+  honeypot::ConnectionGate gate(config);
+  const auto source = [](std::uint32_t i) { return dns::IPv4{0x0a000000u + i}; };
+  const auto open_close = [&gate](dns::IPv4 ip, util::SimTime now) {
+    const auto admission = gate.open(ip, now);
+    if (admission.decision == honeypot::AdmitDecision::Accept) {
+      gate.close(admission.id, true);
+    }
+    return admission.decision;
+  };
+  for (std::uint32_t i = 0; i < 4096; ++i) open_close(source(i), 0);
+  constexpr std::uint32_t kNewcomers = 50'000;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint32_t i = 0; i < kNewcomers; ++i) {
+    EXPECT_EQ(open_close(source(1'000'000 + i), 0),
+              honeypot::AdmitDecision::Accept);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  EXPECT_EQ(gate.tracked_sources(), 4096u);
+  EXPECT_EQ(gate.stats().rate_table_overflow, kNewcomers);
+  EXPECT_EQ(gate.stats().rate_sources_evicted, 0u);
+  EXPECT_EQ(open_close(source(2'000'000), 1), honeypot::AdmitDecision::Accept);
+  EXPECT_EQ(gate.stats().rate_sources_evicted, 4096u);
+  EXPECT_EQ(gate.tracked_sources(), 1u);
+}
+
 TEST(ConnectionGate, DeadlineClassificationHeaderBodyIdle) {
   honeypot::OverloadConfig config;
   config.header_deadline = 10;
@@ -658,6 +690,40 @@ TEST(Rrl, SourceTableStaysBounded) {
   EXPECT_EQ(limiter.stats().table_overflow, 500u - 16u);
   limiter.check(dns::IPv4::from_octets(172, 16, 0, 1), 60);
   EXPECT_EQ(limiter.stats().sources_evicted, 16u);
+}
+
+// A spoofed flood of newcomers against a table full of actively metered
+// sources: every newcomer used to rescan the whole table (about 29 us each
+// at 4096 sources, so 50k newcomers took well over a second).  One sweep
+// per instant finds the table still full, and the rest fail open in O(1)
+// with exactly the same verdicts and counts.
+TEST(Rrl, SpoofedNewcomerFloodSweepsOncePerInstant) {
+  resolver::RrlConfig config;
+  config.responses_per_second = 5;
+  config.burst = 10;
+  config.max_tracked_sources = 4096;
+  resolver::ResponseRateLimiter limiter(config);
+  const auto source = [](std::uint32_t i) { return dns::IPv4{0x0a000000u + i}; };
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    for (int k = 0; k < 11; ++k) limiter.check(source(i), 0);  // drained
+  }
+  constexpr std::uint32_t kNewcomers = 50'000;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint32_t i = 0; i < kNewcomers; ++i) {
+    EXPECT_EQ(limiter.check(source(1'000'000 + i), 1),
+              resolver::RrlVerdict::Pass);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+  EXPECT_EQ(limiter.tracked_sources(), 4096u);
+  EXPECT_EQ(limiter.stats().table_overflow, kNewcomers);
+  EXPECT_EQ(limiter.stats().sources_evicted, 0u);
+  // Time passes: the next newcomer sweeps again and finds every bucket
+  // refilled, so it is metered instead of admitted unmetered.
+  EXPECT_EQ(limiter.check(source(2'000'000), 3), resolver::RrlVerdict::Pass);
+  EXPECT_EQ(limiter.stats().sources_evicted, 4096u);
+  EXPECT_EQ(limiter.stats().table_overflow, kNewcomers);
+  EXPECT_EQ(limiter.tracked_sources(), 1u);
 }
 
 TEST(Rrl, SlipTruncateNeverChangesTheRcode) {
