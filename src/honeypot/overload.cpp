@@ -82,13 +82,13 @@ bool ConnectionGate::rate_admit(net::IPv4 source, util::SimTime now) {
   if (config_.per_ip_rate <= 0) return true;
   const auto found = buckets_.find_or_insert(source, now);
   if (found.evicted != 0) m_.rate_sources_evicted.inc(found.evicted);
-  if (found.entry == nullptr) {
+  if (found.bucket == nullptr) {
     // Every tracked source is actively metered and the table is full: fail
     // open for the newcomer, but count it.
     m_.rate_table_overflow.inc();
     return true;
   }
-  return found.entry->bucket.try_acquire(now);
+  return found.bucket->try_acquire(now);
 }
 
 ConnectionGate::Admission ConnectionGate::open(net::IPv4 source,

@@ -60,16 +60,12 @@ std::string manifest_path(const std::string& dir, std::uint64_t frontier) {
 
 std::vector<std::pair<std::uint64_t, std::string>> list_bases(
     const std::string& dir) {
-  auto out = util::list_numbered(dir, "snapshot-", ".nxs");
-  std::reverse(out.begin(), out.end());
-  return out;
+  return util::list_numbered(dir, "snapshot-", ".nxs", /*newest_first=*/true);
 }
 
 std::vector<std::pair<std::uint64_t, std::string>> list_manifests(
     const std::string& dir) {
-  auto out = util::list_numbered(dir, "manifest-", ".nxm");
-  std::reverse(out.begin(), out.end());
-  return out;
+  return util::list_numbered(dir, "manifest-", ".nxm", /*newest_first=*/true);
 }
 
 std::vector<DeltaFile> list_deltas(const std::string& dir) {

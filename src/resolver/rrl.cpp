@@ -64,7 +64,7 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   }
   const auto found = sources_.find_or_insert(source, now);
   if (found.evicted != 0) m_.sources_evicted.inc(found.evicted);
-  if (found.entry == nullptr) {
+  if (found.bucket == nullptr) {
     // Table full of actively metered sources: answer the newcomer
     // unmetered rather than evicting live limiter state, but count it.
     m_.table_overflow.inc();
@@ -83,14 +83,13 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
       m_.pressure_scaled.inc();
     }
   }
-  if (found.entry->bucket.try_acquire(now, cost)) {
+  if (found.bucket->try_acquire(now, cost)) {
     m_.passed.inc();
     span_verdict(now, source, "pass");
     return RrlVerdict::Pass;
   }
-  // Limited: slip every `slip`-th limited response, drop the rest.
-  ++found.entry->limited;
-  if (config_.slip != 0 && found.entry->limited % config_.slip == 0) {
+  // Limited (a denied acquire): slip every `slip`-th, drop the rest.
+  if (config_.slip != 0 && found.bucket->denied() % config_.slip == 0) {
     m_.slipped.inc();
     span_verdict(now, source, "slip");
     return RrlVerdict::Slip;

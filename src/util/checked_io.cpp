@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -254,25 +255,24 @@ bool truncate_file(const std::string& path, std::uint64_t size,
 std::optional<std::uint64_t> parse_numbered(std::string_view filename,
                                             std::string_view prefix,
                                             std::string_view suffix) {
-  if (filename.size() <= prefix.size() + suffix.size() ||
+  if (filename.size() < prefix.size() + suffix.size() ||
       !filename.starts_with(prefix) || !filename.ends_with(suffix)) {
     return std::nullopt;
   }
-  const auto digits = filename.substr(
-      prefix.size(), filename.size() - prefix.size() - suffix.size());
-  if (digits.size() > 20) return std::nullopt;
+  const char* first = filename.data() + prefix.size();
+  const char* last = filename.data() + filename.size() - suffix.size();
   std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
+  // from_chars takes digits only (no sign or space) and refuses overflow.
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || end != last || last - first > 20) {
+    return std::nullopt;
   }
   return value;
 }
 
 std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
-    const std::string& dir, std::string_view prefix, std::string_view suffix) {
+    const std::string& dir, std::string_view prefix, std::string_view suffix,
+    bool newest_first) {
   std::vector<std::pair<std::uint64_t, std::string>> out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -283,6 +283,7 @@ std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
     }
   }
   std::sort(out.begin(), out.end());
+  if (newest_first) std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -206,8 +206,9 @@ std::optional<std::uint64_t> parse_numbered(std::string_view filename,
                                             std::string_view suffix);
 
 /// Every regular file in `dir` that parse_numbered accepts, as (value, path)
-/// pairs in ascending order.
+/// pairs in ascending order (descending with `newest_first`).
 std::vector<std::pair<std::uint64_t, std::string>> list_numbered(
-    const std::string& dir, std::string_view prefix, std::string_view suffix);
+    const std::string& dir, std::string_view prefix, std::string_view suffix,
+    bool newest_first = false);
 
 }  // namespace nxd::util

@@ -32,10 +32,6 @@ class TokenBucket {
   std::uint64_t granted() const noexcept { return granted_; }
   std::uint64_t denied() const noexcept { return denied_; }
 
-  /// Simulated time of the last refill — consumers that bound their bucket
-  /// tables use this as the staleness key for eviction.
-  SimTime last_refill() const noexcept { return last_; }
-
  private:
   void refill_to(SimTime now) noexcept;
 
@@ -47,77 +43,59 @@ class TokenBucket {
   std::uint64_t denied_ = 0;
 };
 
-/// Bounded per-source bucket table, shared by the DNS response-rate limiter
-/// and the honeypot's per-IP admission.  A newcomer finding the table full
-/// first sweeps every bucket that has fully refilled (idle long enough that
-/// forgetting it changes no verdict); if the table is still full of actively
+/// Bounded per-source bucket table, shared by DNS response-rate limiting
+/// and the honeypot's per-IP admission.  A newcomer that finds the table
+/// full first sweeps every fully refilled bucket (idle long enough that
+/// forgetting it changes no verdict); if it is still full of actively
 /// metered sources, find_or_insert returns no entry and the caller fails
-/// open (admitting one request is cheaper than letting a spoofed flood evict
-/// real limiter state).
-///
-/// One sweep per instant: after a sweep at `now` leaves the table full, a
-/// newcomer at any instant no later than it skips the sweep.  That is
-/// exact: until time passes, buckets only drain, so the sweep would find
-/// nothing — and a spoofed flood costs O(1) per newcomer, not a table scan.
+/// open rather than let a spoofed flood evict live limiter state.  After a
+/// sweep leaves the table full, newcomers up to that instant skip the
+/// sweep: until time passes buckets only drain, so it would find nothing.
 template <class Key, class Hash>
 class SourceBuckets {
  public:
-  struct Entry {
-    TokenBucket bucket;
-    std::uint32_t limited = 0;  ///< caller's per-source count (RRL slip cadence)
-  };
   struct Found {
-    Entry* entry = nullptr;  ///< nullptr: table full of active sources
-    std::uint64_t evicted = 0;  ///< idle buckets swept to make room
+    TokenBucket* bucket = nullptr;  // nullptr: table full of active sources
+    std::uint64_t evicted = 0;      // idle buckets swept to make room
   };
 
-  /// Fresh buckets hold `burst` tokens refilled at `rate` per second; at
-  /// most `max_sources` are tracked (0 = unbounded).
+  /// Buckets hold `burst` tokens refilled at `rate`/s; at most
+  /// `max_sources` are tracked (0 = unbounded).
   SourceBuckets(double burst, double rate, std::size_t max_sources)
-      : burst_(burst), rate_(rate), max_sources_(max_sources) {}
+      : burst_(burst), rate_(rate), max_(max_sources) {}
 
   Found find_or_insert(const Key& source, SimTime now) {
-    Found found;
     if (const auto it = entries_.find(source); it != entries_.end()) {
-      found.entry = &it->second;
-      return found;
+      return {&it->second, 0};
     }
+    Found found;
     if (full()) {
       if (full_sweep_at_.has_value() && now <= *full_sweep_at_) return found;
-      for (auto victim = entries_.begin(); victim != entries_.end();) {
-        if (victim->second.bucket.tokens_at(now) >=
-            victim->second.bucket.capacity()) {
-          victim = entries_.erase(victim);
-          ++found.evicted;
-        } else {
-          ++victim;
-        }
-      }
+      std::erase_if(entries_, [&](const auto& e) {
+        const bool idle = e.second.tokens_at(now) >= burst_;
+        found.evicted += idle;
+        return idle;
+      });
       if (full()) {
         full_sweep_at_ = now;
         return found;
       }
     }
     full_sweep_at_.reset();
-    found.entry =
-        &entries_.emplace(source, Entry{TokenBucket(burst_, rate_), 0})
-             .first->second;
+    found.bucket = &entries_.try_emplace(source, burst_, rate_).first->second;
     return found;
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  bool full() const noexcept {
-    return max_sources_ != 0 && entries_.size() >= max_sources_;
-  }
+  bool full() const noexcept { return max_ != 0 && entries_.size() >= max_; }
 
   double burst_;
   double rate_;
-  std::size_t max_sources_;
-  std::unordered_map<Key, Entry, Hash> entries_;
-  /// Instant of the last sweep that left the table full.
-  std::optional<SimTime> full_sweep_at_;
+  std::size_t max_;
+  std::unordered_map<Key, TokenBucket, Hash> entries_;
+  std::optional<SimTime> full_sweep_at_;  // last sweep that left it full
 };
 
 }  // namespace nxd::util
