@@ -59,6 +59,7 @@ FaultVerdict FaultPlan::apply(const Endpoint& dst,
   if (in_outage(dst, now)) {
     ++stats_.outage_drops;
     verdict.drop = true;
+    verdict.outage = true;
     return verdict;
   }
   const FaultSpec* spec = spec_for(dst);
@@ -81,10 +82,12 @@ FaultVerdict FaultPlan::apply(const Endpoint& dst,
           static_cast<std::uint8_t>(1u << rng_.bounded(8));
     }
     ++stats_.injected_corruptions;
+    verdict.corrupted = true;
   }
   if (spec->truncate > 0 && !payload.empty() && rng_.chance(spec->truncate)) {
     payload.resize(rng_.bounded(payload.size()));
     ++stats_.injected_truncations;
+    verdict.truncated = true;
   }
   if (spec->duplicate > 0 && rng_.chance(spec->duplicate)) {
     ++stats_.injected_duplicates;
@@ -95,6 +98,7 @@ FaultVerdict FaultPlan::apply(const Endpoint& dst,
                                std::max(spec->delay_min, spec->delay_max));
     ++stats_.injected_delays;
     stats_.total_delay += verdict.delay;
+    verdict.delayed = true;
   }
   return verdict;
 }

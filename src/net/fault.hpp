@@ -56,12 +56,16 @@ struct FaultStats {
   friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
-/// Outcome of running one packet through the fault stage.  Corruption and
-/// truncation mutate the payload in place; drop/duplicate/delay are for the
-/// carrier to act on.
+/// Which faults fired on one packet, for the carrier to count.  Corruption
+/// and truncation have already mutated the payload; drop/duplicate/delay
+/// are for the carrier to act on.
 struct FaultVerdict {
   bool drop = false;
+  bool outage = false;  ///< the drop came from an outage window
   bool duplicate = false;
+  bool corrupted = false;
+  bool truncated = false;
+  bool delayed = false;
   util::SimTime delay = 0;
 };
 
@@ -93,8 +97,9 @@ class FaultPlan {
   FaultVerdict apply(const Endpoint& dst, std::vector<std::uint8_t>& payload,
                      util::SimTime now);
 
+  /// This plan's own record of what it injected (SimNetwork's registry
+  /// counts from each verdict instead, so its totals span plan swaps).
   const FaultStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = FaultStats{}; }
 
  private:
   friend class FaultWindow;

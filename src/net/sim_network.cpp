@@ -42,65 +42,46 @@ void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
   if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
   acquire_metrics(registry);
   own_registry_.reset();
-  // The fault mirror starts at bind: carry what the plan already counted.
-  mirror_faults(FaultStats{}, fault_plan_.stats());
-  metrics_bound_ = true;
 }
 
-void SimNetwork::mirror_faults(const FaultStats& before,
-                               const FaultStats& after) {
-  const auto mirror = [](std::uint64_t b, std::uint64_t a, obs::Counter& c) {
-    if (a <= b) return;  // no new faults (or the plan was reset/swapped)
-    c.inc(a - b);
-  };
-  mirror(before.injected_drops, after.injected_drops, m_.fault_drops);
-  mirror(before.injected_duplicates, after.injected_duplicates,
-         m_.fault_duplicates);
-  mirror(before.injected_corruptions, after.injected_corruptions,
-         m_.fault_corruptions);
-  mirror(before.injected_truncations, after.injected_truncations,
-         m_.fault_truncations);
-  mirror(before.injected_delays, after.injected_delays, m_.fault_delays);
-  mirror(before.outage_drops, after.outage_drops, m_.outage_drops);
-  if (after.total_delay > before.total_delay) {
-    m_.fault_delay_seconds.inc(
-        static_cast<std::uint64_t>(after.total_delay - before.total_delay));
+void SimNetwork::count_faults(const FaultVerdict& verdict) {
+  if (verdict.drop) (verdict.outage ? m_.outage_drops : m_.fault_drops).inc();
+  if (verdict.corrupted) m_.fault_corruptions.inc();
+  if (verdict.truncated) m_.fault_truncations.inc();
+  if (verdict.duplicate) m_.fault_duplicates.inc();
+  if (verdict.delayed) {
+    m_.fault_delays.inc();
+    m_.fault_delay_seconds.inc(static_cast<std::uint64_t>(verdict.delay));
   }
 }
 
 std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packet) {
   last_delay_ = 0;
+  std::optional<SimPacket> shaped;  // the fault stage's copy, when a plan runs
+  FaultVerdict verdict;
   if (!fault_plan_.empty()) {
-    SimPacket shaped = packet;
-    const FaultStats before = metrics_bound_ ? fault_plan_.stats() : FaultStats{};
-    const FaultVerdict verdict = fault_plan_.apply(
-        packet.dst, shaped.payload, clock_ != nullptr ? clock_->now() : 0);
-    if (metrics_bound_) mirror_faults(before, fault_plan_.stats());
+    shaped = packet;
+    verdict = fault_plan_.apply(packet.dst, shaped->payload,
+                                clock_ != nullptr ? clock_->now() : 0);
+    count_faults(verdict);
     if (verdict.drop) return std::nullopt;
     last_delay_ = verdict.delay;
-    const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
-    if (it == services_.end()) {
-      m_.dropped.inc();
-      return std::nullopt;
-    }
-    m_.delivered.inc();
-    auto reply = it->second(shaped);
-    if (verdict.duplicate) {
-      // The duplicate reaches the service too; its reply is discarded (the
-      // client already has the first one — classic UDP retransmit noise).
-      m_.delivered.inc();
-      it->second(shaped);
-    }
-    return reply;
   }
-
   const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
   if (it == services_.end()) {
     m_.dropped.inc();
     return std::nullopt;
   }
+  const SimPacket& arriving = shaped.has_value() ? *shaped : packet;
   m_.delivered.inc();
-  return it->second(packet);
+  auto reply = it->second(arriving);
+  if (verdict.duplicate) {
+    // The duplicate reaches the service too; its reply is discarded (the
+    // client already has the first one — classic UDP retransmit noise).
+    m_.delivered.inc();
+    it->second(arriving);
+  }
+  return reply;
 }
 
 }  // namespace nxd::net

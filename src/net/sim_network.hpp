@@ -94,9 +94,8 @@ class SimNetwork {
   std::uint64_t dropped() const noexcept { return m_.dropped.value(); }
 
   /// Re-home delivery and fault-injection counts in a shared registry
-  /// (current values carry over).  Fault counters mirror per-send deltas of
-  /// the plan's own stats, so they stay monotonic even when a caller
-  /// reset_stats()s or swaps the plan mid-run.
+  /// (current values carry over).  Faults are counted from each send's
+  /// FaultVerdict, so the counts span every plan the network ran.
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -113,14 +112,12 @@ class SimNetwork {
   };
 
   void acquire_metrics(obs::MetricsRegistry& registry);
-  /// Mirror the per-send change in the plan's FaultStats into the registry.
-  void mirror_faults(const FaultStats& before, const FaultStats& after);
+  void count_faults(const FaultVerdict& verdict);
 
   std::unordered_map<ServiceKey, Service, ServiceKeyHash> services_;
   FaultPlan fault_plan_;
   const util::SimClock* clock_ = nullptr;
   util::SimTime last_delay_ = 0;
-  bool metrics_bound_ = false;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
 };

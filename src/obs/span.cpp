@@ -131,7 +131,9 @@ bool scan_string(const std::string& line, std::size_t* pos, std::string* out) {
 
 }  // namespace
 
-SpanTracer::SpanTracer(Config config) : config_(config) {
+SpanTracer::SpanTracer(Config config)
+    : config_(config), own_registry_(std::make_unique<MetricsRegistry>()) {
+  acquire_metrics(*own_registry_);
   if (config_.capacity == 0) config_.capacity = 1;
   double rate = config_.sample_rate;
   if (rate < 0.0) rate = 0.0;
@@ -308,8 +310,7 @@ bool SpanTracer::parse_jsonl(const std::string& text,
   return true;
 }
 
-void SpanTracer::bind_metrics(MetricsRegistry& registry) {
-  std::lock_guard<std::mutex> lock(mu_);
+void SpanTracer::acquire_metrics(MetricsRegistry& registry) {
   m_traces_started_ = registry.counter(
       "nxd_obs_traces_started_total", "Sampled trace roots begun");
   m_spans_recorded_ = registry.counter(
@@ -319,21 +320,13 @@ void SpanTracer::bind_metrics(MetricsRegistry& registry) {
   m_details_truncated_ = registry.counter(
       "nxd_obs_span_details_truncated_total",
       "Span detail strings cut at the detail cap");
-  // Carry values accumulated before binding, mirroring bind_metrics elsewhere.
-  if (traces_started_ > m_traces_started_.value()) {
-    m_traces_started_.inc(traces_started_ - m_traces_started_.value());
-  }
-  if (recorded_ > m_spans_recorded_.value()) {
-    m_spans_recorded_.inc(recorded_ - m_spans_recorded_.value());
-  }
-  const std::uint64_t resident =
-      std::min<std::uint64_t>(recorded_, config_.capacity);
-  if (recorded_ - resident > m_spans_dropped_.value()) {
-    m_spans_dropped_.inc(recorded_ - resident - m_spans_dropped_.value());
-  }
-  if (truncated_ > m_details_truncated_.value()) {
-    m_details_truncated_.inc(truncated_ - m_details_truncated_.value());
-  }
+}
+
+void SpanTracer::bind_metrics(MetricsRegistry& registry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
 }
 
 void SpanTracer::clear() {

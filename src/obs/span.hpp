@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -146,7 +147,8 @@ class SpanTracer {
   static bool parse_jsonl(const std::string& text,
                           std::vector<SpanRecord>* out, std::string* error);
 
-  /// Counters land as nxd_obs_spans_* / nxd_obs_traces_*.
+  /// Counters land as nxd_obs_spans_* / nxd_obs_traces_*; counts from
+  /// before the bind carry over, so tracers sharing a registry add up.
   void bind_metrics(MetricsRegistry& registry);
 
   void clear();
@@ -169,6 +171,7 @@ class SpanTracer {
   SpanId begin_locked(std::uint64_t trace_id, std::uint64_t parent,
                       std::string_view name, std::int64_t start,
                       std::string_view detail);
+  void acquire_metrics(MetricsRegistry& registry);
 
   Config config_;
   std::uint64_t threshold_;  // sampled iff hash(seed,key) < threshold_
@@ -186,6 +189,7 @@ class SpanTracer {
   std::uint64_t recorded_ = 0;
   std::uint64_t truncated_ = 0;
 
+  std::unique_ptr<MetricsRegistry> own_registry_;
   Counter m_traces_started_;
   Counter m_spans_recorded_;
   Counter m_spans_dropped_;

@@ -237,7 +237,10 @@ struct DurableStore::Core {
         tail(cfg.shard_count, cfg.store),
         pool(std::make_unique<util::WorkerPool>(
             cfg.shard_count > 1 ? cfg.shard_count : 0)),
-        base(cfg.store) {}
+        base(cfg.store),
+        own_registry(std::make_unique<obs::MetricsRegistry>()) {
+    acquire_metrics(*own_registry);
+  }
 
   ~Core() { shutdown(); }
 
@@ -289,8 +292,8 @@ struct DurableStore::Core {
     obs::LatencyHistogram group_batches;
   };
   std::mutex metrics_mutex;
-  Metrics m;  // null handles until bind_metrics()
-  obs::MetricsRegistry* registry = nullptr;
+  std::unique_ptr<obs::MetricsRegistry> own_registry;  // until bind_metrics()
+  Metrics m;
   obs::SpanTracer* spans = nullptr;
   // Span timestamps are nanoseconds since store open (steady clock) — the
   // store runs on real threads, so unlike the sim-driven layers its spans
@@ -339,6 +342,7 @@ struct DurableStore::Core {
   bool wait_all();
   bool request_checkpoint();
   PassiveDnsStore do_materialize();
+  void acquire_metrics(obs::MetricsRegistry& reg);
   void do_bind(obs::MetricsRegistry& reg);
   StageStats snapshot_stats() const;
 
@@ -367,6 +371,7 @@ bool DurableStore::Core::recover() {
   tail.ingest_frames(frames, *pool);
   const std::uint64_t frontier = scan.info.snapshot_batches + scan.run.size();
   committed.store(frontier, std::memory_order_relaxed);
+  m.wal_batches.inc(frontier);  // recovered batches were acked before
   recovery.replayed_batches = scan.run.size();
   since_delta = scan.run.size();
 
@@ -651,10 +656,6 @@ void DurableStore::Core::trigger_checkpoint(bool compact) {
   job->wal_floor_segment = wal->segment_index();
   job->shards = tail.take_shards();  // copy-on-checkpoint: tail is now fresh
   job->compact = compact;
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex);
-    if (registry != nullptr) tail.bind_metrics(*registry);
-  }
   since_delta = 0;
   rounds_since_compact = compact ? 0 : rounds_since_compact + 1;
   {
@@ -853,9 +854,7 @@ PassiveDnsStore DurableStore::Core::do_materialize() {
   return out;
 }
 
-void DurableStore::Core::do_bind(obs::MetricsRegistry& reg) {
-  std::lock_guard<std::mutex> apply_lock(apply_mutex);
-  std::lock_guard<std::mutex> lock(metrics_mutex);
+void DurableStore::Core::acquire_metrics(obs::MetricsRegistry& reg) {
   m.wal_batches = reg.counter("nxd_pdns_wal_batches_total",
                               "Batches durably acked by the WAL");
   m.wal_failures = reg.counter("nxd_pdns_wal_append_failures_total",
@@ -870,12 +869,14 @@ void DurableStore::Core::do_bind(obs::MetricsRegistry& reg) {
                               "Delta chains folded into a fresh base");
   m.group_batches = reg.histogram("nxd_pdns_wal_group_batches",
                                   "Batches coalesced per commit group");
-  m.wal_batches.inc(committed.load(std::memory_order_relaxed));
-  m.checkpoints.inc(checkpoints.load(std::memory_order_relaxed));
-  registry = &reg;
-  // The tail provides the per-shard observation counters and the batch-size
-  // histogram; re-bound after every checkpoint hand-off (the tail shards
-  // are replaced there).
+}
+
+void DurableStore::Core::do_bind(obs::MetricsRegistry& reg) {
+  std::lock_guard<std::mutex> apply_lock(apply_mutex);
+  std::lock_guard<std::mutex> lock(metrics_mutex);
+  if (own_registry != nullptr) reg.absorb(own_registry->snapshot());
+  acquire_metrics(reg);
+  own_registry.reset();
   tail.bind_metrics(reg);
 }
 

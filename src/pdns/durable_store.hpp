@@ -248,11 +248,10 @@ class DurableStore {
   /// validates the chains of manifests older than the winner.
   static FsckReport fsck(const std::string& dir);
 
-  /// Mirror the durable-ingest counters into a shared registry (committed
-  /// batches, groups, checkpoints carry over).  Also binds the live tail
-  /// shards, so per-shard observation counters cover everything ingested
-  /// from here on; the store re-binds the fresh tail after every checkpoint
-  /// hand-off, so the registry must outlive the store.
+  /// Fold everything counted since open (recovered batches, WAL groups,
+  /// checkpoints, the tail's frames and per-shard series across every
+  /// hand-off) into `registry` and count there from then on.  The registry
+  /// must outlive the store.
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Emit spans for commit groups ("wal_group" with wal_append / wal_fsync /

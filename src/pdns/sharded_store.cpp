@@ -9,10 +9,11 @@
 namespace nxd::pdns {
 
 ShardedStore::ShardedStore(std::size_t shard_count, StoreConfig config)
-    : config_(config) {
+    : config_(config), own_registry_(std::make_unique<obs::MetricsRegistry>()) {
   shard_count = std::clamp<std::size_t>(shard_count, 1, kMaxShards);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) shards_.emplace_back(config_);
+  acquire_metrics(*own_registry_);
 }
 
 std::size_t ShardedStore::shard_of_key(std::string_view registered_key,
@@ -21,14 +22,22 @@ std::size_t ShardedStore::shard_of_key(std::string_view registered_key,
   return util::fnv1a(registered_key) % shard_count;
 }
 
-void ShardedStore::bind_metrics(obs::MetricsRegistry& registry) {
+void ShardedStore::acquire_metrics(obs::MetricsRegistry& registry) {
+  m_.shards.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].bind_metrics(registry, {{"shard", std::to_string(i)}});
+    m_.shards.emplace_back(registry,
+                           obs::LabelSet{{"shard", std::to_string(i)}});
   }
   m_.batches = registry.counter("nxd_pdns_ingest_frames_total",
                                 "SIE frames routed through ingest_frames");
   m_.batch_observations = registry.histogram(
       "nxd_pdns_batch_observations", "Observations per ingested batch");
+}
+
+void ShardedStore::bind_metrics(obs::MetricsRegistry& registry) {
+  if (own_registry_ != nullptr) registry.absorb(own_registry_->snapshot());
+  acquire_metrics(registry);
+  own_registry_.reset();
 }
 
 std::vector<PassiveDnsStore> ShardedStore::take_shards() {
@@ -46,6 +55,9 @@ ShardedStore::FrameIngestStats ShardedStore::ingest_frames(
     util::WorkerPool& pool) {
   FrameIngestStats stats;
   const std::size_t shard_count = shards_.size();
+  std::vector<IngestTotals> before;
+  before.reserve(shard_count);
+  for (const auto& shard : shards_) before.push_back(shard.ingest_totals());
 
   // Pipelining needs a worker per shard: with fewer, a ring could sit
   // without its consumer scheduled while the producer blocks on it, so
@@ -98,6 +110,9 @@ ShardedStore::FrameIngestStats ShardedStore::ingest_frames(
     for (auto& ring : rings) ring->close();
     pool.wait_idle();
   }
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    m_.shards[s].add(before[s], shards_[s].ingest_totals());
+  }
   return stats;
 }
 
@@ -107,22 +122,11 @@ PassiveDnsStore ShardedStore::merge() const {
   return out;
 }
 
-std::uint64_t ShardedStore::total_observations() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard.total_observations();
-  return total;
-}
-
-std::uint64_t ShardedStore::nx_responses() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard.nx_responses();
-  return total;
-}
-
-std::uint64_t ShardedStore::servfail_responses() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard.servfail_responses();
-  return total;
+std::uint64_t ShardedStore::sum(
+    std::uint64_t IngestTotals::*total) const noexcept {
+  std::uint64_t out = 0;
+  for (const auto& shard : shards_) out += shard.ingest_totals().*total;
+  return out;
 }
 
 }  // namespace nxd::pdns

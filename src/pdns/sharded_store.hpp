@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -74,8 +75,7 @@ class ShardedStore {
 
   /// Copy-on-checkpoint hand-off: move every shard store out (the immutable
   /// snapshot a background delta checkpoint serializes) and replace it with
-  /// a fresh empty shard.  Metrics bindings do not survive the swap —
-  /// callers that bound metrics must re-bind afterwards.
+  /// a fresh empty shard.  Counts already published stay published.
   std::vector<PassiveDnsStore> take_shards();
 
   /// Fold all shards into a single store; snapshot byte-identical to serial
@@ -83,19 +83,30 @@ class ShardedStore {
   PassiveDnsStore merge() const;
 
   // Summed scalar counters (no merge required).
-  std::uint64_t total_observations() const noexcept;
-  std::uint64_t nx_responses() const noexcept;
-  std::uint64_t servfail_responses() const noexcept;
+  std::uint64_t total_observations() const noexcept {
+    return sum(&IngestTotals::observations);
+  }
+  std::uint64_t nx_responses() const noexcept {
+    return sum(&IngestTotals::nx_responses);
+  }
+  std::uint64_t servfail_responses() const noexcept {
+    return sum(&IngestTotals::servfail_responses);
+  }
 
-  /// Bind every shard's store counters under a {shard="i"} label, plus
-  /// batch-level counters (batches ingested, batch-size histogram).
+  /// Fold the counts kept since construction (frames, batch sizes, and
+  /// each shard's ingest totals under {shard="i"}, grown per ingest_frames
+  /// call, so take_shards loses none) into `registry`; count there after.
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
   struct Metrics {
     obs::Counter batches;
     obs::LatencyHistogram batch_observations;
+    std::vector<IngestCounters> shards;
   };
+
+  void acquire_metrics(obs::MetricsRegistry& registry);
+  std::uint64_t sum(std::uint64_t IngestTotals::*total) const noexcept;
 
   /// Per-shard SPSC ring capacity for the pipelined path.  Deep enough to
   /// absorb scheduling jitter, small enough to stay cache-resident.
@@ -103,7 +114,8 @@ class ShardedStore {
 
   StoreConfig config_;
   std::vector<PassiveDnsStore> shards_;
-  Metrics m_;  // null handles until bind_metrics()
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
+  Metrics m_;
 };
 
 }  // namespace nxd::pdns

@@ -29,14 +29,14 @@ std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store) {
   w.u32(kMagic);
   w.u16(kVersion);
   w.u16(store.config_.track_daily ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(store.total_ >> 32));
-  w.u32(static_cast<std::uint32_t>(store.total_));
-  w.u32(static_cast<std::uint32_t>(store.nx_responses_ >> 32));
-  w.u32(static_cast<std::uint32_t>(store.nx_responses_));
-  w.u32(static_cast<std::uint32_t>(store.distinct_nx_ >> 32));
-  w.u32(static_cast<std::uint32_t>(store.distinct_nx_));
-  w.u32(static_cast<std::uint32_t>(store.servfail_responses_ >> 32));
-  w.u32(static_cast<std::uint32_t>(store.servfail_responses_));
+  w.u32(static_cast<std::uint32_t>(store.totals_.observations >> 32));
+  w.u32(static_cast<std::uint32_t>(store.totals_.observations));
+  w.u32(static_cast<std::uint32_t>(store.totals_.nx_responses >> 32));
+  w.u32(static_cast<std::uint32_t>(store.totals_.nx_responses));
+  w.u32(static_cast<std::uint32_t>(store.totals_.distinct_nxdomains >> 32));
+  w.u32(static_cast<std::uint32_t>(store.totals_.distinct_nxdomains));
+  w.u32(static_cast<std::uint32_t>(store.totals_.servfail_responses >> 32));
+  w.u32(static_cast<std::uint32_t>(store.totals_.servfail_responses));
 
   auto u64 = [&w](std::uint64_t v) {
     w.u32(static_cast<std::uint32_t>(v >> 32));
@@ -111,10 +111,10 @@ std::optional<PassiveDnsStore> load_snapshot(
   StoreConfig config;
   config.track_daily = (flags & 1) != 0;
   PassiveDnsStore store(config);
-  store.total_ = u64();
-  store.nx_responses_ = u64();
-  store.distinct_nx_ = u64();
-  store.servfail_responses_ = u64();
+  store.totals_.observations = u64();
+  store.totals_.nx_responses = u64();
+  store.totals_.distinct_nxdomains = u64();
+  store.totals_.servfail_responses = u64();
 
   // Every section count is validated against the bytes actually present
   // (each entry has a known minimum encoding size) before its loop runs, so

@@ -38,18 +38,13 @@ std::uint64_t peak_monthly_nx(const DailySeries& daily_nx) {
 
 PassiveDnsStore::PassiveDnsStore(const PassiveDnsStore& other)
     : config_(other.config_),
-      total_(other.total_),
-      nx_responses_(other.nx_responses_),
-      distinct_nx_(other.distinct_nx_),
-      servfail_responses_(other.servfail_responses_),
+      totals_(other.totals_),
       intern_(other.intern_),
       domains_(other.domains_),
       tlds_(other.tlds_),
       monthly_nx_(other.monthly_nx_),
       sensor_volume_(other.sensor_volume_),
       caches_(other.caches_.size()),
-      intern_hits_(other.intern_hits_),
-      intern_misses_(other.intern_misses_),
       m_(other.m_) {
   // The pointer caches (caches_, cached_month_slot_, sensor_slots_) start
   // empty: `other`'s point into `other`.  They refill lazily on ingest.
@@ -60,30 +55,38 @@ PassiveDnsStore& PassiveDnsStore::operator=(const PassiveDnsStore& other) {
   return *this;
 }
 
+IngestCounters::IngestCounters(obs::MetricsRegistry& registry,
+                               const obs::LabelSet& labels)
+    : observations(registry.counter("nxd_pdns_observations_total",
+                                    "Observations ingested", labels)),
+      nx_responses(registry.counter("nxd_pdns_nx_responses_total",
+                                    "NXDomain observations ingested", labels)),
+      servfail_responses(
+          registry.counter("nxd_pdns_servfail_responses_total",
+                           "SERVFAIL observations ingested", labels)),
+      distinct_nxdomains(registry.counter(
+          "nxd_pdns_distinct_nxdomains_total",
+          "Domains first seen NXDomain during ingest", labels)),
+      intern_hits(registry.counter(
+          "nxd_pdns_intern_hits_total",
+          "Registered-domain keys resolved via the intern table", labels)),
+      intern_misses(registry.counter(
+          "nxd_pdns_intern_misses_total",
+          "Registered-domain keys interned for the first time", labels)) {}
+
+void IngestCounters::add(const IngestTotals& before, const IngestTotals& after) {
+  observations.inc(after.observations - before.observations);
+  nx_responses.inc(after.nx_responses - before.nx_responses);
+  servfail_responses.inc(after.servfail_responses - before.servfail_responses);
+  distinct_nxdomains.inc(after.distinct_nxdomains - before.distinct_nxdomains);
+  intern_hits.inc(after.intern_hits - before.intern_hits);
+  intern_misses.inc(after.intern_misses - before.intern_misses);
+}
+
 void PassiveDnsStore::bind_metrics(obs::MetricsRegistry& registry,
                                    const obs::LabelSet& labels) {
-  m_.observations = registry.counter("nxd_pdns_observations_total",
-                                     "Observations ingested", labels);
-  m_.nx_responses = registry.counter("nxd_pdns_nx_responses_total",
-                                     "NXDomain observations ingested", labels);
-  m_.servfail_responses =
-      registry.counter("nxd_pdns_servfail_responses_total",
-                       "SERVFAIL observations ingested", labels);
-  m_.distinct_nxdomains =
-      registry.counter("nxd_pdns_distinct_nxdomains_total",
-                       "Domains first seen NXDomain during ingest", labels);
-  m_.intern_hits = registry.counter(
-      "nxd_pdns_intern_hits_total",
-      "Registered-domain keys resolved via the intern table", labels);
-  m_.intern_misses = registry.counter(
-      "nxd_pdns_intern_misses_total",
-      "Registered-domain keys interned for the first time", labels);
-  m_.observations.inc(total_);
-  m_.nx_responses.inc(nx_responses_);
-  m_.servfail_responses.inc(servfail_responses_);
-  m_.distinct_nxdomains.inc(distinct_nx_);
-  m_.intern_hits.inc(intern_hits_);
-  m_.intern_misses.inc(intern_misses_);
+  m_ = IngestCounters(registry, labels);
+  m_.add({}, ingest_totals());
 }
 
 void PassiveDnsStore::ingest(const Observation& obs) {
@@ -98,7 +101,7 @@ void PassiveDnsStore::ingest_view(const ObservationView& view) {
 
 void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
                                    util::SimTime when, SensorClass cls) {
-  ++total_;
+  ++totals_.observations;
   m_.observations.inc();
   const auto ci = std::min<std::size_t>(static_cast<std::size_t>(cls), 4);
   std::uint64_t*& sensor_cell = sensor_slots_[ci];
@@ -111,7 +114,7 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
     // A resolution failure says nothing about the name's existence; keep it
     // out of the per-domain aggregates so selection thresholds see only
     // genuine answers.
-    ++servfail_responses_;
+    ++totals_.servfail_responses;
     m_.servfail_responses.inc();
     return;
   }
@@ -120,10 +123,10 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
   // sit at that id.
   const auto [id, inserted] = index_domain(key);
   if (inserted) {
-    ++intern_misses_;
+    ++totals_.intern_misses;
     m_.intern_misses.inc();
   } else {
-    ++intern_hits_;
+    ++totals_.intern_hits;
     m_.intern_hits.inc();
   }
   IdCache& slot = caches_[id];
@@ -137,7 +140,7 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
     return;
   }
 
-  ++nx_responses_;
+  ++totals_.nx_responses;
   m_.nx_responses.inc();
   ++agg.nx_queries;
   const std::int64_t month = util::month_index(day);
@@ -171,7 +174,7 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
   ++tld_agg.nx_queries;
   if (agg.first_nx_seen == INT64_MAX) {
     agg.first_nx_seen = day;
-    ++distinct_nx_;
+    ++totals_.distinct_nxdomains;
     m_.distinct_nxdomains.inc();
     ++tld_agg.distinct_nx_names;
   } else {
@@ -189,10 +192,10 @@ InternTable::Result PassiveDnsStore::index_domain(std::string_view name) {
 }
 
 void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
-  total_ += other.total_;
-  nx_responses_ += other.nx_responses_;
-  distinct_nx_ += other.distinct_nx_;
-  servfail_responses_ += other.servfail_responses_;
+  totals_.observations += other.totals_.observations;
+  totals_.nx_responses += other.totals_.nx_responses;
+  totals_.distinct_nxdomains += other.totals_.distinct_nxdomains;
+  totals_.servfail_responses += other.totals_.servfail_responses;
 
   for (const auto& [month, count] : other.monthly_nx_) {
     monthly_nx_[month] += count;
@@ -219,7 +222,7 @@ void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
     // Both stores saw this domain.  If both saw it go NX, the summed
     // distinct counters double-counted it — correct globally and per TLD.
     if (mine.ever_nx() && agg.ever_nx()) {
-      --distinct_nx_;
+      --totals_.distinct_nxdomains;
       const auto tld_it = tlds_.find(tld_of_key(name));
       if (tld_it != tlds_.end()) --tld_it->second.distinct_nx_names;
     }

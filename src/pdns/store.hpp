@@ -133,6 +133,32 @@ inline std::string_view registered_domain_key(const dns::DomainName& name,
   return std::string_view{buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
+/// A store's scalar ingest totals (see the PassiveDnsStore accessors).
+struct IngestTotals {
+  std::uint64_t observations = 0;
+  std::uint64_t nx_responses = 0;
+  std::uint64_t servfail_responses = 0;
+  std::uint64_t distinct_nxdomains = 0;
+  std::uint64_t intern_hits = 0;
+  std::uint64_t intern_misses = 0;
+};
+
+/// The registry series of those totals (nxd_pdns_*_total) under one label
+/// set.  Default-constructed handles are null no-ops.
+struct IngestCounters {
+  IngestCounters() = default;
+  IngestCounters(obs::MetricsRegistry& registry, const obs::LabelSet& labels);
+  /// Count the growth from `before` to `after`.
+  void add(const IngestTotals& before, const IngestTotals& after);
+
+  obs::Counter observations;
+  obs::Counter nx_responses;
+  obs::Counter servfail_responses;
+  obs::Counter distinct_nxdomains;
+  obs::Counter intern_hits;
+  obs::Counter intern_misses;
+};
+
 class PassiveDnsStore {
  public:
   explicit PassiveDnsStore(StoreConfig config = {}) : config_(config) {}
@@ -163,15 +189,15 @@ class PassiveDnsStore {
   const StoreConfig& config() const noexcept { return config_; }
 
   // ---- scalar totals ------------------------------------------------------
-  std::uint64_t total_observations() const noexcept { return total_; }
-  std::uint64_t nx_responses() const noexcept { return nx_responses_; }
+  std::uint64_t total_observations() const noexcept { return totals_.observations; }
+  std::uint64_t nx_responses() const noexcept { return totals_.nx_responses; }
   std::uint64_t distinct_domains() const noexcept { return intern_.size(); }
-  std::uint64_t distinct_nxdomains() const noexcept { return distinct_nx_; }
+  std::uint64_t distinct_nxdomains() const noexcept { return totals_.distinct_nxdomains; }
   /// SERVFAIL observations — resolution failures, not proof of
   /// non-existence.  Tracked separately so scale analyses can distinguish
   /// genuine NXDomain volume from failure noise; never mixed into the
   /// per-domain OK/NX aggregates that drive selection.
-  std::uint64_t servfail_responses() const noexcept { return servfail_responses_; }
+  std::uint64_t servfail_responses() const noexcept { return totals_.servfail_responses; }
 
   // ---- per-domain ---------------------------------------------------------
   const DomainAggregate* domain(std::string_view registered_name) const;
@@ -202,17 +228,21 @@ class PassiveDnsStore {
   /// servfail_responses == observations ingested, and a miss is exactly a
   /// domain that ingest added to the index — also in a store restored by
   /// load_snapshot or filled by absorb(), which index without counting.
-  std::uint64_t intern_hits() const noexcept { return intern_hits_; }
-  std::uint64_t intern_misses() const noexcept { return intern_misses_; }
+  std::uint64_t intern_hits() const noexcept { return totals_.intern_hits; }
+  std::uint64_t intern_misses() const noexcept { return totals_.intern_misses; }
   const InternTable& intern_table() const noexcept { return intern_; }
 
   // ---- observability ------------------------------------------------------
-  /// Mirror ingest counts into a shared registry; current totals carry over.
+  /// The scalar totals the ingest counters publish.
+  const IngestTotals& ingest_totals() const noexcept { return totals_; }
+
+  /// Mirror ingest counts into a shared registry; current totals carry over
+  /// (they are snapshot data, so a restored store publishes them too).
   /// Only ingest() feeds the handles — absorb() and snapshot loads bypass
-  /// them, so a sharded merge into an instrumented head store never double
-  /// counts what the shards already reported.  Handles are raw pointers into
-  /// the registry: bind (or re-bind) after any move/assign of the store.
-  /// `labels` distinguishes co-registered stores (e.g. {{"shard","3"}}).
+  /// them, so a merge into an instrumented head store never double counts.
+  /// Handles are raw pointers into the registry: bind (or re-bind) after
+  /// any move/assign of the store.  `labels` distinguishes co-registered
+  /// stores (e.g. {{"stage","chaos"}}).
   void bind_metrics(obs::MetricsRegistry& registry,
                     const obs::LabelSet& labels = {});
 
@@ -238,10 +268,7 @@ class PassiveDnsStore {
   InternTable::Result index_domain(std::string_view name);
 
   StoreConfig config_;
-  std::uint64_t total_ = 0;
-  std::uint64_t nx_responses_ = 0;
-  std::uint64_t distinct_nx_ = 0;
-  std::uint64_t servfail_responses_ = 0;
+  IngestTotals totals_;
 
   // The domain index: registered-domain name -> dense id, and the id's
   // aggregate (vector moves keep each series' buffer, so cached day cells
@@ -268,18 +295,8 @@ class PassiveDnsStore {
   // Per-class count cells of sensor_volume_ (stable heap nodes), fetched on
   // first use; index 4 holds the out-of-range "unknown" label.
   std::array<std::uint64_t*, 5> sensor_slots_{};
-  std::uint64_t intern_hits_ = 0;
-  std::uint64_t intern_misses_ = 0;
 
-  struct Metrics {
-    obs::Counter observations;
-    obs::Counter nx_responses;
-    obs::Counter servfail_responses;
-    obs::Counter distinct_nxdomains;
-    obs::Counter intern_hits;
-    obs::Counter intern_misses;
-  };
-  Metrics m_;  // null handles until bind_metrics()
+  IngestCounters m_;  // null handles until bind_metrics()
 };
 
 }  // namespace nxd::pdns

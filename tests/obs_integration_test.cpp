@@ -5,7 +5,9 @@
 //   * the legacy stats structs (RecursiveStats, RrlStats, OverloadStats,
 //     recorder totals) agree exactly with the registry,
 //   * binding mid-run carries every component's private counts, gauges and
-//     histograms into the shared registry,
+//     histograms into the shared registry — also across durable recovery
+//     and checkpoint hand-offs, for tracers sharing a registry, and for
+//     fault plans swapped before and after the bind,
 //   * a 10k-query run's span roots reconcile against the counters even after
 //     the ring wrapped, and the span export is byte-deterministic under a
 //     fixed seed,
@@ -15,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <span>
@@ -34,7 +37,10 @@
 #include "obs/pressure.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/span.hpp"
+#include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
+#include "pdns/sharded_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "pdns/store.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
@@ -44,6 +50,7 @@
 #include "resolver/udp_server.hpp"
 #include "util/circuit_breaker.hpp"
 #include "util/rng.hpp"
+#include "util/worker_pool.hpp"
 
 namespace nxd {
 namespace {
@@ -450,6 +457,261 @@ TEST(ObsIntegration, MidRunBindCarriesEveryComponent) {
   EXPECT_EQ(late.tcp->answered(), counter("nxd_dns_server_answered_total", tcp));
   EXPECT_EQ(late.tcp->rrl_dropped(),
             counter("nxd_dns_server_rrl_dropped_total", tcp));
+}
+
+// ---- late binds on the components that own threads, shards or plans -------
+
+std::uint64_t counter_in(const obs::MetricsSnapshot& snapshot,
+                         const std::string& name,
+                         const obs::LabelSet& labels = {}) {
+  const auto* s = snapshot.find(name, labels);
+  return s != nullptr ? s->counter : 0;
+}
+
+/// Deterministic SIE batch frames of 40 observations each over 64 registered
+/// domains: mostly NXDomain, some NoError and SERVFAIL.
+std::vector<std::vector<std::uint8_t>> observation_frames(std::size_t count) {
+  util::Rng rng(5);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t f = 0; f < count; ++f) {
+    std::vector<pdns::Observation> batch(40);
+    for (auto& obs : batch) {
+      obs.name = dns::DomainName::must("host" + std::to_string(rng.bounded(64)) +
+                                       (rng.chance(0.5) ? ".com" : ".net"));
+      const auto roll = rng.bounded(10);
+      obs.rcode = roll < 7   ? dns::RCode::NXDomain
+                  : roll < 9 ? dns::RCode::NoError
+                             : dns::RCode::ServFail;
+      obs.when = static_cast<util::SimTime>(f) * util::kSecondsPerDay;
+    }
+    frames.push_back(pdns::encode_batch_frame(batch));
+  }
+  return frames;
+}
+
+std::uint64_t shard_observations(const obs::MetricsSnapshot& snapshot,
+                                 std::size_t shards) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < shards; ++i) {
+    total += counter_in(snapshot, "nxd_pdns_observations_total",
+                        {{"shard", std::to_string(i)}});
+  }
+  return total;
+}
+
+TEST(ObsIntegration, MidRunBindCarriesDurableStoreAcrossHandOffs) {
+  // A prior run leaves 4 acked batches in the WAL only; the store under
+  // test replays them on open, then hands its tail shards to a checkpoint
+  // every 3 batches (compacting every second round), binding either at
+  // open or after 10 more acked batches.
+  const auto frames = observation_frames(20);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const auto run = [&](bool bind_midway) {
+      const std::string dir = ::testing::TempDir() + "nxd_obs_midrun_" +
+                              std::to_string(shards) +
+                              (bind_midway ? "_late" : "_early");
+      std::filesystem::remove_all(dir);
+      pdns::DurableStore::Config config;
+      config.shard_count = shards;
+      config.synchronous = true;  // groups of one, inline checkpoints
+      {
+        auto prior = pdns::DurableStore::open(dir, config);
+        EXPECT_TRUE(prior.has_value());
+        for (std::size_t i = 0; i < 4; ++i) {
+          EXPECT_TRUE(prior->wait_batch(prior->submit_frame(frames[i])));
+        }
+      }
+      config.delta_every_batches = 3;
+      config.compact_every_deltas = 2;
+      obs::MetricsRegistry registry;
+      auto store = pdns::DurableStore::open(dir, config);
+      EXPECT_TRUE(store.has_value());
+      EXPECT_EQ(store->recovery().replayed_batches, 4u);
+      if (!bind_midway) store->bind_metrics(registry);
+      for (std::size_t i = 4; i < 14; ++i) {
+        EXPECT_TRUE(store->wait_batch(store->submit_frame(frames[i])));
+      }
+      EXPECT_GE(store->checkpoints_taken(), 2u);  // hand-offs before the bind
+      if (bind_midway) store->bind_metrics(registry);
+      EXPECT_EQ(counter_in(registry.snapshot(), "nxd_pdns_wal_groups_total"),
+                store->stage_stats().groups);
+      for (std::size_t i = 14; i < frames.size(); ++i) {
+        EXPECT_TRUE(store->wait_batch(store->submit_frame(frames[i])));
+      }
+      EXPECT_TRUE(store->checkpoint());
+
+      const auto snapshot = registry.snapshot();
+      const auto stats = store->stage_stats();
+      EXPECT_EQ(counter_in(snapshot, "nxd_pdns_wal_batches_total"),
+                store->committed_batches());
+      EXPECT_EQ(counter_in(snapshot, "nxd_pdns_wal_groups_total"), stats.groups);
+      EXPECT_EQ(counter_in(snapshot, "nxd_pdns_delta_checkpoints_total"),
+                stats.deltas_written);
+      EXPECT_EQ(counter_in(snapshot, "nxd_pdns_compactions_total"),
+                stats.compactions);
+      EXPECT_EQ(counter_in(snapshot, "nxd_pdns_checkpoints_total"),
+                store->checkpoints_taken());
+      const auto* group_sizes = snapshot.find("nxd_pdns_wal_group_batches");
+      EXPECT_TRUE(group_sizes != nullptr &&
+                  group_sizes->hist_count == stats.groups);
+      // Nothing came from a snapshot, so the shard series cover every
+      // observation the store holds: the replay and every handed-off tail.
+      EXPECT_EQ(shard_observations(snapshot, shards),
+                store->materialize().total_observations());
+      std::filesystem::remove_all(dir);
+      return snapshot.to_text();
+    };
+    const std::string early = run(false);
+    EXPECT_EQ(run(true), early) << "shards=" << shards;
+  }
+}
+
+TEST(ObsIntegration, MidRunBindCarriesShardedStoreAcrossHandOffs) {
+  const auto frames = observation_frames(12);
+  const auto run = [&](bool bind_midway) {
+    obs::MetricsRegistry registry;
+    pdns::ShardedStore store(4);
+    util::WorkerPool pool(4);
+    if (!bind_midway) store.bind_metrics(registry);
+    std::uint64_t observations = 0;
+    const auto ingest = [&](std::size_t from, std::size_t to) {
+      const std::vector<std::span<const std::uint8_t>> batch(
+          frames.begin() + static_cast<std::ptrdiff_t>(from),
+          frames.begin() + static_cast<std::ptrdiff_t>(to));
+      observations += store.ingest_frames(batch, pool).observations;
+    };
+    ingest(0, 4);
+    store.take_shards();  // a checkpoint hand-off before the bind
+    ingest(4, 6);
+    if (bind_midway) store.bind_metrics(registry);
+    ingest(6, 9);
+    store.take_shards();  // and one after it
+    ingest(9, 12);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(shard_observations(snapshot, 4), observations);
+    EXPECT_EQ(counter_in(snapshot, "nxd_pdns_ingest_frames_total"), 12u);
+    return snapshot.to_text();
+  };
+  const std::string early = run(false);
+  EXPECT_EQ(run(true), early);
+}
+
+TEST(ObsIntegration, MidRunBindCarriesTwoTracersOnOneRegistry) {
+  const auto run = [](bool bind_midway) {
+    obs::MetricsRegistry registry;
+    // Four ring slots and an over-long detail, so drops and truncations
+    // are counted too.
+    const obs::SpanTracer::Config config{.sample_rate = 1.0, .capacity = 4};
+    obs::SpanTracer a(config);
+    obs::SpanTracer b(config);
+    if (!bind_midway) {
+      a.bind_metrics(registry);
+      b.bind_metrics(registry);
+    }
+    const std::string detail(obs::kDetailCap + 1, 'x');
+    const auto trace = [&detail](obs::SpanTracer& tracer, std::uint64_t key) {
+      const obs::SpanId root = tracer.trace_root(key, "work", 0, detail);
+      tracer.end(tracer.begin(root, "step", 1), 2);
+      tracer.end(root, 3);
+    };
+    for (std::uint64_t k = 0; k < 5; ++k) trace(a, k);
+    for (std::uint64_t k = 0; k < 10; ++k) trace(b, 100 + k);
+    if (bind_midway) {
+      a.bind_metrics(registry);
+      b.bind_metrics(registry);
+    }
+    const auto bound = registry.snapshot();
+    EXPECT_EQ(counter_in(bound, "nxd_obs_traces_started_total"), 15u);
+    for (std::uint64_t k = 0; k < 3; ++k) trace(a, 200 + k);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(counter_in(snapshot, "nxd_obs_traces_started_total"),
+              a.traces_started() + b.traces_started());
+    EXPECT_EQ(counter_in(snapshot, "nxd_obs_spans_recorded_total"),
+              a.spans_recorded() + b.spans_recorded());
+    EXPECT_EQ(counter_in(snapshot, "nxd_obs_spans_dropped_total"),
+              a.spans_dropped() + b.spans_dropped());
+    EXPECT_EQ(counter_in(snapshot, "nxd_obs_span_details_truncated_total"),
+              a.details_truncated() + b.details_truncated());
+    return snapshot.to_text();
+  };
+  const std::string early = run(false);
+  EXPECT_EQ(run(true), early);
+}
+
+TEST(ObsIntegration, MidRunBindCarriesFaultsAcrossPlanSwaps) {
+  const auto run = [](bool bind_midway) {
+    obs::MetricsRegistry registry;
+    net::SimNetwork network;
+    util::SimClock clock;
+    network.set_clock(&clock);
+    const net::Endpoint server{dns::IPv4::from_octets(192, 0, 2, 53), 53};
+    network.attach(server, net::Protocol::UDP,
+                   [](const net::SimPacket& p) { return p.payload; });
+    if (!bind_midway) network.bind_metrics(registry);
+
+    const auto plan = [&server](std::uint64_t seed, double rate) {
+      net::FaultPlan p(seed);
+      net::FaultSpec spec;
+      spec.drop = rate;
+      spec.duplicate = rate;
+      spec.corrupt = rate;
+      spec.truncate = rate;
+      spec.delay = rate;
+      p.set_default(spec);
+      p.add_outage(server, 10, 20);
+      return p;
+    };
+    net::FaultStats total;  // summed over every plan the network ran
+    const auto add = [&total](const net::FaultStats& s) {
+      total.injected_drops += s.injected_drops;
+      total.injected_duplicates += s.injected_duplicates;
+      total.injected_corruptions += s.injected_corruptions;
+      total.injected_truncations += s.injected_truncations;
+      total.injected_delays += s.injected_delays;
+      total.outage_drops += s.outage_drops;
+      total.total_delay += s.total_delay;
+    };
+    const auto send = [&](int packets) {
+      clock.set(0);
+      for (int i = 0; i < packets; ++i, clock.advance(1)) {
+        net::SimPacket packet;
+        packet.src = net::Endpoint{dns::IPv4::from_octets(198, 51, 100, 7), 5353};
+        packet.dst = server;
+        packet.payload = {1, 2, 3, 4, 5, 6, 7, 8};
+        network.send(packet);
+      }
+    };
+    network.set_fault_plan(plan(1, 0.2));
+    send(100);
+    add(network.fault_stats());
+    network.set_fault_plan(plan(2, 0.1));  // swapped before the bind
+    send(100);
+    if (bind_midway) network.bind_metrics(registry);
+    send(50);
+    add(network.fault_stats());
+    network.set_fault_plan(plan(3, 0.3));  // and after it
+    send(100);
+    add(network.fault_stats());
+
+    const auto snapshot = registry.snapshot();
+    const auto kind = [&snapshot](const char* k) {
+      return counter_in(snapshot, "nxd_net_faults_total", {{"kind", k}});
+    };
+    EXPECT_EQ(kind("drop"), total.injected_drops);
+    EXPECT_EQ(kind("duplicate"), total.injected_duplicates);
+    EXPECT_EQ(kind("corrupt"), total.injected_corruptions);
+    EXPECT_EQ(kind("truncate"), total.injected_truncations);
+    EXPECT_EQ(kind("delay"), total.injected_delays);
+    EXPECT_EQ(kind("outage"), total.outage_drops);
+    EXPECT_EQ(counter_in(snapshot, "nxd_net_fault_delay_seconds_total"),
+              static_cast<std::uint64_t>(total.total_delay));
+    EXPECT_GT(total.outage_drops, 0u);
+    EXPECT_EQ(network.delivered(),
+              counter_in(snapshot, "nxd_net_packets_delivered_total"));
+    return snapshot.to_text();
+  };
+  const std::string early = run(false);
+  EXPECT_EQ(run(true), early);
 }
 
 TEST(ObsIntegration, SpansReconcileWithCountersAfterWraparound) {
