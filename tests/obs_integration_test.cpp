@@ -14,6 +14,7 @@
 //   * the offline snapshot-text path (`nxdtool metrics`) re-renders the same
 //     exposition bytes as the live endpoint.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -507,7 +508,9 @@ TEST(ObsIntegration, MidRunBindCarriesDurableStoreAcrossHandOffs) {
   const auto frames = observation_frames(20);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     const auto run = [&](bool bind_midway) {
+      // The pid keeps the sanitizer duplicate, run alongside, apart.
       const std::string dir = ::testing::TempDir() + "nxd_obs_midrun_" +
+                              std::to_string(::getpid()) + "_" +
                               std::to_string(shards) +
                               (bind_midway ? "_late" : "_early");
       std::filesystem::remove_all(dir);
