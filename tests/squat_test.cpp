@@ -1,11 +1,16 @@
 // Unit tests for nxd::squat — generators, detector, and round-trip
-#include <set>
 // properties (everything a generator emits must be detected as a squat of
 // the right type against the same target list).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "dns/punycode.hpp"
 #include "squat/detector.hpp"
 #include "squat/generators.hpp"
+#include "synth/origin_model.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace nxd::squat {
@@ -247,6 +252,269 @@ TEST(Detector, ShortBrandsNeedExactStructure) {
   // (noise would overwhelm signal).
   const SquatDetector detector(targets_from({"qq.com"}));
   EXPECT_FALSE(detector.classify(dns::DomainName::must("qa.com")).has_value());
+}
+
+// ------------------------------------------------------ reference cascade
+//
+// A frozen copy of the straightforward cascade: every check re-folds its
+// inputs and measures distance with util::damerau_distance.  The detector
+// precomputes the folds and tests one edit in O(n); this copy is the oracle
+// its verdicts must match name for name.
+
+namespace reference {
+
+bool hamming1_bitflip(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  int diffs = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i]) continue;
+    if (++diffs > 1) return false;
+    const unsigned x = static_cast<unsigned char>(a[i]) ^
+                       static_cast<unsigned char>(b[i]);
+    if ((x & (x - 1)) != 0) return false;
+  }
+  return diffs == 1;
+}
+
+bool is_bitsquat(const std::string& label, const std::string& brand) {
+  if (brand.size() < 4) return false;
+  return hamming1_bitflip(label, brand);
+}
+
+bool is_homosquat(const std::string& label, const std::string& brand) {
+  if (label == brand || brand.size() < 4) return false;
+  const std::string folded_label = fold_confusables(label);
+  const std::string folded_brand = fold_confusables(brand);
+  return folded_label == brand || folded_label == folded_brand;
+}
+
+bool is_typosquat(const std::string& label, const std::string& brand) {
+  if (label == brand) return false;
+  if (brand.size() < 4) return false;
+  return util::damerau_distance(label, brand) == 1;
+}
+
+bool is_combosquat(const std::string& label, const std::string& brand) {
+  if (brand.size() < 4) return false;
+  const auto pos = label.find(brand);
+  if (pos == std::string::npos || label.size() <= brand.size()) return false;
+  std::string rest = label.substr(0, pos) + label.substr(pos + brand.size());
+  rest.erase(std::remove(rest.begin(), rest.end(), '-'), rest.end());
+  if (rest.empty()) return false;
+  if (std::all_of(rest.begin(), rest.end(),
+                  [](char c) { return util::is_digit(c); })) {
+    return true;
+  }
+  const std::string folded = fold_confusables(rest);
+  for (const auto& keyword : combo_keywords()) {
+    if (util::damerau_distance(folded, fold_confusables(keyword)) <= 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
+const Target* dot_target(const std::vector<Target>& targets,
+                         const dns::DomainName& name) {
+  if (name.label_count() < 2) return nullptr;
+  std::string joined;
+  for (std::size_t i = 0; i + 1 < name.label_count(); ++i) {
+    joined += name.label(i);
+  }
+  const std::string tld(name.tld());
+  for (const auto& target : targets) {
+    if (target.domain.tld() != tld) continue;
+    const bool www_glue =
+        name.label_count() == 2 && joined == "www" + target.brand;
+    const bool split_brand = name.label_count() >= 3 && joined == target.brand;
+    if (www_glue || split_brand) return &target;
+  }
+  return nullptr;
+}
+
+std::optional<SquatVerdict> classify(const std::vector<Target>& targets,
+                                     const dns::DomainName& name) {
+  if (name.label_count() < 2) return std::nullopt;
+  std::string label(name.sld());
+  if (util::starts_with(label, "xn--")) {
+    if (const auto decoded = dns::punycode_decode(label.substr(4))) {
+      std::string mapped;
+      bool mappable = true;
+      for (const char32_t c : *decoded) {
+        if (static_cast<std::uint32_t>(c) < 0x80) {
+          mapped.push_back(util::ascii_lower(static_cast<char>(c)));
+          continue;
+        }
+        const char ascii = unicode_confusable_to_ascii(c);
+        if (ascii == 0) {
+          mappable = false;
+          break;
+        }
+        mapped.push_back(ascii);
+      }
+      if (mappable) {
+        for (const auto& target : targets) {
+          if (mapped == target.brand) {
+            return SquatVerdict{SquatType::Homo, target.domain};
+          }
+        }
+        label = std::move(mapped);
+      }
+    }
+  }
+  for (const auto& target : targets) {
+    if (target.brand == label) {
+      if (target.domain.tld() == name.tld()) return std::nullopt;
+      break;  // the detector's brand index keeps the first such target
+    }
+  }
+  if (const Target* dot = dot_target(targets, name)) {
+    return SquatVerdict{SquatType::Dot, dot->domain};
+  }
+  for (const auto& target : targets) {
+    if (is_bitsquat(label, target.brand)) {
+      return SquatVerdict{SquatType::Bit, target.domain};
+    }
+  }
+  for (const auto& target : targets) {
+    if (is_homosquat(label, target.brand)) {
+      return SquatVerdict{SquatType::Homo, target.domain};
+    }
+  }
+  for (const auto& target : targets) {
+    if (is_typosquat(label, target.brand)) {
+      return SquatVerdict{SquatType::Typo, target.domain};
+    }
+  }
+  for (const auto& target : targets) {
+    if (is_combosquat(label, target.brand)) {
+      return SquatVerdict{SquatType::Combo, target.domain};
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace reference
+
+/// Apply one random edit (substitution, insertion, deletion or adjacent
+/// swap) drawn from the LDH alphabet.
+void mutate_once(std::string& s, util::Rng& rng) {
+  static constexpr std::string_view kAlphabet =
+      "abcdefghijklmnopqrstuvwxyz0123456789-";
+  const auto any_char = [&] { return kAlphabet[rng.bounded(kAlphabet.size())]; };
+  switch (rng.bounded(4)) {
+    case 0:
+      if (!s.empty()) s[rng.bounded(s.size())] = any_char();
+      break;
+    case 1:
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(rng.bounded(s.size() + 1)),
+               any_char());
+      break;
+    case 2:
+      if (!s.empty()) s.erase(rng.bounded(s.size()), 1);
+      break;
+    default:
+      if (s.size() >= 2) {
+        const std::size_t i = rng.bounded(s.size() - 1);
+        std::swap(s[i], s[i + 1]);
+      }
+      break;
+  }
+}
+
+/// Seeded names near the default brands: 1-2 edits of a brand, keyword
+/// combos (hyphenated or not, keyword sometimes edited), "www" glue and
+/// in-brand dots, under the brand's TLD or another one.
+std::vector<dns::DomainName> seeded_brand_mutations(std::size_t count,
+                                                    std::uint64_t seed) {
+  static const std::vector<std::string> kOtherTlds = {"com", "net", "org",
+                                                      "io"};
+  const auto& targets = default_targets();
+  const auto& keywords = combo_keywords();
+  util::Rng rng(seed);
+  std::vector<dns::DomainName> out;
+  out.reserve(count);
+  while (out.size() < count) {
+    const Target& target = rng.pick(targets);
+    std::string label = target.brand;
+    switch (rng.bounded(5)) {
+      case 0:
+        mutate_once(label, rng);
+        break;
+      case 1:
+        mutate_once(label, rng);
+        mutate_once(label, rng);
+        break;
+      case 2:
+      case 3: {
+        std::string keyword = rng.pick(keywords);
+        if (rng.bounded(3) == 0) mutate_once(keyword, rng);
+        if (rng.bounded(6) == 0) keyword = std::to_string(rng.bounded(1000));
+        const std::string joint = rng.bounded(2) == 0 ? "-" : "";
+        label = rng.bounded(2) == 0 ? label + joint + keyword
+                                    : keyword + joint + label;
+        if (rng.bounded(4) == 0) mutate_once(label, rng);
+        break;
+      }
+      default:
+        if (rng.bounded(2) == 0) {
+          label = "www" + label;
+        } else if (label.size() >= 2) {
+          label.insert(1 + rng.bounded(label.size() - 1), ".");
+        }
+        if (rng.bounded(3) == 0) mutate_once(label, rng);
+        break;
+    }
+    const std::string tld = rng.bounded(5) == 0
+                                ? rng.pick(kOtherTlds)
+                                : std::string(target.domain.tld());
+    if (auto name = dns::DomainName::parse(label + "." + tld)) {
+      out.push_back(std::move(*name));
+    }
+  }
+  return out;
+}
+
+TEST(SquatDifferential, DetectorMatchesReferenceCascade) {
+  const SquatDetector detector = SquatDetector::with_defaults();
+  const auto& targets = default_targets();
+
+  std::vector<dns::DomainName> names;
+  for (const auto& target : targets) {
+    for (const auto type : kAllSquatTypes) {
+      for (auto& name : generate(type, target)) names.push_back(std::move(name));
+    }
+    for (auto& name : generate_idn_homos(target)) names.push_back(std::move(name));
+  }
+  synth::OriginCorpusConfig config;
+  config.seed = 42;
+  config.expired_count = 2'500;
+  for (auto& name : synth::build_origin_corpus(config).all_names) {
+    names.push_back(std::move(name));
+  }
+  for (auto& name : seeded_brand_mutations(200'000, 42)) {
+    names.push_back(std::move(name));
+  }
+
+  std::size_t squats = 0, mismatches = 0;
+  for (const auto& name : names) {
+    const auto want = reference::classify(targets, name);
+    const auto got = detector.classify(name);
+    squats += want.has_value() ? 1 : 0;
+    const bool same = want.has_value() == got.has_value() &&
+                      (!want || (want->type == got->type &&
+                                 want->target == got->target));
+    if (!same && ++mismatches <= 10) {
+      ADD_FAILURE() << name.to_string() << ": reference "
+                    << (want ? to_string(want->type) : "none") << " vs "
+                    << (got ? to_string(got->type) : "none");
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << names.size() << " names";
+  // The mix must exercise both verdicts heavily.
+  EXPECT_GT(squats, names.size() / 4);
+  EXPECT_GT(names.size() - squats, names.size() / 4);
+  std::printf("differential: %zu names, %zu squats\n", names.size(), squats);
 }
 
 }  // namespace
