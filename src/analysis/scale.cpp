@@ -65,18 +65,18 @@ std::vector<TldRow> ScaleAnalysis::top_tlds(std::size_t k) const {
 
 std::vector<LifespanPoint> ScaleAnalysis::lifespan_series(
     const pdns::DomainSampler& sampler) const {
+  // Only sums per age, so the store's index order is as good as any.
   std::vector<std::uint64_t> domains(61, 0), queries(61, 0);
-  for (const auto& name : store_.domain_names_sorted()) {
-    if (!sampler.selected(name)) continue;
-    const auto* agg = store_.domain(name);
-    if (agg == nullptr || !agg->ever_nx()) continue;
-    for (const auto& [day, count] : agg->daily_nx) {
-      const auto age = day - agg->first_nx_seen;
+  store_.for_each_domain([&](std::string_view name,
+                             const pdns::DomainAggregate& agg) {
+    if (!agg.ever_nx() || !sampler.selected(name)) return;
+    for (const auto& [day, count] : agg.daily_nx) {
+      const auto age = day - agg.first_nx_seen;
       if (age < 0 || age > 60) continue;
       ++domains[static_cast<std::size_t>(age)];
       queries[static_cast<std::size_t>(age)] += count;
     }
-  }
+  });
   std::vector<LifespanPoint> out;
   out.reserve(61);
   for (int day = 0; day <= 60; ++day) {

@@ -202,8 +202,17 @@ class PassiveDnsStore {
   // ---- per-domain ---------------------------------------------------------
   const DomainAggregate* domain(std::string_view registered_name) const;
 
-  /// All domains, for full scans (sampling, joins).  Deterministic order.
+  /// All domains, sorted, for scans whose result depends on visit order.
   std::vector<std::string> domain_names_sorted() const;
+
+  /// Visit every domain in index order as fn(name, aggregate), without
+  /// copying or sorting names: for scans whose result is order-free.
+  template <typename Fn>
+  void for_each_domain(Fn&& fn) const {
+    for (std::uint32_t id = 0; id < intern_.size(); ++id) {
+      fn(intern_.name_of(id), domains_[id]);
+    }
+  }
 
   /// Domains whose NXDomain query volume in some calendar month reached
   /// `threshold` — the paper's §3.3 selection criterion ("more than 10,000

@@ -541,12 +541,14 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
                                           util::SimTime now) {
   m_.client_queries.inc();
   ++query_seq_;
-  const std::string qname_str = query.questions.empty()
-                                    ? std::string()
-                                    : query.questions.front().name.to_string();
-  root_span_ = spans_ != nullptr
-                   ? spans_->trace_root(query_seq_, "resolve", now, qname_str)
-                   : obs::SpanId{};
+  // The qname text is built only when a tracer is bound.
+  root_span_ = spans_ == nullptr
+                   ? obs::SpanId{}
+                   : spans_->trace_root(
+                         query_seq_, "resolve", now,
+                         query.questions.empty()
+                             ? std::string()
+                             : query.questions.front().name.to_string());
   if (query.questions.empty()) {
     ResolveOutcome out{dns::make_response(query, dns::RCode::FormErr)};
     if (spans_ != nullptr) {

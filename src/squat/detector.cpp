@@ -56,77 +56,62 @@ std::string fold_confusables(std::string_view s) {
 
 SquatDetector::SquatDetector(std::vector<Target> targets)
     : targets_(std::move(targets)) {
+  prepared_.reserve(targets_.size());
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     brand_index_.emplace(targets_[i].brand, i);
+    prepared_.push_back(Prepared{fold_confusables(targets_[i].brand),
+                                 "www" + targets_[i].brand});
+  }
+  for (const auto& keyword : combo_keywords()) {
+    folded_keywords_.push_back(fold_confusables(keyword));
   }
 }
 
-bool SquatDetector::is_bitsquat(const std::string& label,
-                                const std::string& brand) const {
-  if (brand.size() < 4) return false;  // too short to attribute reliably
-  return hamming1_bitflip(label, brand);
-}
-
-bool SquatDetector::is_homosquat(const std::string& label,
-                                 const std::string& brand) const {
-  if (label == brand || brand.size() < 4) return false;
-  // Either direction: the squat folds to the brand, or shares a fold.
-  const std::string folded_label = fold_confusables(label);
-  const std::string folded_brand = fold_confusables(brand);
-  return folded_label == brand || folded_label == folded_brand;
-}
-
-bool SquatDetector::is_typosquat(const std::string& label,
-                                 const std::string& brand) const {
-  if (label == brand) return false;
-  if (brand.size() < 4) return false;  // too short to attribute reliably
-  return util::damerau_distance(label, brand) == 1;
-}
-
-bool SquatDetector::is_combosquat(const std::string& label,
-                                  const std::string& brand) const {
-  if (brand.size() < 4) return false;
+bool SquatDetector::is_combosquat(std::string_view label,
+                                  std::string_view brand) const {
+  if (brand.size() < 4 || label.size() <= brand.size()) return false;
   const auto pos = label.find(brand);
-  if (pos == std::string::npos || label.size() <= brand.size()) return false;
+  if (pos == std::string_view::npos) return false;
   // The remainder (minus joining hyphens) must be a recognizable combo
   // token: all digits, or within one confusable-folded edit of a known
   // trust/action keyword ("login", "secure", "supp0rt", ...).  Plain
   // substring matching would misfire on ordinary words that happen to
   // contain a brand ("kubernetes" contains "uber").
-  std::string rest = label.substr(0, pos) + label.substr(pos + brand.size());
-  rest.erase(std::remove(rest.begin(), rest.end(), '-'), rest.end());
+  std::string rest(label.substr(0, pos));
+  rest += label.substr(pos + brand.size());
+  std::erase(rest, '-');
   if (rest.empty()) return false;
   if (std::all_of(rest.begin(), rest.end(),
                   [](char c) { return util::is_digit(c); })) {
     return true;
   }
   const std::string folded = fold_confusables(rest);
-  for (const auto& keyword : combo_keywords()) {
-    if (util::damerau_distance(folded, fold_confusables(keyword)) <= 1) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(folded_keywords_.begin(), folded_keywords_.end(),
+                     [&](const std::string& keyword) {
+                       return folded == keyword ||
+                              util::is_one_edit(folded, keyword);
+                     });
 }
 
-std::optional<const Target*> SquatDetector::dot_target(
-    const dns::DomainName& name) const {
-  // Join all labels except the TLD and compare against "www"+brand or brand.
-  if (name.label_count() < 2) return std::nullopt;
-  std::string joined;
-  for (std::size_t i = 0; i + 1 < name.label_count(); ++i) {
-    joined += name.label(i);
+const Target* SquatDetector::dot_target(const dns::DomainName& name) const {
+  // The labels left of the TLD, joined, must spell "www"+brand (two labels)
+  // or the brand itself (three or more: dots inserted into the brand).
+  const std::size_t n = name.label_count();
+  const auto spells = [&](std::string_view s) {
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (!s.starts_with(name.label(i))) return false;
+      s.remove_prefix(name.label(i).size());
+    }
+    return s.empty();
+  };
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (targets_[i].domain.tld() != name.tld()) continue;
+    if (n == 2 ? name.sld() == prepared_[i].www_brand
+               : spells(targets_[i].brand)) {
+      return &targets_[i];
+    }
   }
-  const std::string tld(name.tld());
-
-  for (const auto& target : targets_) {
-    if (target.domain.tld() != tld) continue;
-    const bool www_glue =
-        name.label_count() == 2 && joined == "www" + target.brand;
-    const bool split_brand = name.label_count() >= 3 && joined == target.brand;
-    if (www_glue || split_brand) return &target;
-  }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::optional<SquatVerdict> SquatDetector::classify(
@@ -173,21 +158,26 @@ std::optional<SquatVerdict> SquatDetector::classify(
     return std::nullopt;
   }
 
-  if (const auto dot = dot_target(name)) {
-    return SquatVerdict{SquatType::Dot, (*dot)->domain};
+  if (const Target* dot = dot_target(name)) {
+    return SquatVerdict{SquatType::Dot, dot->domain};
   }
+  // Brands under 4 characters are too short to attribute a near miss to.
   for (const auto& target : targets_) {
-    if (is_bitsquat(label, target.brand)) {
+    if (target.brand.size() >= 4 && hamming1_bitflip(label, target.brand)) {
       return SquatVerdict{SquatType::Bit, target.domain};
     }
   }
-  for (const auto& target : targets_) {
-    if (is_homosquat(label, target.brand)) {
-      return SquatVerdict{SquatType::Homo, target.domain};
+  // Homoglyph: the label folds onto the brand, or shares the brand's fold.
+  const std::string folded = fold_confusables(label);
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    const std::string& brand = targets_[i].brand;
+    if (brand.size() >= 4 && label != brand &&
+        (folded == brand || folded == prepared_[i].folded_brand)) {
+      return SquatVerdict{SquatType::Homo, targets_[i].domain};
     }
   }
   for (const auto& target : targets_) {
-    if (is_typosquat(label, target.brand)) {
+    if (target.brand.size() >= 4 && util::is_one_edit(label, target.brand)) {
       return SquatVerdict{SquatType::Typo, target.domain};
     }
   }

@@ -116,6 +116,18 @@ std::size_t damerau_distance(std::string_view a, std::string_view b) {
   return d[n][m];
 }
 
+bool is_one_edit(std::string_view a, std::string_view b) noexcept {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (b.size() - a.size() > 1) return false;
+  std::size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  if (a.size() < b.size()) return a.substr(i) == b.substr(i + 1);  // indel
+  if (i == a.size()) return false;  // equal strings
+  if (a.substr(i + 1) == b.substr(i + 1)) return true;  // substitution
+  return i + 1 < a.size() && a[i] == b[i + 1] && a[i + 1] == b[i] &&
+         a.substr(i + 2) == b.substr(i + 2);  // adjacent transposition
+}
+
 std::string url_decode(std::string_view s) {
   auto hex_val = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';

@@ -50,6 +50,10 @@ std::size_t edit_distance(std::string_view a, std::string_view b,
 /// count as one edit) — the distance typo generators actually induce.
 std::size_t damerau_distance(std::string_view a, std::string_view b);
 
+/// Exactly `damerau_distance(a, b) == 1`: one substitution, one insertion
+/// or deletion, or one adjacent transposition apart.  O(n), no allocation.
+bool is_one_edit(std::string_view a, std::string_view b) noexcept;
+
 /// Percent-decode a URI component; invalid escapes are passed through.
 std::string url_decode(std::string_view s);
 

@@ -2,12 +2,17 @@
 // corpora, verifying that the analyses *recover* the planted ground truth.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "analysis/origin.hpp"
 #include "analysis/scale.hpp"
 #include "analysis/security.hpp"
 #include "synth/origin_model.hpp"
 #include "synth/scale_models.hpp"
 #include "synth/traffic_model.hpp"
+#include "util/rng.hpp"
 
 namespace nxd::analysis {
 namespace {
@@ -84,6 +89,63 @@ TEST(ScaleLifespan, TracksDomainAges) {
   EXPECT_EQ(series[10].domains, 1u);
   EXPECT_EQ(series[10].queries, 1u);
   EXPECT_EQ(series[5].domains, 0u);
+}
+
+TEST(ScaleLifespan, IndependentOfIngestOrder) {
+  // Seeded NX/NOERROR observations over a few hundred domains and a
+  // 90-day window, ingested forwards into one store and reversed into
+  // another: the two stores index their domains in different orders.
+  util::Rng rng(29);
+  std::vector<pdns::Observation> observations;
+  for (int i = 0; i < 6'000; ++i) {
+    pdns::Observation obs;
+    obs.name = dns::DomainName::must(
+        "d" + std::to_string(rng.bounded(400)) + ".com");
+    obs.rcode =
+        rng.bounded(5) == 0 ? dns::RCode::NoError : dns::RCode::NXDomain;
+    obs.when = static_cast<util::SimTime>(1'000 + rng.bounded(90)) *
+               util::kSecondsPerDay;
+    observations.push_back(std::move(obs));
+  }
+  pdns::PassiveDnsStore forward, reversed;
+  for (const auto& obs : observations) forward.ingest(obs);
+  for (auto it = observations.rbegin(); it != observations.rend(); ++it) {
+    reversed.ingest(*it);
+  }
+  ASSERT_NE(forward.intern_table().name_of(0),
+            reversed.intern_table().name_of(0));
+
+  const auto as_tuples = [](const std::vector<LifespanPoint>& series) {
+    std::vector<std::tuple<int, std::uint64_t, std::uint64_t>> out;
+    for (const auto& p : series) out.emplace_back(p.days_in_nx, p.domains, p.queries);
+    return out;
+  };
+  // The series as a scan in sorted name order computes it.
+  const auto sorted_scan = [](const pdns::PassiveDnsStore& store,
+                              const pdns::DomainSampler& sampler) {
+    std::vector<std::tuple<int, std::uint64_t, std::uint64_t>> out;
+    for (int day = 0; day <= 60; ++day) out.emplace_back(day, 0, 0);
+    for (const auto& name : store.domain_names_sorted()) {
+      const auto* agg = store.domain(name);
+      if (!sampler.selected(name) || !agg->ever_nx()) continue;
+      for (const auto& [day, count] : agg->daily_nx) {
+        const auto age = day - agg->first_nx_seen;
+        if (age < 0 || age > 60) continue;
+        ++std::get<1>(out[static_cast<std::size_t>(age)]);
+        std::get<2>(out[static_cast<std::size_t>(age)]) += count;
+      }
+    }
+    return out;
+  };
+
+  for (const auto& sampler :
+       {pdns::DomainSampler(1, 0), pdns::DomainSampler(3, 11)}) {
+    const auto a = as_tuples(ScaleAnalysis(forward).lifespan_series(sampler));
+    const auto b = as_tuples(ScaleAnalysis(reversed).lifespan_series(sampler));
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, sorted_scan(forward, sampler));
+    EXPECT_GT(std::get<1>(a[30]), 0u);
+  }
 }
 
 // ---------------------------------------------------------------- §5 origin

@@ -20,6 +20,7 @@
 #include "net/fault.hpp"
 #include "net/sim_network.hpp"
 #include "resolver/rrl.hpp"
+#include "squat/detector.hpp"
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "pdns/store.hpp"
@@ -413,6 +414,76 @@ TEST_P(DnsFuzz, EncodeMatchesReferenceCompressor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DnsFuzz, ::testing::Values(1, 2, 3, 4, 5));
+
+// ----------------------------------------------------------- squat detector
+
+TEST(SquatFuzz, RandomLdhLabelsClassifyCleanly) {
+  // Feed-shaped labels: 1-63 LDH octets, some "xn--" punycode-looking,
+  // some built around a brand so the one-edit and combo tests compare
+  // strings of nearly equal length deep into the label.
+  static constexpr std::string_view kLdh =
+      "abcdefghijklmnopqrstuvwxyz0123456789-";
+  const auto detector = squat::SquatDetector::with_defaults();
+  const auto& targets = detector.targets();
+  util::Rng rng(61);
+  std::size_t squats = 0;
+  for (int i = 0; i < 24'000; ++i) {
+    std::string label;
+    switch (rng.bounded(3)) {
+      case 0: {
+        label = rng.bounded(2) == 0 ? "xn--" : "";
+        const std::size_t len = label.size() + 1 + rng.bounded(63 - label.size());
+        while (label.size() < len) label.push_back(kLdh[rng.bounded(kLdh.size())]);
+        break;
+      }
+      case 1: {
+        label = rng.pick(targets).brand;
+        const std::size_t edits = rng.bounded(3);
+        for (std::size_t e = 0; e < edits && !label.empty(); ++e) {
+          const std::size_t at = rng.bounded(label.size());
+          if (rng.bounded(2) == 0) {
+            label[at] = kLdh[rng.bounded(kLdh.size())];
+          } else {
+            label.erase(at, 1);
+          }
+        }
+        break;
+      }
+      default: {
+        label = rng.pick(targets).brand;
+        const std::size_t extra = rng.bounded(63 - label.size() + 1);
+        for (std::size_t e = 0; e < extra; ++e) {
+          const char c = kLdh[rng.bounded(kLdh.size())];
+          label.insert(label.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.bounded(label.size() + 1)),
+                       c);
+        }
+        break;
+      }
+    }
+    if (label.empty()) label = "a";
+    if (label.front() == '-') label.front() = 'x';
+    if (label.back() == '-') label.back() = 'x';
+    ASSERT_LE(label.size(), 63u);
+    const std::string tld = rng.bounded(2) == 0
+                                ? std::string(rng.pick(targets).domain.tld())
+                                : "org";
+    const auto name = dns::DomainName::parse(label + "." + tld);
+    ASSERT_TRUE(name.has_value()) << label;
+    const auto verdict = detector.classify(*name);
+    const auto again = detector.classify(*name);
+    ASSERT_EQ(verdict.has_value(), again.has_value()) << label;
+    if (!verdict) continue;
+    ++squats;
+    EXPECT_EQ(verdict->type, again->type) << label;
+    EXPECT_TRUE(std::any_of(targets.begin(), targets.end(),
+                            [&](const squat::Target& t) {
+                              return t.domain == verdict->target;
+                            }))
+        << label;
+  }
+  EXPECT_GT(squats, 0u);
+}
 
 // ----------------------------------------------------------- HTTP parser
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -255,6 +256,32 @@ TEST(Strings, EditDistanceBound) {
   // With bound 1, distances above the bound collapse to bound+1.
   EXPECT_EQ(edit_distance("kitten", "sitting", 1), 2u);
   EXPECT_EQ(edit_distance("abc", "abd", 1), 1u);
+}
+
+TEST(Strings, IsOneEditIsDamerauDistanceOne) {
+  // Every string of length 0-5 over {a, b, c}: 364 strings, every ordered
+  // pair, covering empty and equal strings, swaps and length gaps of 2+.
+  std::vector<std::string> words = {""};
+  for (std::size_t begin = 0, len = 1; len <= 5; ++len) {
+    const std::size_t end = words.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const char c : {'a', 'b', 'c'}) words.push_back(words[i] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(words.size(), 364u);
+  std::size_t ones = 0;
+  for (const auto& a : words) {
+    for (const auto& b : words) {
+      const bool want = damerau_distance(a, b) == 1;
+      ASSERT_EQ(is_one_edit(a, b), want) << '"' << a << "\" vs \"" << b << '"';
+      ones += want ? 1 : 0;
+    }
+  }
+  EXPECT_GT(ones, 0u);
+  EXPECT_TRUE(is_one_edit("google", "googel"));
+  EXPECT_FALSE(is_one_edit("google", "google"));
+  EXPECT_FALSE(is_one_edit("google", "gogl"));
 }
 
 TEST(Strings, UrlDecode) {
