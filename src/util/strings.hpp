@@ -41,13 +41,13 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 
 /// Levenshtein edit distance with an early-exit bound: returns `bound + 1`
-/// as soon as the distance provably exceeds `bound`.  Used by the
-/// typosquatting detector, which only cares about distance <= 1 or 2.
+/// as soon as the distance provably exceeds `bound`.
 std::size_t edit_distance(std::string_view a, std::string_view b,
                           std::size_t bound = SIZE_MAX);
 
 /// Damerau-Levenshtein restricted-transposition distance (adjacent swaps
 /// count as one edit) — the distance typo generators actually induce.
+/// Allocates an (n+1)x(m+1) table; the squat detector uses is_one_edit.
 std::size_t damerau_distance(std::string_view a, std::string_view b);
 
 /// Exactly `damerau_distance(a, b) == 1`: one substitution, one insertion
