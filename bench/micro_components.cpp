@@ -257,14 +257,6 @@ void BM_FilterApply(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterApply);
 
-void BM_EditDistance(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::edit_distance("microsoft", "rnicrosoft", 2));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EditDistance);
-
 void BM_DgaGenerate(benchmark::State& state) {
   const dga::ConfickerStyleDga family;
   util::Day day = 19'000;

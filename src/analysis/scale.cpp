@@ -4,21 +4,6 @@
 
 namespace nxd::analysis {
 
-ScaleSummary fold_summaries(std::span<const ScaleSummary> parts) {
-  ScaleSummary out;
-  for (const auto& part : parts) {
-    out.nx_responses += part.nx_responses;
-    out.distinct_nxdomains += part.distinct_nxdomains;
-    out.servfail_responses += part.servfail_responses;
-  }
-  out.responses_per_nxdomain =
-      out.distinct_nxdomains == 0
-          ? 0
-          : static_cast<double>(out.nx_responses) /
-                static_cast<double>(out.distinct_nxdomains);
-  return out;
-}
-
 ScaleSummary ScaleAnalysis::summary() const {
   ScaleSummary out;
   out.nx_responses = store_.nx_responses();

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -22,12 +21,6 @@ struct ScaleSummary {
   /// rather than genuine non-existence.
   std::uint64_t servfail_responses = 0;
 };
-
-/// Exact fold of per-shard summaries into the whole-feed summary: integer
-/// counters sum and the responses-per-name ratio is recomputed from the
-/// folded totals.  The distinct count sums exactly when the shards partition
-/// registered domains (pdns::ShardedStore's hash routing guarantees this).
-ScaleSummary fold_summaries(std::span<const ScaleSummary> parts);
 
 struct MonthlyPoint {
   std::int64_t month_idx;

@@ -13,9 +13,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "blocklist/rate_limiter.hpp"
 #include "dns/name.hpp"
 #include "util/civil_time.hpp"
+#include "util/token_bucket.hpp"
 
 namespace nxd::blocklist {
 
@@ -85,7 +85,7 @@ class RateLimitedClient {
 
  private:
   const Blocklist& blocklist_;
-  TokenBucket bucket_;
+  util::TokenBucket bucket_;
 };
 
 }  // namespace nxd::blocklist

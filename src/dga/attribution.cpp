@@ -23,18 +23,4 @@ std::optional<Attribution> FamilyAttributor::attribute(
   return it->second;
 }
 
-std::unordered_map<std::string, std::uint64_t>
-FamilyAttributor::attribute_corpus(
-    const std::vector<dns::DomainName>& names) const {
-  std::unordered_map<std::string, std::uint64_t> out;
-  for (const auto& name : names) {
-    if (const auto hit = attribute(name)) {
-      ++out[hit->family];
-    } else {
-      ++out["unattributed"];
-    }
-  }
-  return out;
-}
-
 }  // namespace nxd::dga

@@ -35,11 +35,6 @@ class FamilyAttributor {
   /// window.
   std::optional<Attribution> attribute(const dns::DomainName& name) const;
 
-  /// Attribute a whole corpus: family name -> hit count ("unattributed"
-  /// counts the misses).
-  std::unordered_map<std::string, std::uint64_t> attribute_corpus(
-      const std::vector<dns::DomainName>& names) const;
-
   std::size_t index_size() const noexcept { return index_.size(); }
 
  private:

@@ -89,15 +89,6 @@ bool DomainName::is_canonical_text(std::string_view text) noexcept {
   return label_len > 0;
 }
 
-std::optional<DomainName> DomainName::from_labels(
-    const std::vector<std::string>& labels) {
-  DomainName out;
-  for (const auto& label : labels) {
-    if (!out.append_label(label)) return std::nullopt;
-  }
-  return out;
-}
-
 bool DomainName::append_label(std::string_view label) {
   if (!valid_label(label)) return false;
   const std::size_t size = size_ + 1 + label.size();

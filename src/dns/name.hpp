@@ -76,10 +76,6 @@ class DomainName {
   /// differential fuzz suite in tests/ingest_fastpath_test pins that.
   static bool is_canonical_text(std::string_view text) noexcept;
 
-  /// Build from labels, leftmost first (lowercased on the way in).
-  static std::optional<DomainName> from_labels(
-      const std::vector<std::string>& labels);
-
   /// Append `label` on the root side, lowercased: appending "www", then
   /// "example", then "com" to the root builds www.example.com.  Returns
   /// false, leaving the name unchanged, when the label is invalid (empty,

@@ -31,13 +31,6 @@ std::string IPv4::to_string() const {
   return buf;
 }
 
-DomainName IPv4::reverse_name() const {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u.in-addr.arpa", octet(3), octet(2),
-                octet(1), octet(0));
-  return DomainName::must(buf);
-}
-
 RRType rdata_type(const RData& rdata) noexcept {
   struct Visitor {
     RRType operator()(const IPv4&) const { return RRType::A; }

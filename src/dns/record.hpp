@@ -30,9 +30,6 @@ struct IPv4 {
 
   std::string to_string() const;
 
-  /// Reverse-lookup name: 4.3.2.1.in-addr.arpa for 1.2.3.4 (RFC 1035 §3.5).
-  DomainName reverse_name() const;
-
   friend bool operator==(const IPv4&, const IPv4&) = default;
   friend auto operator<=>(const IPv4&, const IPv4&) = default;
 };

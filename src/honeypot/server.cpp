@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/prometheus.hpp"
 #include "util/strings.hpp"
 
 namespace nxd::honeypot {
@@ -25,20 +24,6 @@ std::string landing_page(const std::string& domain,
          "<p>Questions or concerns: <a href=\"mailto:" + contact_email +
          "\">" + contact_email + "</a></p>"
          "</body></html>";
-}
-
-void NxdHoneypot::set_route(std::string path, HttpResponse response) {
-  routes_[std::move(path)] = std::move(response);
-}
-
-void NxdHoneypot::expose_metrics(const obs::MetricsRegistry* registry,
-                                 std::string admin_token) {
-  metrics_ = registry;
-  admin_token_ = std::move(admin_token);
-}
-
-void NxdHoneypot::expose_slo(std::function<std::string()> provider) {
-  slo_provider_ = std::move(provider);
 }
 
 namespace {
@@ -143,36 +128,6 @@ std::vector<std::uint8_t> NxdHoneypot::shed_response(AdmitDecision decision) {
 
 std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
     const net::SimPacket& packet, util::SimTime when) {
-  // Admin metrics scrape: answered before capture so telemetry never enters
-  // the traffic corpus.  The cheap prefix check keeps the hot path free of
-  // HTTP parsing; a wrong or missing token falls through and is treated —
-  // and recorded — exactly like any other visitor request.
-  if ((metrics_ != nullptr || slo_provider_) && !admin_token_.empty() &&
-      packet.protocol == net::Protocol::TCP) {
-    const std::string_view raw(
-        reinterpret_cast<const char*>(packet.payload.data()),
-        packet.payload.size());
-    if (raw.starts_with("GET /metrics") || raw.starts_with("GET /slo")) {
-      if (const auto request = parse_http_request(raw);
-          request && request->header("x-nxd-admin") == admin_token_) {
-        if (metrics_ != nullptr && request->path() == "/metrics") {
-          HttpResponse response;
-          response.headers["content-type"] =
-              "text/plain; version=0.0.4; charset=utf-8";
-          response.body = obs::render_prometheus(*metrics_);
-          ++responses_;
-          return wire_bytes(response);
-        }
-        if (slo_provider_ && request->path() == "/slo") {
-          HttpResponse response;
-          response.headers["content-type"] = "text/plain; charset=utf-8";
-          response.body = slo_provider_();
-          ++responses_;
-          return wire_bytes(response);
-        }
-      }
-    }
-  }
   TrafficRecord record;
   record.protocol = packet.protocol;
   record.source = packet.src;
@@ -208,9 +163,7 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
 
   const auto path = request->path();
   HttpResponse response;
-  if (const auto route = routes_.find(std::string(path)); route != routes_.end()) {
-    response = route->second;
-  } else if (path == "/" || path == "/index.html") {
+  if (path == "/" || path == "/index.html") {
     response =
         HttpResponse::ok_html(landing_page(config_.domain, config_.contact_email));
   } else {

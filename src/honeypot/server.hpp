@@ -17,8 +17,6 @@
 // what the real-socket TcpHoneypotFrontend drives.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -57,33 +55,6 @@ class NxdHoneypot {
       : config_(std::move(config)), recorder_(recorder) {
     recorder_.set_max_payload_bytes(config_.max_request_bytes);
   }
-
-  /// Interactive-honeypot extension (paper §7 future work: "implementing
-  /// the capability to interact with domain visitors"): serve a custom
-  /// response on an exact path.  Routes are consulted before the default
-  /// landing-page/404 logic, letting an operator feed automated visitors
-  /// the artifact they poll for (e.g. an empty task list on /getTask.php)
-  /// and observe the follow-up behaviour.
-  void set_route(std::string path, HttpResponse response);
-  std::size_t route_count() const noexcept { return routes_.size(); }
-
-  /// Serve live Prometheus text on `GET /metrics` for requests carrying an
-  /// `x-nxd-admin: <token>` header that matches `admin_token`.  Admin scrapes
-  /// are answered before capture and never recorded — operator telemetry must
-  /// not pollute the study's traffic corpus.  Requests without the matching
-  /// token fall through to the ordinary record-and-404 path, so probing
-  /// visitors cannot distinguish the sensor from an unadorned honeypot.
-  /// nullptr disables (the default — wire output stays byte-identical).
-  /// The registry must outlive the honeypot.
-  void expose_metrics(const obs::MetricsRegistry* registry,
-                      std::string admin_token);
-
-  /// Serve an operator SLO / anomaly report on `GET /slo`, gated by the same
-  /// `x-nxd-admin` token as expose_metrics (which must also be configured —
-  /// the token lives there).  The provider runs per scrape, so the report is
-  /// always current; like /metrics, admin scrapes are never recorded.
-  /// An empty function disables.
-  void expose_slo(std::function<std::string()> provider);
 
   /// Trace streaming-connection lifecycle: one root span per accepted
   /// connection (name "conn", keyed by connection id, detail = source
@@ -193,11 +164,7 @@ class NxdHoneypot {
 
   Config config_;
   TrafficRecorder& recorder_;
-  const obs::MetricsRegistry* metrics_ = nullptr;
-  std::function<std::string()> slo_provider_;
   obs::SpanTracer* spans_ = nullptr;
-  std::string admin_token_;
-  std::map<std::string, HttpResponse> routes_;
   std::uint64_t responses_ = 0;
   ConnectionGate gate_;
   std::unordered_map<std::uint64_t, StreamConn> streams_;

@@ -18,10 +18,6 @@ void FaultPlan::add_outage(const Endpoint& dst, util::SimTime from,
   timed_outages_.push_back(TimedOutage{dst, from, until});
 }
 
-void FaultPlan::add_total_outage(util::SimTime from, util::SimTime until) {
-  timed_outages_.push_back(TimedOutage{std::nullopt, from, until});
-}
-
 bool FaultPlan::in_outage(const Endpoint& dst, util::SimTime now) const {
   if (scoped_total_outages_ > 0) return true;
   if (const auto it = scoped_outages_.find(dst);
@@ -30,8 +26,7 @@ bool FaultPlan::in_outage(const Endpoint& dst, util::SimTime now) const {
   }
   return std::any_of(timed_outages_.begin(), timed_outages_.end(),
                      [&](const TimedOutage& o) {
-                       return now >= o.from && now < o.until &&
-                              (!o.dst.has_value() || *o.dst == dst);
+                       return now >= o.from && now < o.until && o.dst == dst;
                      });
 }
 

@@ -83,8 +83,6 @@ class FaultPlan {
   /// Time-bounded outage: every packet to `dst` with now in [from, until)
   /// is dropped (counted under outage_drops).
   void add_outage(const Endpoint& dst, util::SimTime from, util::SimTime until);
-  /// Time-bounded outage for every destination.
-  void add_total_outage(util::SimTime from, util::SimTime until);
 
   bool in_outage(const Endpoint& dst, util::SimTime now) const;
 
@@ -105,7 +103,7 @@ class FaultPlan {
   friend class FaultWindow;
 
   struct TimedOutage {
-    std::optional<Endpoint> dst;  // nullopt = every destination
+    Endpoint dst;
     util::SimTime from = 0;
     util::SimTime until = 0;
   };

@@ -1,23 +1,20 @@
-// Zero-copy SIE batch-frame decoding — the ingest fast path.
+// Zero-copy SIE batch-frame decoding — the only ingest decoder.
 //
-// decode_batch_frame (pdns/sie_channel) materializes every observation: a
-// std::string for the name text, a DomainName (one std::string per label),
-// and a re-serialization to enforce canonical encoding.  At feed scale those
-// allocations *are* the ingest bottleneck.  FrameView parses the same wire
-// format in place: one strict validation pass over the frame (reject-whole,
-// accepting exactly the frames decode_batch_frame accepts — the seeded
-// differential fuzz suite pins this), then iteration yields ObservationViews
-// whose name is a string_view aliasing the frame bytes.  Nothing is
-// allocated per observation; views route straight into shard-local ingest.
+// FrameView::parse makes one strict validation pass over a frame
+// (reject-whole), then iteration yields ObservationViews whose name is a
+// string_view aliasing the frame bytes.  Nothing is allocated per
+// observation; views route straight into shard-local ingest.  A separate
+// allocating decoder in the tests (tests/frame_oracle.hpp) is the
+// differential oracle: the seeded parity suites pin that both accept
+// exactly the same frames and decode the same fields.
 //
 // Lifetime: a FrameView and every ObservationView it yields alias the frame
 // buffer passed to parse() — the buffer must outlive them.
 //
-// Wire format (shared with encode_batch_frame/decode_batch_frame, which stay
-// as the independent reference codec): big-endian, magic "SIEB" u32,
-// version u16, count u32, then per observation: name_len u8, presentation
-// bytes, qtype u16, rcode u8, when u64 (biased +2^62), sensor class u8,
-// sensor index u16.
+// Wire format (written by encode_batch_frame, pdns/sie_channel): big-endian,
+// magic "SIEB" u32, version u16, count u32, then per observation: name_len
+// u8, presentation bytes, qtype u16, rcode u8, when u64 (biased +2^62),
+// sensor class u8, sensor index u16.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +26,7 @@
 
 namespace nxd::pdns {
 
-// Wire constants — single source of truth for both codecs.
+// Wire constants — single source of truth for the encoder and decoder.
 inline constexpr std::uint32_t kSieFrameMagic = 0x53494542;  // "SIEB"
 inline constexpr std::uint16_t kSieFrameVersion = 1;
 /// SimTime can be negative (pre-epoch civil dates); biased like the snapshot.
@@ -72,10 +69,9 @@ struct ObservationView {
 /// A strictly validated batch frame, decodable without allocation.
 class FrameView {
  public:
-  /// Strict parse.  Rejects (nullopt) exactly the inputs
-  /// decode_batch_frame rejects: bad magic or version, truncated payload,
-  /// trailing bytes, non-canonical or invalid names, unknown rcode or
-  /// sensor class.  All-or-nothing: a frame either validates whole or no
+  /// Strict parse.  Rejects (nullopt) bad magic or version, truncated
+  /// payload, trailing bytes, non-canonical or invalid names, unknown rcode
+  /// or sensor class.  All-or-nothing: a frame either validates whole or no
   /// view of it is ever produced.
   static std::optional<FrameView> parse(std::span<const std::uint8_t> frame);
 

@@ -57,9 +57,10 @@ class ShardedStore {
   const PassiveDnsStore& shard(std::size_t i) const { return shards_[i]; }
 
   /// Zero-copy pipelined frame ingest.  Each frame is strictly validated
-  /// first (FrameView::parse — reject-whole, identical acceptance to
-  /// decode_batch_frame), then its ObservationViews are routed into the
-  /// per-shard rings and folded by shard-local interned ingest.  Results are
+  /// first (FrameView::parse — reject-whole: a broken frame counts in
+  /// rejected_frames and adds nothing), then its ObservationViews are
+  /// routed into the per-shard rings and folded by shard-local interned
+  /// ingest.  Results are
   /// independent of scheduling: each shard sees exactly its observations in
   /// frame order.  Pools with fewer threads than shards (including
   /// zero-thread pools) run inline and serial.  Frames must stay alive for

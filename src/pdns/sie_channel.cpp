@@ -7,29 +7,9 @@ namespace nxd::pdns {
 
 namespace {
 
-// Wire constants live in frame_view.hpp, shared with the zero-copy decoder.
-// This codec stays a fully independent *implementation* so the seeded
-// differential fuzz suite compares two codepaths, not one with itself.
-constexpr std::uint32_t kFrameMagic = kSieFrameMagic;
-constexpr std::uint16_t kFrameVersion = kSieFrameVersion;
-constexpr std::uint64_t kTimeBias = kSieTimeBias;
-
 void put_u64(util::ByteWriter& w, std::uint64_t v) {
   w.u32(static_cast<std::uint32_t>(v >> 32));
   w.u32(static_cast<std::uint32_t>(v));
-}
-
-std::uint64_t get_u64(util::ByteReader& r) {
-  const std::uint64_t hi = r.u32();
-  return (hi << 32) | r.u32();
-}
-
-bool known_rcode(std::uint8_t v) {
-  return v <= static_cast<std::uint8_t>(dns::RCode::Refused);
-}
-
-bool known_sensor_class(std::uint8_t v) {
-  return v <= static_cast<std::uint8_t>(SensorClass::Research);
 }
 
 }  // namespace
@@ -37,8 +17,8 @@ bool known_sensor_class(std::uint8_t v) {
 std::vector<std::uint8_t> encode_batch_frame(
     std::span<const Observation> batch) {
   util::ByteWriter w;
-  w.u32(kFrameMagic);
-  w.u16(kFrameVersion);
+  w.u32(kSieFrameMagic);
+  w.u16(kSieFrameVersion);
   w.u32(static_cast<std::uint32_t>(batch.size()));
   for (const auto& obs : batch) {
     const std::string name = obs.name.to_string();
@@ -46,50 +26,11 @@ std::vector<std::uint8_t> encode_batch_frame(
     w.bytes(name);
     w.u16(static_cast<std::uint16_t>(obs.qtype));
     w.u8(static_cast<std::uint8_t>(obs.rcode));
-    put_u64(w, static_cast<std::uint64_t>(obs.when) + kTimeBias);
+    put_u64(w, static_cast<std::uint64_t>(obs.when) + kSieTimeBias);
     w.u8(static_cast<std::uint8_t>(obs.sensor.cls));
     w.u16(obs.sensor.index);
   }
   return std::move(w).take();
-}
-
-std::optional<std::vector<Observation>> decode_batch_frame(
-    std::span<const std::uint8_t> bytes) {
-  util::ByteReader r(bytes);
-  if (r.u32() != kFrameMagic) return std::nullopt;
-  if (r.u16() != kFrameVersion) return std::nullopt;
-  const std::uint32_t count = r.u32();
-  if (!r.ok()) return std::nullopt;
-
-  std::vector<Observation> out;
-  out.reserve(std::min<std::uint32_t>(count, 4096));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t name_len = r.u8();
-    const std::string name_text = r.str(name_len);
-    const std::uint16_t qtype = r.u16();
-    const std::uint8_t rcode = r.u8();
-    const std::uint64_t when = get_u64(r);
-    const std::uint8_t cls = r.u8();
-    const std::uint16_t index = r.u16();
-    if (!r.ok()) return std::nullopt;
-    if (!known_rcode(rcode) || !known_sensor_class(cls)) return std::nullopt;
-    auto name = dns::DomainName::parse(name_text);
-    if (!name) return std::nullopt;
-    // Canonical encoding only: re-serializing the parsed name must give the
-    // transmitted bytes (no case or trailing-dot aliases slip through).
-    if (name->to_string() != name_text) return std::nullopt;
-
-    Observation obs;
-    obs.name = std::move(*name);
-    obs.qtype = static_cast<dns::RRType>(qtype);
-    obs.rcode = static_cast<dns::RCode>(rcode);
-    obs.when = static_cast<util::SimTime>(when - kTimeBias);
-    obs.sensor.cls = static_cast<SensorClass>(cls);
-    obs.sensor.index = index;
-    out.push_back(std::move(obs));
-  }
-  if (!r.ok() || r.remaining() != 0) return std::nullopt;
-  return out;
 }
 
 SieChannel SieChannel::nxdomain_channel() {
@@ -103,24 +44,6 @@ bool SieChannel::publish(const Observation& obs) {
   ++forwarded_;
   for (const auto& subscriber : subscribers_) subscriber(obs);
   return true;
-}
-
-std::uint64_t SieChannel::publish_batch(std::span<const Observation> batch) {
-  std::uint64_t forwarded = 0;
-  for (const auto& obs : batch) {
-    if (publish(obs)) ++forwarded;
-  }
-  return forwarded;
-}
-
-std::uint64_t SieChannel::publish_frame(std::span<const std::uint8_t> frame) {
-  auto batch = decode_batch_frame(frame);
-  if (!batch) {
-    ++rejected_frames_;
-    return 0;
-  }
-  ++accepted_frames_;
-  return publish_batch(*batch);
 }
 
 }  // namespace nxd::pdns

@@ -7,7 +7,8 @@
 // channel into BigQuery.
 //
 // Remote sensors ship observations in *batch frames* (one syscall-sized
-// unit instead of one message per response).  Frames are decoded strictly:
+// unit instead of one message per response), encoded here.  Stores ingest
+// them through pdns::FrameView (frame_view.hpp), which validates strictly:
 // a frame that fails any structural check is dropped whole and counted —
 // partial ingest of a corrupted frame would double-count on retransmit, the
 // feed-plane analogue of accepting an NXDomain response without its SOA
@@ -16,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,15 +31,6 @@ namespace nxd::pdns {
 /// when u64 (biased by +2^62), sensor class u8, sensor index u16.
 std::vector<std::uint8_t> encode_batch_frame(
     std::span<const Observation> batch);
-
-/// Strict decode of one frame.  Rejects (nullopt): bad magic or version,
-/// truncated payload, trailing bytes, unparseable names, unknown rcode or
-/// sensor class.  All-or-nothing: no partial batch is ever returned.
-/// This is the allocating reference codec; the ingest hot path uses the
-/// zero-copy pdns::FrameView (frame_view.hpp), which accepts exactly the
-/// same frames (pinned by differential fuzz in tests/ingest_fastpath_test).
-std::optional<std::vector<Observation>> decode_batch_frame(
-    std::span<const std::uint8_t> bytes);
 
 class SieChannel {
  public:
@@ -58,21 +49,10 @@ class SieChannel {
   /// iff the filter admits it.  Returns true when forwarded.
   bool publish(const Observation& obs);
 
-  /// Publish a decoded batch; returns how many observations were forwarded.
-  std::uint64_t publish_batch(std::span<const Observation> batch);
-
-  /// Decode-and-publish one wire frame.  A frame that fails strict decoding
-  /// is rejected whole (counted in rejected_frames(), nothing reaches the
-  /// offered/forwarded counters or any subscriber).  Returns the number of
-  /// observations forwarded.
-  std::uint64_t publish_frame(std::span<const std::uint8_t> frame);
-
   int number() const noexcept { return number_; }
   const std::string& name() const noexcept { return name_; }
   std::uint64_t offered() const noexcept { return offered_; }
   std::uint64_t forwarded() const noexcept { return forwarded_; }
-  std::uint64_t accepted_frames() const noexcept { return accepted_frames_; }
-  std::uint64_t rejected_frames() const noexcept { return rejected_frames_; }
 
  private:
   int number_;
@@ -81,8 +61,6 @@ class SieChannel {
   std::vector<Subscriber> subscribers_;
   std::uint64_t offered_ = 0;
   std::uint64_t forwarded_ = 0;
-  std::uint64_t accepted_frames_ = 0;
-  std::uint64_t rejected_frames_ = 0;
 };
 
 }  // namespace nxd::pdns

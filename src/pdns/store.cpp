@@ -292,9 +292,4 @@ std::vector<std::pair<std::string, TldAggregate>> PassiveDnsStore::top_tlds(
   return out;
 }
 
-std::uint64_t PassiveDnsStore::monthly_nx(std::int64_t month_idx) const {
-  const auto it = monthly_nx_.find(month_idx);
-  return it == monthly_nx_.end() ? 0 : it->second;
-}
-
 }  // namespace nxd::pdns

@@ -223,7 +223,6 @@ class PassiveDnsStore {
   std::vector<std::pair<std::string, TldAggregate>> top_tlds(std::size_t k) const;
 
   // ---- per-month (Fig 3) --------------------------------------------------
-  std::uint64_t monthly_nx(std::int64_t month_idx) const;
   std::map<std::int64_t, std::uint64_t> monthly_nx_series() const {
     return monthly_nx_;
   }

@@ -90,8 +90,7 @@ class Wal {
   struct ReplayedBatch {
     std::uint64_t seq = 0;
     /// The raw SIE batch frame, strictly validated (FrameView::parse
-    /// accepted it) — apply it zero-copy or decode it with the reference
-    /// codec; both see identical observations.
+    /// accepted it), ready to apply zero-copy.
     std::vector<std::uint8_t> frame;
     std::uint32_t observations = 0;
     std::uint64_t segment = 0;  ///< index of the segment holding the record

@@ -18,8 +18,6 @@ bool Zone::add(dns::ResourceRecord rr) {
   return true;
 }
 
-void Zone::remove_name(const dns::DomainName& name) { nodes_.erase(name); }
-
 LookupResult Zone::lookup(const dns::DomainName& name, dns::RRType type) const {
   if (!name.is_subdomain_of(origin_)) {
     return LookupResult{LookupKind::NxDomain, {}};

@@ -57,10 +57,6 @@ class Zone {
   /// Returns false (and ignores the record) otherwise.
   bool add(dns::ResourceRecord rr);
 
-  /// Remove all records for a name (simulates domain takedown/expiry
-  /// propagation into the zone).
-  void remove_name(const dns::DomainName& name);
-
   LookupResult lookup(const dns::DomainName& name, dns::RRType type) const;
 
   /// Range proof for a name that does NOT exist in the zone: the adjacent

@@ -189,15 +189,4 @@ std::optional<SquatVerdict> SquatDetector::classify(
   return std::nullopt;
 }
 
-std::unordered_map<SquatType, std::uint64_t> SquatDetector::classify_corpus(
-    const std::vector<dns::DomainName>& names) const {
-  std::unordered_map<SquatType, std::uint64_t> counts;
-  for (const auto& name : names) {
-    if (const auto verdict = classify(name)) {
-      ++counts[verdict->type];
-    }
-  }
-  return counts;
-}
-
 }  // namespace nxd::squat

@@ -39,10 +39,6 @@ class SquatDetector {
   /// Classify one (registered-level) domain name.
   std::optional<SquatVerdict> classify(const dns::DomainName& name) const;
 
-  /// Classify a corpus; returns counts per squat type (Fig 7 shape).
-  std::unordered_map<SquatType, std::uint64_t> classify_corpus(
-      const std::vector<dns::DomainName>& names) const;
-
   const std::vector<Target>& targets() const noexcept { return targets_; }
 
  private:

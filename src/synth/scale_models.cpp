@@ -35,19 +35,6 @@ double MonthlyVolumeModel::expected(int year, unsigned month) {
   return (own + slope * t * 0.5) * 1e9;
 }
 
-std::map<std::int64_t, std::uint64_t> MonthlyVolumeModel::sample_series(
-    double scale, util::Rng& rng) {
-  std::map<std::int64_t, std::uint64_t> out;
-  for (int year = 2014; year <= 2022; ++year) {
-    for (unsigned month = 1; month <= 12; ++month) {
-      const std::int64_t idx =
-          static_cast<std::int64_t>(year) * 12 + static_cast<std::int64_t>(month) - 1;
-      out[idx] = rng.poisson(expected(year, month) * scale);
-    }
-  }
-  return out;
-}
-
 // ------------------------------------------------------------------- Fig 4
 
 const std::vector<TldShare>& TldModel::shares() {
@@ -121,18 +108,6 @@ std::vector<std::pair<int, double>> ExpiryWindowModel::expected_series() {
     out.emplace_back(day, expected(day));
   }
   return out;
-}
-
-int ExpiryWindowModel::spike_day() {
-  int best = 0;
-  double best_value = 0;
-  for (int day = 1; day <= 120; ++day) {
-    if (const double v = expected(day); v > best_value) {
-      best_value = v;
-      best = day;
-    }
-  }
-  return best;
 }
 
 // ----------------------------------------------------------- name material

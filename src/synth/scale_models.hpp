@@ -31,10 +31,6 @@ class MonthlyVolumeModel {
 
   /// Paper's per-year monthly averages (billions), 2014..2022.
   static const std::map<int, double>& yearly_average_billions();
-
-  /// Draw a Poisson-sampled series at `scale` (1e-9 => counts in the tens).
-  static std::map<std::int64_t, std::uint64_t> sample_series(double scale,
-                                                             util::Rng& rng);
 };
 
 // ------------------------------------------------------------------- Fig 4
@@ -83,9 +79,6 @@ class ExpiryWindowModel {
   static double expected(int day);
 
   static std::vector<std::pair<int, double>> expected_series();
-
-  /// Day offset with the maximum post-expiry expectation (the spike).
-  static int spike_day();
 };
 
 // ------------------------------------------- domain-name material for feeds

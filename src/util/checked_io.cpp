@@ -187,12 +187,6 @@ RecordScan scan_records(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-RecordScan scan_records_file(const std::string& path) {
-  const auto bytes = read_file(path);
-  if (!bytes) return {};
-  return scan_records(*bytes);
-}
-
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;

@@ -171,7 +171,6 @@ struct RecordScan {
 };
 
 RecordScan scan_records(std::span<const std::uint8_t> bytes);
-RecordScan scan_records_file(const std::string& path);
 
 /// Read a whole file; nullopt when it cannot be opened.
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);

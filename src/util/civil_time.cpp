@@ -35,22 +35,9 @@ CivilDate from_day(Day z) noexcept {
   return CivilDate{y + (month <= 2 ? 1 : 0), month, day};
 }
 
-std::string format_date(Day z) {
-  const CivilDate d = from_day(z);
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%04d-%02u-%02u", d.year, d.month, d.day);
-  return buf;
-}
-
 std::int64_t month_index(Day z) noexcept {
   const CivilDate d = from_day(z);
   return static_cast<std::int64_t>(d.year) * 12 + static_cast<std::int64_t>(d.month) - 1;
-}
-
-Day month_start(std::int64_t month_idx) noexcept {
-  const int year = static_cast<int>(month_idx / 12);
-  const auto month = static_cast<unsigned>(month_idx % 12 + 1);
-  return to_day(CivilDate{year, month, 1});
 }
 
 std::string format_month(std::int64_t month_idx) {

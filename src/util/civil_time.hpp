@@ -34,15 +34,9 @@ Day to_day(const CivilDate& d) noexcept;
 /// to that bound, so any Day, even from outside input, yields a valid date.
 CivilDate from_day(Day z) noexcept;
 
-/// "YYYY-MM-DD".
-std::string format_date(Day z);
-
 /// Month index since 1970-01 (year*12 + month-1 shifted); convenient key for
 /// per-month aggregation across the paper's 2014-2022 window.
 std::int64_t month_index(Day z) noexcept;
-
-/// First day of the given month index.
-Day month_start(std::int64_t month_idx) noexcept;
 
 /// "YYYY-MM" label for a month index.
 std::string format_month(std::int64_t month_idx);

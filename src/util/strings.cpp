@@ -75,47 +75,6 @@ bool ends_with(std::string_view s, std::string_view suffix) noexcept {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-std::size_t edit_distance(std::string_view a, std::string_view b,
-                          std::size_t bound) {
-  if (bound >= SIZE_MAX - 1) bound = SIZE_MAX - 2;  // keep bound+1 well-defined
-  if (a.size() > b.size()) std::swap(a, b);
-  const std::size_t gap = b.size() - a.size();
-  if (gap > bound) return bound + 1;
-
-  std::vector<std::size_t> prev(a.size() + 1), cur(a.size() + 1);
-  for (std::size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-
-  for (std::size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    std::size_t row_min = cur[0];
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-      const std::size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-      row_min = std::min(row_min, cur[i]);
-    }
-    if (row_min > bound) return bound + 1;
-    std::swap(prev, cur);
-  }
-  return std::min(prev[a.size()], bound + 1);
-}
-
-std::size_t damerau_distance(std::string_view a, std::string_view b) {
-  const std::size_t n = a.size(), m = b.size();
-  std::vector<std::vector<std::size_t>> d(n + 1, std::vector<std::size_t>(m + 1));
-  for (std::size_t i = 0; i <= n; ++i) d[i][0] = i;
-  for (std::size_t j = 0; j <= m; ++j) d[0][j] = j;
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      const std::size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost});
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
-      }
-    }
-  }
-  return d[n][m];
-}
-
 bool is_one_edit(std::string_view a, std::string_view b) noexcept {
   if (a.size() > b.size()) std::swap(a, b);
   if (b.size() - a.size() > 1) return false;

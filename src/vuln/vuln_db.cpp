@@ -72,10 +72,6 @@ std::vector<Advisory> VulnDb::advisories(std::string_view filename) const {
   return it->second;
 }
 
-bool has_query_string(std::string_view uri) noexcept {
-  return uri.find('?') != std::string_view::npos;
-}
-
 VulnDb VulnDb::with_defaults() {
   VulnDb db;
   // The two files the paper calls out explicitly (§6.2/§6.3), plus the

@@ -73,8 +73,4 @@ class VulnDb {
   std::unordered_map<std::string, std::vector<Advisory>> files_;
 };
 
-/// Whether the URI carries a query string — "these additional query
-/// parameters can be utilized for malicious activities" (§6.2).
-bool has_query_string(std::string_view uri) noexcept;
-
 }  // namespace nxd::vuln

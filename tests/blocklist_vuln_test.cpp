@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "blocklist/blocklist.hpp"
-#include "blocklist/rate_limiter.hpp"
+#include "util/token_bucket.hpp"
 #include "vuln/vuln_db.hpp"
 
 namespace nxd {
@@ -12,7 +12,7 @@ namespace {
 using blocklist::Blocklist;
 using blocklist::RateLimitedClient;
 using blocklist::ThreatCategory;
-using blocklist::TokenBucket;
+using util::TokenBucket;
 using dns::DomainName;
 
 // ------------------------------------------------------------ TokenBucket
@@ -145,11 +145,6 @@ TEST(VulnDb, HighestSeverityWins) {
   EXPECT_EQ(db.file_severity("multi.php"), vuln::Severity::Critical);
   EXPECT_EQ(db.advisories("multi.php").size(), 2u);
   EXPECT_EQ(db.file_severity("unknown.php"), vuln::Severity::None);
-}
-
-TEST(VulnDb, QueryStringDetection) {
-  EXPECT_TRUE(vuln::has_query_string("/getTask.php?imei=x"));
-  EXPECT_FALSE(vuln::has_query_string("/plain/path"));
 }
 
 }  // namespace

@@ -249,15 +249,5 @@ TEST(Attribution, OutsideWindowUnattributed) {
       attributor.attribute(DomainName::must("wikipedia.org")).has_value());
 }
 
-TEST(Attribution, CorpusBreakdown) {
-  const auto families = dga::all_families();
-  dga::FamilyAttributor attributor(families, 19'000, 19'001, 60);
-  std::vector<DomainName> corpus = families[1]->generate(19'000, 30);
-  corpus.push_back(DomainName::must("plain-site.com"));
-  const auto breakdown = attributor.attribute_corpus(corpus);
-  EXPECT_EQ(breakdown.at("kraken-style"), 30u);
-  EXPECT_EQ(breakdown.at("unattributed"), 1u);
-}
-
 }  // namespace
 }  // namespace nxd

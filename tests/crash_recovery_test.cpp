@@ -274,7 +274,9 @@ TEST(CheckedIo, WriterScanRoundTrip) {
   ASSERT_TRUE(writer->close());
   EXPECT_FALSE(writer->append_record(bytes_of("after close")));
 
-  const auto scan = util::scan_records_file(path);
+  const auto bytes = util::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  const auto scan = util::scan_records(*bytes);
   ASSERT_EQ(scan.records.size(), 3u);
   EXPECT_EQ(scan.records[0], bytes_of("alpha"));
   EXPECT_EQ(scan.records[1], bytes_of(""));

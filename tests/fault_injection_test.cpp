@@ -266,7 +266,8 @@ TEST(FaultWindow, TimedOutageViaNetworkClock) {
   util::SimClock clock;
   network.set_clock(&clock);
   FaultPlan plan(5);
-  plan.add_total_outage(1'000, 2'000);
+  // A cold cache starts every resolution at the root.
+  plan.add_outage(resolver::HierarchyEndpoints{}.root, 1'000, 2'000);
   network.set_fault_plan(std::move(plan));
   hierarchy.attach(network);
 

@@ -15,17 +15,22 @@
 #include <vector>
 
 #include "dns/message.hpp"
+#include "frame_oracle.hpp"
 #include "honeypot/http.hpp"
 #include "honeypot/server.hpp"
 #include "net/fault.hpp"
 #include "net/sim_network.hpp"
 #include "resolver/rrl.hpp"
 #include "squat/detector.hpp"
+#include "pdns/frame_view.hpp"
+#include "pdns/sharded_store.hpp"
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
 #include "pdns/store.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/worker_pool.hpp"
+#include "wire_name.hpp"
 
 namespace nxd {
 namespace {
@@ -89,7 +94,7 @@ TEST_P(DnsFuzz, RandomMessagesRoundTrip) {
       }
       labels.push_back(std::move(label));
     }
-    return *dns::DomainName::from_labels(std::move(labels));
+    return *test::name_from_labels(labels);
   };
 
   for (int iteration = 0; iteration < 500; ++iteration) {
@@ -339,7 +344,7 @@ TEST_P(DnsFuzz, EncodeMatchesReferenceCompressor) {
       }
       labels.push_back(std::move(label));
     }
-    return *dns::DomainName::from_labels(std::move(labels));
+    return *test::name_from_labels(labels);
   };
   auto random_rr = [&]() -> dns::ResourceRecord {
     const auto owner = random_name();
@@ -551,18 +556,21 @@ TEST_P(FrameFuzz, RandomBytesNeverCrash) {
   for (int iteration = 0; iteration < 2'000; ++iteration) {
     std::vector<std::uint8_t> soup(rng.bounded(512));
     for (auto& b : soup) b = static_cast<std::uint8_t>(rng.next());
-    const auto decoded = pdns::decode_batch_frame(soup);
+    const auto decoded = oracle::decode_batch_frame(soup);
+    const auto view = pdns::FrameView::parse(soup);
+    ASSERT_EQ(decoded.has_value(), view.has_value());
     if (decoded) {
       // Anything accepted must survive encode -> decode unchanged.
+      EXPECT_EQ(view->size(), decoded->size());
       EXPECT_EQ(pdns::encode_batch_frame(*decoded), soup);
     }
   }
 }
 
-// The feed-plane invariant: a mutated frame is either rejected whole (the
-// channel counts the rejection and nothing reaches any subscriber) or it
-// decodes to a well-formed batch that is counted exactly once.  No partial
-// ingest, no double counting, no crash.
+// The feed-plane invariant, through the production ingest entry: a mutated
+// frame is either rejected whole (counted, and nothing reaches the store) or
+// it decodes to a well-formed batch that is counted exactly once.  No
+// partial ingest, no double counting, no crash.
 TEST_P(FrameFuzz, MutatedFramesRejectWholeOrCountExactly) {
   util::Rng rng(GetParam() ^ 0xf4a3e);
   std::vector<pdns::Observation> batch;
@@ -576,6 +584,7 @@ TEST_P(FrameFuzz, MutatedFramesRejectWholeOrCountExactly) {
     batch.push_back(obs);
   }
   const auto wire = pdns::encode_batch_frame(batch);
+  util::WorkerPool inline_pool(0);
 
   for (int iteration = 0; iteration < 4'000; ++iteration) {
     auto mutated = wire;
@@ -595,32 +604,26 @@ TEST_P(FrameFuzz, MutatedFramesRejectWholeOrCountExactly) {
       }
     }
 
-    auto channel = pdns::SieChannel::nxdomain_channel();
-    pdns::PassiveDnsStore store;
-    std::uint64_t delivered = 0;
-    channel.subscribe([&](const pdns::Observation& obs) {
-      ++delivered;
-      store.ingest(obs);
-    });
-    const auto forwarded = channel.publish_frame(mutated);
+    pdns::ShardedStore store(1);
+    const std::span<const std::uint8_t> frames[] = {mutated};
+    const auto stats = store.ingest_frames(frames, inline_pool);
+    const auto decoded = oracle::decode_batch_frame(mutated);
 
-    if (channel.rejected_frames() == 1) {
+    if (stats.rejected_frames == 1) {
       // Rejected whole: the frame contributed nothing anywhere.
-      EXPECT_EQ(forwarded, 0u);
-      EXPECT_EQ(channel.accepted_frames(), 0u);
-      EXPECT_EQ(channel.offered(), 0u);
-      EXPECT_EQ(delivered, 0u);
+      EXPECT_FALSE(decoded.has_value());
+      EXPECT_EQ(stats.accepted_frames, 0u);
+      EXPECT_EQ(stats.observations, 0u);
       EXPECT_EQ(store.total_observations(), 0u);
     } else {
       // Accepted: counted exactly once, end to end.
-      ASSERT_EQ(channel.accepted_frames(), 1u);
-      const auto decoded = pdns::decode_batch_frame(mutated);
+      ASSERT_EQ(stats.accepted_frames, 1u);
       ASSERT_TRUE(decoded.has_value());
-      EXPECT_EQ(channel.offered(), decoded->size());
-      EXPECT_EQ(forwarded, channel.forwarded());
-      EXPECT_EQ(delivered, channel.forwarded());
-      EXPECT_EQ(store.total_observations(), channel.forwarded());
-      EXPECT_LE(channel.forwarded(), channel.offered());
+      EXPECT_EQ(stats.observations, decoded->size());
+      EXPECT_EQ(store.total_observations(), decoded->size());
+      pdns::PassiveDnsStore expect;
+      for (const auto& obs : *decoded) expect.ingest(obs);
+      EXPECT_EQ(pdns::save_snapshot(store.shard(0)), pdns::save_snapshot(expect));
     }
   }
 }

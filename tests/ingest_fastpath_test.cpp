@@ -1,8 +1,8 @@
 // Zero-copy ingest fast path: SPSC ring semantics, differential fuzz of the
-// zero-copy frame decoder against the allocating reference codec, fast-path
-// vs serial snapshot byte-identity across seeds x shards x batch splits, and
-// intern-table invariants (id<->name round trips across growth and copies,
-// exact hit/miss reconciliation).
+// zero-copy frame decoder against the allocating reference decoder
+// (frame_oracle.hpp), fast-path vs serial snapshot byte-identity across
+// seeds x shards x batch splits, and intern-table invariants (id<->name
+// round trips across growth and copies, exact hit/miss reconciliation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dns/name.hpp"
+#include "frame_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "pdns/durable_store.hpp"
 #include "pdns/frame_view.hpp"
@@ -173,10 +174,10 @@ TEST(SpscRing, CloseRacingProducerStillDrains) {
 
 // ----------------------------------------------------- FrameView: parity
 
-/// Assert FrameView and decode_batch_frame agree on accept/reject, and on
+/// Assert FrameView and the reference decoder agree on accept/reject, and on
 /// every decoded field when both accept.
 void expect_decoder_parity(std::span<const std::uint8_t> bytes) {
-  const auto reference = pdns::decode_batch_frame(bytes);
+  const auto reference = oracle::decode_batch_frame(bytes);
   const auto fast = pdns::FrameView::parse(bytes);
   ASSERT_EQ(reference.has_value(), fast.has_value())
       << "decoders disagree on acceptance";
@@ -380,7 +381,7 @@ TEST(FastPathDifferential, RejectedFrameLeavesStoreUntouched) {
   pdns::PassiveDnsStore expect;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     if (f == 1) continue;
-    const auto decoded = pdns::decode_batch_frame(frames[f]);
+    const auto decoded = oracle::decode_batch_frame(frames[f]);
     ASSERT_TRUE(decoded.has_value());
     for (const auto& obs : *decoded) expect.ingest(obs);
   }

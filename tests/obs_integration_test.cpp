@@ -1,7 +1,8 @@
 // Cross-module observability tests: every instrumented layer bound to ONE
 // shared MetricsRegistry (and, where spans matter, one SpanTracer), then
-//   * the honeypot's admin-gated GET /metrics endpoint serves valid
-//     Prometheus text spanning pdns/resolver/honeypot/net,
+//   * the shared registry renders valid Prometheus text spanning
+//     pdns/resolver/honeypot/net, and a /metrics probe at the honeypot is
+//     ordinary visitor traffic,
 //   * the legacy stats structs (RecursiveStats, RrlStats, OverloadStats,
 //     recorder totals) agree exactly with the registry,
 //   * binding mid-run carries every component's private counts, gauges and
@@ -12,7 +13,7 @@
 //     the ring wrapped, and the span export is byte-deterministic under a
 //     fixed seed,
 //   * the offline snapshot-text path (`nxdtool metrics`) re-renders the same
-//     exposition bytes as the live endpoint.
+//     exposition bytes as the live registry.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -65,12 +66,6 @@ net::SimPacket http_packet(const std::string& payload, std::uint8_t src_octet,
   packet.dst = net::Endpoint{dns::IPv4::from_octets(203, 0, 113, 1), 80};
   packet.payload.assign(payload.begin(), payload.end());
   return packet;
-}
-
-std::string body_of(const std::vector<std::uint8_t>& wire) {
-  const std::string text(wire.begin(), wire.end());
-  const auto split = text.find("\r\n\r\n");
-  return split == std::string::npos ? "" : text.substr(split + 4);
 }
 
 std::string status_line(const std::vector<std::uint8_t>& wire) {
@@ -227,21 +222,11 @@ struct ObservedWorld {
   }
 };
 
-TEST(ObsIntegration, MetricsEndpointServesWholePipeline) {
+TEST(ObsIntegration, ExpositionSpansWholePipeline) {
   ObservedWorld world(7);
   world.run(400);
-  world.honeypot->expose_metrics(&world.registry, "s3cret");
-  const std::uint64_t records_before = world.recorder.total();
 
-  const std::string scrape =
-      "GET /metrics HTTP/1.1\r\nHost: obs-demo.com\r\nx-nxd-admin: s3cret\r\n\r\n";
-  const auto reply = world.honeypot->handle_packet(http_packet(scrape, 9), 1000);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(status_line(*reply), "HTTP/1.1 200 OK");
-  // Admin scrapes never enter the capture corpus.
-  EXPECT_EQ(world.recorder.total(), records_before);
-
-  const std::string body = body_of(*reply);
+  const std::string body = obs::render_prometheus(world.registry);
   std::set<std::string> names;
   bool saw_pdns = false, saw_resolver = false, saw_honeypot = false,
        saw_net = false;
@@ -282,30 +267,10 @@ TEST(ObsIntegration, MetricsEndpointServesWholePipeline) {
   EXPECT_TRUE(saw_net);
 }
 
-TEST(ObsIntegration, MetricsEndpointIsAdminGated) {
+TEST(ObsIntegration, MetricsProbeIsVisitorTraffic) {
   ObservedWorld world(7);
-  world.honeypot->expose_metrics(&world.registry, "s3cret");
-
-  // Wrong token: falls through to the ordinary path — recorded, 404.
-  const std::string bad =
-      "GET /metrics HTTP/1.1\r\nHost: obs-demo.com\r\nx-nxd-admin: nope\r\n\r\n";
-  auto reply = world.honeypot->handle_packet(http_packet(bad, 1), 5);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(status_line(*reply), "HTTP/1.1 404 Not Found");
-  EXPECT_EQ(world.recorder.total(), 1u);
-
-  // Missing token: same.
-  const std::string missing =
-      "GET /metrics HTTP/1.1\r\nHost: obs-demo.com\r\n\r\n";
-  reply = world.honeypot->handle_packet(http_packet(missing, 2), 6);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(status_line(*reply), "HTTP/1.1 404 Not Found");
-  EXPECT_EQ(world.recorder.total(), 2u);
-}
-
-TEST(ObsIntegration, MetricsEndpointDefaultsOff) {
-  ObservedWorld world(7);
-  // No expose_metrics(): a /metrics probe is just another visitor request.
+  // The honeypot serves no operator endpoint: a /metrics probe, token or
+  // not, is recorded and answered like any other visitor request.
   const std::string scrape =
       "GET /metrics HTTP/1.1\r\nHost: obs-demo.com\r\nx-nxd-admin: s3cret\r\n\r\n";
   const auto reply = world.honeypot->handle_packet(http_packet(scrape, 1), 5);

@@ -2,6 +2,9 @@
 // sampling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "pdns/observation.hpp"
 #include "pdns/sampler.hpp"
 #include "pdns/sie_channel.hpp"
@@ -80,9 +83,9 @@ TEST(Store, MonthlySeries) {
   store.ingest(nx_obs("a.com", jan));
   store.ingest(nx_obs("b.com", jan + 1));
   store.ingest(nx_obs("c.com", feb));
-  EXPECT_EQ(store.monthly_nx(util::month_index(jan)), 2u);
-  EXPECT_EQ(store.monthly_nx(util::month_index(feb)), 1u);
-  EXPECT_EQ(store.monthly_nx(0), 0u);
+  const std::map<std::int64_t, std::uint64_t> want = {
+      {util::month_index(jan), 2}, {util::month_index(feb), 1}};
+  EXPECT_EQ(store.monthly_nx_series(), want);
 }
 
 TEST(Store, TldIndex) {

@@ -1,5 +1,5 @@
-// Tests for the persistence & market extensions: pdns snapshots, the
-// drop-catch market, honeypot routes, and the Markdown report.
+// Tests for persistence and reporting: pdns snapshots, the durable store's
+// directory handling, and the Markdown report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 
 #include "analysis/report.hpp"
 #include "analysis/scale.hpp"
-#include "honeypot/server.hpp"
 #include "pdns/durable_store.hpp"
 #include "pdns/sie_channel.hpp"
 #include "pdns/snapshot.hpp"
@@ -20,7 +19,6 @@
 #include "synth/scale_models.hpp"
 #include "util/bytes.hpp"
 #include "util/checked_io.hpp"
-#include "whois/dropcatch.hpp"
 
 namespace nxd {
 namespace {
@@ -388,116 +386,6 @@ TEST(DurableStore, OverflowingFileNumbersAreNotStoreFiles) {
   EXPECT_EQ(reopened->committed_batches(), 1u);
   EXPECT_EQ(reopened->materialize().nx_responses(), 1u);
   std::filesystem::remove_all(dir);
-}
-
-// -------------------------------------------------------------- drop-catch
-
-TEST(DropCatch, PopularDomainsCaughtInstantlyQuietOnesDrop) {
-  whois::LifecycleEngine engine;
-  // Traffic oracle: hot.com is heavily queried, cold.com barely.
-  auto oracle = [](const DomainName& domain) -> std::uint64_t {
-    return domain.to_string() == "hot.com" ? 1'000'000 : 10;
-  };
-  whois::DropCatchConfig config;
-  config.seed = 4;
-  whois::DropCatchMarket market(engine, oracle, config);
-  engine.set_sink([&market](const whois::LifecycleEvent& event) {
-    market.on_event(event);
-  });
-
-  engine.register_domain(DomainName::must("hot.com"), 0, "godaddy", 365);
-  engine.register_domain(DomainName::must("cold.com"), 0, "godaddy", 365);
-  engine.advance_to(365 + 100);  // through the whole ERRP pipeline
-
-  // hot.com: backordered in RGP, re-registered the drop day.
-  ASSERT_EQ(market.catches().size(), 1u);
-  EXPECT_EQ(market.catches()[0].domain.to_string(), "hot.com");
-  EXPECT_EQ(market.catches()[0].caught_on, 365 + 80);  // ERRP drop day
-  EXPECT_EQ(engine.status(DomainName::must("hot.com")), whois::Status::Active);
-  EXPECT_EQ(engine.record(DomainName::must("hot.com"))->registrar, "dropcatch");
-
-  // cold.com: below min volume, never backordered, stays dropped.
-  EXPECT_EQ(engine.status(DomainName::must("cold.com")),
-            whois::Status::Dropped);
-}
-
-TEST(DropCatch, RestoreCancelsBackorder) {
-  whois::LifecycleEngine engine;
-  auto oracle = [](const DomainName&) -> std::uint64_t { return 1'000'000; };
-  whois::DropCatchMarket market(engine, oracle);
-  engine.set_sink([&market](const whois::LifecycleEvent& event) {
-    market.on_event(event);
-  });
-
-  const auto domain = DomainName::must("saved.com");
-  engine.register_domain(domain, 0, "godaddy", 365);
-  engine.advance_to(365 + 50);  // in RGP; backorder placed
-  EXPECT_TRUE(market.has_backorder(domain));
-  engine.renew(domain, 365 + 50, 365);  // owner restores
-  EXPECT_FALSE(market.has_backorder(domain));
-  engine.advance_to(365 + 200);
-  EXPECT_TRUE(market.catches().empty());
-}
-
-TEST(DropCatch, CatchProbabilityScalesWithTraffic) {
-  // Statistical: with half_volume = 2000, a 2000-query domain is caught
-  // about half the time across many trials.
-  int caught = 0;
-  const int trials = 300;
-  for (int t = 0; t < trials; ++t) {
-    whois::LifecycleEngine engine;
-    auto oracle = [](const DomainName&) -> std::uint64_t { return 2'000; };
-    whois::DropCatchConfig config;
-    config.seed = static_cast<std::uint64_t>(t) + 1;
-    whois::DropCatchMarket market(engine, oracle, config);
-    engine.set_sink([&market](const whois::LifecycleEvent& event) {
-      market.on_event(event);
-    });
-    engine.register_domain(DomainName::must("mid.com"), 0, "r", 100);
-    engine.advance_to(400);
-    if (!market.catches().empty()) ++caught;
-  }
-  EXPECT_NEAR(static_cast<double>(caught) / trials, 0.5, 0.12);
-}
-
-// ------------------------------------------------------------------ routes
-
-TEST(HoneypotRoutes, CustomRouteServedBeforeDefaults) {
-  honeypot::TrafficRecorder recorder;
-  honeypot::NxdHoneypot pot({.domain = "gpclick.com"}, recorder);
-  honeypot::HttpResponse tasks;
-  tasks.headers["content-type"] = "application/json";
-  tasks.body = "{\"tasks\":[]}";
-  pot.set_route("/getTask.php", tasks);
-  EXPECT_EQ(pot.route_count(), 1u);
-
-  net::SimNetwork network;
-  util::SimClock clock(0);
-  const auto host = *dns::IPv4::parse("203.0.113.20");
-  pot.attach(network, host, clock);
-
-  net::SimPacket packet;
-  packet.protocol = net::Protocol::TCP;
-  packet.src = net::Endpoint{*dns::IPv4::parse("198.18.1.1"), 40000};
-  packet.dst = net::Endpoint{host, 80};
-  const std::string beacon =
-      "GET /getTask.php?imei=35&phone=%2B15550001 HTTP/1.1\r\n"
-      "host: gpclick.com\r\n\r\n";
-  packet.payload.assign(beacon.begin(), beacon.end());
-
-  const auto reply = network.send(packet);
-  ASSERT_TRUE(reply.has_value());
-  const std::string text(reply->begin(), reply->end());
-  EXPECT_NE(text.find("200 OK"), std::string::npos);
-  EXPECT_NE(text.find("{\"tasks\":[]}"), std::string::npos);
-
-  // Unrouted sensitive path still 404s.
-  const std::string probe = "GET /wp-login.php HTTP/1.1\r\nhost: gpclick.com\r\n\r\n";
-  packet.payload.assign(probe.begin(), probe.end());
-  const auto not_found = network.send(packet);
-  ASSERT_TRUE(not_found.has_value());
-  EXPECT_NE(std::string(not_found->begin(), not_found->end()).find("404"),
-            std::string::npos);
 }
 
 // ------------------------------------------------------------------ report

@@ -8,12 +8,15 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/scale.hpp"
+#include "frame_oracle.hpp"
+#include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
 #include "pdns/sharded_store.hpp"
 #include "pdns/sie_channel.hpp"
@@ -210,24 +213,27 @@ TEST(MergeEquivalence, AbsorbCorrectsOverlappingDistinctCounts) {
 
 // ------------------------------------------------------- fold exactness
 
-TEST(FoldExactness, ScaleSummariesFoldToMergedSummary) {
+TEST(FoldExactness, ShardSummariesSumToMergedSummary) {
+  // Registered-domain routing partitions the names, so every per-shard
+  // summary count, distinct names included, sums exactly to the merged one.
   const auto stream = seeded_stream(42, 1e-7);
   util::WorkerPool pool(4);
   pdns::ShardedStore sharded(4);
   ingest_stream(sharded, stream, pool);
 
-  std::vector<analysis::ScaleSummary> parts;
+  analysis::ScaleSummary summed;
   for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
-    parts.push_back(analysis::ScaleAnalysis(sharded.shard(i)).summary());
+    const auto part = analysis::ScaleAnalysis(sharded.shard(i)).summary();
+    summed.nx_responses += part.nx_responses;
+    summed.distinct_nxdomains += part.distinct_nxdomains;
+    summed.servfail_responses += part.servfail_responses;
   }
-  const auto folded = analysis::fold_summaries(parts);
 
   const auto merged = sharded.merge();
   const auto whole = analysis::ScaleAnalysis(merged).summary();
-  EXPECT_EQ(folded.nx_responses, whole.nx_responses);
-  EXPECT_EQ(folded.distinct_nxdomains, whole.distinct_nxdomains);
-  EXPECT_EQ(folded.servfail_responses, whole.servfail_responses);
-  EXPECT_DOUBLE_EQ(folded.responses_per_nxdomain, whole.responses_per_nxdomain);
+  EXPECT_EQ(summed.nx_responses, whole.nx_responses);
+  EXPECT_EQ(summed.distinct_nxdomains, whole.distinct_nxdomains);
+  EXPECT_EQ(summed.servfail_responses, whole.servfail_responses);
 }
 
 TEST(FoldExactness, RecursiveStatsSumFieldwise) {
@@ -271,7 +277,7 @@ TEST(BatchFrames, EncodeDecodeRoundTrip) {
     batch.push_back(obs);
   }
   const auto frame = pdns::encode_batch_frame(batch);
-  const auto decoded = pdns::decode_batch_frame(frame);
+  const auto decoded = oracle::decode_batch_frame(frame);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -283,67 +289,53 @@ TEST(BatchFrames, EncodeDecodeRoundTrip) {
   }
 }
 
-TEST(BatchFrames, PublishFrameMatchesPerObservationPublish) {
-  const auto stream = seeded_stream(3, 5e-8);
-  pdns::PassiveDnsStore via_frames;
-  auto channel_a = pdns::SieChannel::nxdomain_channel();
-  channel_a.subscribe([&](const pdns::Observation& o) { via_frames.ingest(o); });
-  // Ship the stream as frames of 500.
-  std::uint64_t forwarded = 0;
-  for (std::size_t i = 0; i < stream.size(); i += 500) {
-    const auto n = std::min<std::size_t>(500, stream.size() - i);
-    const auto frame =
-        pdns::encode_batch_frame(std::span(stream).subspan(i, n));
-    forwarded += channel_a.publish_frame(frame);
-  }
-  EXPECT_EQ(channel_a.rejected_frames(), 0u);
-  EXPECT_GT(channel_a.accepted_frames(), 0u);
-
-  pdns::PassiveDnsStore via_publish;
-  auto channel_b = pdns::SieChannel::nxdomain_channel();
-  channel_b.subscribe([&](const pdns::Observation& o) { via_publish.ingest(o); });
-  for (const auto& obs : stream) channel_b.publish(obs);
-
-  EXPECT_EQ(forwarded, channel_b.forwarded());
-  EXPECT_EQ(channel_a.offered(), channel_b.offered());
-  EXPECT_EQ(pdns::save_snapshot(via_frames), pdns::save_snapshot(via_publish));
-}
-
+// Both ingest entries refuse a broken frame whole: ShardedStore counts it
+// and adds nothing, DurableStore hands back ticket 0 and logs nothing.
 TEST(BatchFrames, RejectsStructurallyBrokenFrames) {
   const std::vector<pdns::Observation> batch = {nx_obs("a.com", 1)};
-  auto frame = pdns::encode_batch_frame(batch);
-
-  auto channel = pdns::SieChannel::nxdomain_channel();
-  std::uint64_t delivered = 0;
-  channel.subscribe([&](const pdns::Observation&) { ++delivered; });
-
+  const auto frame = pdns::encode_batch_frame(batch);
   auto bad_magic = frame;
   bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(channel.publish_frame(bad_magic), 0u);
-
   auto truncated = frame;
   truncated.pop_back();
-  EXPECT_EQ(channel.publish_frame(truncated), 0u);
-
   auto trailing = frame;
   trailing.push_back(0);
-  EXPECT_EQ(channel.publish_frame(trailing), 0u);
+  const std::vector<std::span<const std::uint8_t>> broken = {
+      bad_magic, truncated, trailing};
 
-  EXPECT_EQ(channel.rejected_frames(), 3u);
-  EXPECT_EQ(channel.accepted_frames(), 0u);
-  EXPECT_EQ(channel.offered(), 0u);
-  EXPECT_EQ(delivered, 0u);
+  util::WorkerPool pool(2);
+  pdns::ShardedStore sharded(2);
+  ingest_stream(sharded, seeded_stream(22, 2e-9), pool);
+  const auto before = pdns::save_snapshot(sharded.merge());
+  const auto stats = sharded.ingest_frames(broken, pool);
+  EXPECT_EQ(stats.rejected_frames, 3u);
+  EXPECT_EQ(stats.accepted_frames, 0u);
+  EXPECT_EQ(stats.observations, 0u);
+  EXPECT_EQ(pdns::save_snapshot(sharded.merge()), before);
+  // The pristine frame still ingests after all that rejection.
+  const std::span<const std::uint8_t> pristine[] = {frame};
+  EXPECT_EQ(sharded.ingest_frames(pristine, pool).accepted_frames, 1u);
 
-  // The pristine frame still decodes after all that rejection.
-  EXPECT_EQ(channel.publish_frame(frame), 1u);
-  EXPECT_EQ(channel.accepted_frames(), 1u);
-  EXPECT_EQ(delivered, 1u);
+  const auto dir = (std::filesystem::temp_directory_path() /
+                    "nxd_sharded_broken_frames")
+                       .string();
+  std::filesystem::remove_all(dir);
+  {
+    auto store = pdns::DurableStore::open(dir, {});
+    ASSERT_TRUE(store.has_value() && store->ok());
+    for (const auto bad : broken) EXPECT_EQ(store->submit_frame(bad), 0u);
+    EXPECT_EQ(store->committed_batches(), 0u);
+    EXPECT_TRUE(store->wait_batch(store->submit_frame(frame)));
+    EXPECT_EQ(store->committed_batches(), 1u);
+    EXPECT_EQ(store->materialize().total_observations(), 1u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BatchFrames, ShardedFrameIngestMatchesSerialStore) {
   // Golden check for the zero-copy frame front end: frames routed through
   // ShardedStore::ingest_frames and merged must be byte-identical to a
-  // serial PassiveDnsStore fed the same stream.
+  // serial PassiveDnsStore fed the same stream one observation at a time.
   const auto stream = seeded_stream(21, 5e-8);
   std::vector<std::vector<std::uint8_t>> frames;
   for (std::size_t i = 0; i < stream.size(); i += 777) {

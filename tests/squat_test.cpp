@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
+#include <utility>
 
+#include "damerau_oracle.hpp"
 #include "dns/punycode.hpp"
 #include "squat/detector.hpp"
 #include "squat/generators.hpp"
@@ -30,7 +33,7 @@ TEST(TypoGenerator, AllCandidatesWithinDamerauOne) {
   const auto candidates = generate_typos(target);
   ASSERT_FALSE(candidates.empty());
   for (const auto& name : candidates) {
-    EXPECT_LE(util::damerau_distance(name.sld(), "google"), 1u)
+    EXPECT_LE(oracle::damerau_distance(name.sld(), "google"), 1u)
         << name.to_string();
     EXPECT_NE(name.sld(), "google");
     EXPECT_EQ(name.tld(), "com");
@@ -231,21 +234,22 @@ TEST(Detector, PaperExampleTwitterSupport) {
   EXPECT_EQ(verdict->target.to_string(), "twitter.com");
 }
 
-TEST(Detector, ClassifyCorpusCounts) {
+TEST(Detector, ClassifiesOneNameOfEachType) {
   const SquatDetector detector = SquatDetector::with_defaults();
-  std::vector<dns::DomainName> corpus = {
-      dns::DomainName::must("gogle.com"),        // typo
-      dns::DomainName::must("paypal-login.com"), // combo
-      dns::DomainName::must("wwwgoogle.com"),    // dot
-      dns::DomainName::must("g0ogle.com"),       // homo
-      dns::DomainName::must("benign-site.org"),  // none
+  const std::pair<const char*, std::optional<SquatType>> cases[] = {
+      {"gogle.com", SquatType::Typo},
+      {"paypal-login.com", SquatType::Combo},
+      {"wwwgoogle.com", SquatType::Dot},
+      {"g0ogle.com", SquatType::Homo},
+      {"benign-site.org", std::nullopt},
   };
-  const auto counts = detector.classify_corpus(corpus);
-  EXPECT_EQ(counts.at(SquatType::Typo), 1u);
-  EXPECT_EQ(counts.at(SquatType::Combo), 1u);
-  EXPECT_EQ(counts.at(SquatType::Dot), 1u);
-  EXPECT_EQ(counts.at(SquatType::Homo), 1u);
-  EXPECT_FALSE(counts.contains(SquatType::Bit));
+  for (const auto& [name, want] : cases) {
+    const auto verdict = detector.classify(dns::DomainName::must(name));
+    ASSERT_EQ(verdict.has_value(), want.has_value()) << name;
+    if (verdict) {
+      EXPECT_EQ(verdict->type, *want) << name;
+    }
+  }
 }
 
 TEST(Detector, ShortBrandsNeedExactStructure) {
@@ -258,7 +262,7 @@ TEST(Detector, ShortBrandsNeedExactStructure) {
 // ------------------------------------------------------ reference cascade
 //
 // A frozen copy of the straightforward cascade: every check re-folds its
-// inputs and measures distance with util::damerau_distance.  The detector
+// inputs and measures distance with oracle::damerau_distance.  The detector
 // precomputes the folds and tests one edit in O(n); this copy is the oracle
 // its verdicts must match name for name.
 
@@ -292,7 +296,7 @@ bool is_homosquat(const std::string& label, const std::string& brand) {
 bool is_typosquat(const std::string& label, const std::string& brand) {
   if (label == brand) return false;
   if (brand.size() < 4) return false;
-  return util::damerau_distance(label, brand) == 1;
+  return oracle::damerau_distance(label, brand) == 1;
 }
 
 bool is_combosquat(const std::string& label, const std::string& brand) {
@@ -308,7 +312,7 @@ bool is_combosquat(const std::string& label, const std::string& brand) {
   }
   const std::string folded = fold_confusables(rest);
   for (const auto& keyword : combo_keywords()) {
-    if (util::damerau_distance(folded, fold_confusables(keyword)) <= 1) {
+    if (oracle::damerau_distance(folded, fold_confusables(keyword)) <= 1) {
       return true;
     }
   }

@@ -15,7 +15,7 @@
 //   * multithreaded emission reconciles (the TSan duplicate compiles these
 //     sources with -fsanitize=thread);
 //   * durable-store commit groups and honeypot connections emit well-formed
-//     span trees, and the admin /slo endpoint serves the operator report.
+//     span trees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -446,17 +446,7 @@ TEST(DurableStoreSpans, CommitGroupsAndCheckpointsNest) {
   EXPECT_EQ(fsyncs, groups);
 }
 
-// ------------------------------------------------- honeypot spans + /slo
-
-net::SimPacket tcp_packet(const std::string& payload, std::uint8_t src_octet) {
-  net::SimPacket packet;
-  packet.protocol = net::Protocol::TCP;
-  packet.src = net::Endpoint{dns::IPv4::from_octets(198, 51, 100, src_octet),
-                             40'000};
-  packet.dst = net::Endpoint{dns::IPv4::from_octets(203, 0, 113, 1), 80};
-  packet.payload.assign(payload.begin(), payload.end());
-  return packet;
-}
+// ---------------------------------------------------------- honeypot spans
 
 TEST(HoneypotSpans, ConnectionLifecycleIsOneRootSpan) {
   honeypot::TrafficRecorder recorder;
@@ -490,42 +480,6 @@ TEST(HoneypotSpans, ConnectionLifecycleIsOneRootSpan) {
   EXPECT_TRUE(finished[1].detail.rfind("expire_", 0) == 0 ||
               finished[1].detail == "drain_forced")
       << finished[1].detail;
-}
-
-TEST(HoneypotSlo, AdminEndpointServesTheReportAndStaysGated) {
-  honeypot::TrafficRecorder recorder;
-  honeypot::NxdHoneypot::Config config;
-  config.domain = "slo-demo.com";
-  honeypot::NxdHoneypot server(config, recorder);
-  obs::MetricsRegistry registry;
-  server.expose_metrics(&registry, "s3cret");
-  int calls = 0;
-  server.expose_slo([&calls] {
-    ++calls;
-    return std::string("slo report body\n");
-  });
-
-  const std::string scrape =
-      "GET /slo HTTP/1.1\r\nHost: slo-demo.com\r\nx-nxd-admin: s3cret\r\n\r\n";
-  const auto reply = server.handle_packet(tcp_packet(scrape, 9), 50);
-  ASSERT_TRUE(reply.has_value());
-  const std::string text(reply->begin(), reply->end());
-  EXPECT_EQ(text.substr(0, text.find("\r\n")), "HTTP/1.1 200 OK");
-  EXPECT_NE(text.find("slo report body"), std::string::npos);
-  EXPECT_EQ(calls, 1);
-  // Admin scrapes never enter the capture corpus.
-  EXPECT_EQ(recorder.total(), 0u);
-
-  // Without the token the request is ordinary visitor traffic: recorded,
-  // no report leaked.
-  const std::string unauthed =
-      "GET /slo HTTP/1.1\r\nHost: slo-demo.com\r\n\r\n";
-  const auto denied = server.handle_packet(tcp_packet(unauthed, 9), 60);
-  ASSERT_TRUE(denied.has_value());
-  const std::string denied_text(denied->begin(), denied->end());
-  EXPECT_EQ(denied_text.find("slo report body"), std::string::npos);
-  EXPECT_EQ(recorder.total(), 1u);
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "damerau_oracle.hpp"
 #include "util/bytes.hpp"
 #include "util/civil_time.hpp"
 #include "util/crc32c.hpp"
@@ -228,7 +229,6 @@ TEST(Strings, StartsEndsWith) {
 struct EditCase {
   const char* a;
   const char* b;
-  std::size_t lev;
   std::size_t damerau;
 };
 
@@ -236,27 +236,20 @@ class EditDistanceTest : public ::testing::TestWithParam<EditCase> {};
 
 TEST_P(EditDistanceTest, Distances) {
   const auto& c = GetParam();
-  EXPECT_EQ(edit_distance(c.a, c.b), c.lev);
-  EXPECT_EQ(edit_distance(c.b, c.a), c.lev);  // symmetry
-  EXPECT_EQ(damerau_distance(c.a, c.b), c.damerau);
+  EXPECT_EQ(oracle::damerau_distance(c.a, c.b), c.damerau);
+  EXPECT_EQ(oracle::damerau_distance(c.b, c.a), c.damerau);  // symmetry
+  EXPECT_EQ(is_one_edit(c.a, c.b), c.damerau == 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, EditDistanceTest,
-    ::testing::Values(EditCase{"", "", 0, 0}, EditCase{"a", "", 1, 1},
-                      EditCase{"abc", "abc", 0, 0},
-                      EditCase{"abc", "abd", 1, 1},
-                      EditCase{"abc", "acb", 2, 1},  // transposition
-                      EditCase{"google", "gogle", 1, 1},
-                      EditCase{"google", "googel", 2, 1},
-                      EditCase{"kitten", "sitting", 3, 3},
-                      EditCase{"paypal", "paypa1", 1, 1}));
-
-TEST(Strings, EditDistanceBound) {
-  // With bound 1, distances above the bound collapse to bound+1.
-  EXPECT_EQ(edit_distance("kitten", "sitting", 1), 2u);
-  EXPECT_EQ(edit_distance("abc", "abd", 1), 1u);
-}
+    ::testing::Values(EditCase{"", "", 0}, EditCase{"a", "", 1},
+                      EditCase{"abc", "abc", 0}, EditCase{"abc", "abd", 1},
+                      EditCase{"abc", "acb", 1},  // transposition
+                      EditCase{"google", "gogle", 1},
+                      EditCase{"google", "googel", 1},
+                      EditCase{"kitten", "sitting", 3},
+                      EditCase{"paypal", "paypa1", 1}));
 
 TEST(Strings, IsOneEditIsDamerauDistanceOne) {
   // Every string of length 0-5 over {a, b, c}: 364 strings, every ordered
@@ -273,7 +266,7 @@ TEST(Strings, IsOneEditIsDamerauDistanceOne) {
   std::size_t ones = 0;
   for (const auto& a : words) {
     for (const auto& b : words) {
-      const bool want = damerau_distance(a, b) == 1;
+      const bool want = oracle::damerau_distance(a, b) == 1;
       ASSERT_EQ(is_one_edit(a, b), want) << '"' << a << "\" vs \"" << b << '"';
       ones += want ? 1 : 0;
     }
@@ -307,7 +300,6 @@ TEST(CivilTime, KnownEpochs) {
   EXPECT_EQ(to_day(CivilDate{1970, 1, 1}), 0);
   EXPECT_EQ(to_day(CivilDate{1970, 1, 2}), 1);
   EXPECT_EQ(to_day(CivilDate{2000, 3, 1}), 11017);
-  EXPECT_EQ(format_date(to_day(CivilDate{2022, 12, 31})), "2022-12-31");
 }
 
 class CivilRoundTrip : public ::testing::TestWithParam<int> {};
@@ -341,7 +333,6 @@ TEST(CivilTime, MonthIndex) {
   const Day d = to_day(CivilDate{2021, 7, 15});
   EXPECT_EQ(month_index(d), 2021 * 12 + 6);
   EXPECT_EQ(format_month(month_index(d)), "2021-07");
-  EXPECT_EQ(month_start(month_index(d)), to_day(CivilDate{2021, 7, 1}));
 }
 
 TEST(CivilTime, OutOfRangeDaysClampToTheEdgeDate) {
