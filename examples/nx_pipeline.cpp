@@ -75,8 +75,12 @@
 //                   section (--loss) provides the sim-time traffic.  All
 //                   three flags off: output byte-identical to before.
 //
-// Any other argument is an error: the run exits 2 naming it on stderr.
+// Any other argument is an error: the run exits 2 naming it on stderr.  So
+// is a numeric flag whose whole value is not a number of its type (a
+// negative count included), and a --threads outside [1, 256], the shard
+// limit.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -116,6 +120,14 @@
 using namespace nxd;
 
 namespace {
+
+/// Strict numeric flag value: true when the whole of `text` parses as a T.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 /// End-of-run telemetry: replay the time series through the anomaly
 /// detector at its window cadence, evaluate the SLO monitor at the last
@@ -198,31 +210,33 @@ int main(int argc, char** argv) {
       return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
     };
     const char* v = nullptr;
+    bool parsed = true;
     if ((v = value("--scale="))) {
-      scale = std::atof(v);
+      parsed = parse_number(v, scale);
     } else if ((v = value("--seed="))) {
-      seed = std::strtoull(v, nullptr, 10);
+      parsed = parse_number(v, seed);
     } else if ((v = value("--loss="))) {
-      loss = std::atof(v);
+      parsed = parse_number(v, loss);
     } else if ((v = value("--chaos-seed="))) {
-      chaos_seed = std::strtoull(v, nullptr, 10);
+      parsed = parse_number(v, chaos_seed);
     } else if ((v = value("--threads="))) {
-      threads = std::strtoull(v, nullptr, 10);
+      parsed = parse_number(v, threads) && threads >= 1 &&
+               threads <= pdns::ShardedStore::kMaxShards;
     } else if ((v = value("--report="))) {
       report_path = v;
     } else if ((v = value("--durable="))) {
       durable_dir = v;
     } else if ((v = value("--max-conns="))) {
-      max_conns = std::strtoull(v, nullptr, 10);
+      parsed = parse_number(v, max_conns);
       overload_run = true;
     } else if ((v = value("--rate-limit="))) {
-      rate_limit = std::atof(v);
+      parsed = parse_number(v, rate_limit);
       overload_run = true;
     } else if ((v = value("--drain-ms="))) {
-      drain_ms = std::strtoll(v, nullptr, 10);
+      parsed = parse_number(v, drain_ms);
       overload_run = true;
     } else if ((v = value("--metrics-every="))) {
-      metrics_every = std::strtoull(v, nullptr, 10);
+      parsed = parse_number(v, metrics_every);
     } else if ((v = value("--metrics-out="))) {
       metrics_out = v;
     } else if ((v = value("--attack="))) {
@@ -237,6 +251,10 @@ int main(int argc, char** argv) {
       chaos_upstream = v;
     } else {
       std::fprintf(stderr, "nx_pipeline: unknown flag: %s\n", arg);
+      return 2;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "nx_pipeline: bad value: %s\n", arg);
       return 2;
     }
   }
