@@ -9,12 +9,14 @@
 #include "dns/message.hpp"
 #include "honeypot/categorizer.hpp"
 #include "honeypot/filter.hpp"
+#include "pdns/snapshot.hpp"
 #include "pdns/store.hpp"
 #include "resolver/recursive.hpp"
 #include "squat/detector.hpp"
 #include "synth/scale_models.hpp"
 #include "synth/table1.hpp"
 #include "synth/traffic_model.hpp"
+#include "util/crc32c.hpp"
 #include "util/strings.hpp"
 
 using namespace nxd;
@@ -266,5 +268,54 @@ void BM_DgaGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_DgaGenerate);
+
+// The checkpoint image at the e2e feed workload's scale: scale 5e-7, seed
+// 42, 5% NoError and 2% ServFail observations, about 116k domains.
+const pdns::PassiveDnsStore& feed_scale_store() {
+  static const pdns::PassiveDnsStore store = [] {
+    synth::HistoryStreamConfig config;
+    config.scale = 5e-7;
+    config.seed = 42;
+    config.ok_fraction = 0.05;
+    config.servfail_fraction = 0.02;
+    pdns::PassiveDnsStore s;
+    for (const auto& obs : synth::NxHistoryStream(config).all()) s.ingest(obs);
+    return s;
+  }();
+  return store;
+}
+
+void BM_SaveSnapshot(benchmark::State& state) {
+  const auto& store = feed_scale_store();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto image = pdns::save_snapshot(store);
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+  state.counters["domains"] = static_cast<double>(store.distinct_domains());
+}
+BENCHMARK(BM_SaveSnapshot)->Unit(benchmark::kMillisecond);
+
+void BM_LoadSnapshot(benchmark::State& state) {
+  const auto image = pdns::save_snapshot(feed_scale_store());
+  for (auto _ : state) {
+    auto store = pdns::load_snapshot(image);
+    benchmark::DoNotOptimize(store);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * image.size()));
+}
+BENCHMARK(BM_LoadSnapshot)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32c(benchmark::State& state) {
+  const auto image = pdns::save_snapshot(feed_scale_store());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32c(image));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * image.size()));
+}
+BENCHMARK(BM_Crc32c)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -678,9 +678,9 @@ void DurableStore::Core::run_checkpoint(std::shared_ptr<CheckpointJob> job) {
     for (std::uint32_t s = 0; s < job->shards.size(); ++s) {
       const auto& shard = job->shards[s];
       if (shard.total_observations() == 0) continue;
-      const auto payload = encode_delta_payload(job->frontier, s, shard);
-      if (!util::write_file_atomic(delta_path(dir, job->frontier, s), payload,
-                                   crash)) {
+      auto record = encode_delta_record(job->frontier, s, shard);
+      if (!util::write_record_atomic(delta_path(dir, job->frontier, s),
+                                     std::move(record), crash)) {
         job_ok = false;
         break;
       }
@@ -720,9 +720,9 @@ void DurableStore::Core::run_checkpoint(std::shared_ptr<CheckpointJob> job) {
     next.deltas.clear();
     next.base_batches = job->frontier;
     if (job->frontier > 0) {
-      const auto payload = encode_base_payload(job->frontier, base);
-      if (!util::write_file_atomic(base_path(dir, job->frontier), payload,
-                                   crash)) {
+      if (!util::write_record_atomic(base_path(dir, job->frontier),
+                                     encode_base_record(job->frontier, base),
+                                     crash)) {
         ok.store(false, std::memory_order_relaxed);
         stat_checkpoint_ns.fetch_add(ns_between(t0, Clock::now()),
                                      std::memory_order_relaxed);
@@ -734,8 +734,8 @@ void DurableStore::Core::run_checkpoint(std::shared_ptr<CheckpointJob> job) {
 
   // 4. The manifest commit IS the checkpoint: after this rename the new
   //    frontier exists; before it, recovery uses the previous one.
-  if (!util::write_file_atomic(manifest_path(dir, next.frontier),
-                               next.encode(), crash)) {
+  if (!util::write_record_atomic(manifest_path(dir, next.frontier),
+                                 next.encode_record(), crash)) {
     ok.store(false, std::memory_order_relaxed);
     stat_checkpoint_ns.fetch_add(ns_between(t0, Clock::now()),
                                  std::memory_order_relaxed);

@@ -17,8 +17,7 @@ std::size_t InternTable::probe(std::uint32_t hash,
   }
 }
 
-void InternTable::grow() {
-  const std::size_t capacity = slots_.empty() ? kInitialCapacity : slots_.size() * 2;
+void InternTable::rehash(std::size_t capacity) {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(capacity, Slot{});
   mask_ = capacity - 1;
@@ -32,7 +31,9 @@ void InternTable::grow() {
 
 InternTable::Result InternTable::intern(std::string_view name) {
   // Keep load factor under 1/2 so probe chains stay short.
-  if (slots_.empty() || (size() + 1) * 2 > slots_.size()) grow();
+  if (slots_.empty() || (size() + 1) * 2 > slots_.size()) {
+    rehash(slots_.empty() ? kInitialCapacity : slots_.size() * 2);
+  }
   const auto hash = static_cast<std::uint32_t>(util::fnv1a(name));
   Slot& slot = slots_[probe(hash, name)];
   if (slot.id != kInvalidId) return {slot.id, false};
@@ -42,6 +43,13 @@ InternTable::Result InternTable::intern(std::string_view name) {
   slot.hash = hash;
   slot.id = id;
   return {id, true};
+}
+
+void InternTable::reserve(std::size_t count) {
+  offsets_.reserve(count + 1);
+  std::size_t capacity = slots_.empty() ? kInitialCapacity : slots_.size();
+  while (capacity < count * 2) capacity *= 2;
+  if (capacity > slots_.size()) rehash(capacity);
 }
 
 std::uint32_t InternTable::find(std::string_view name) const {

@@ -40,6 +40,10 @@ class InternTable {
   /// Find-or-insert; ids are dense, assigned in first-seen order.
   Result intern(std::string_view name);
 
+  /// Size the index for `count` names in all, so interning up to that many
+  /// never rehashes (a snapshot load knows its domain count up front).
+  void reserve(std::size_t count);
+
   /// kInvalidId when the name has never been interned.
   std::uint32_t find(std::string_view name) const;
 
@@ -60,7 +64,7 @@ class InternTable {
   /// Probe for `name` (by hash, verified by byte compare); returns the index
   /// of the slot holding it or of the empty slot where it belongs.
   std::size_t probe(std::uint32_t hash, std::string_view name) const noexcept;
-  void grow();
+  void rehash(std::size_t capacity);
 
   // Every name back to back; name `id` is bytes_[offsets_[id], offsets_[id+1]).
   std::string bytes_;

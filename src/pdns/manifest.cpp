@@ -24,6 +24,9 @@ constexpr std::uint16_t kManifestVersion = 1;
 /// (kMaxShards shards × a long uncompacted chain still stays far below it).
 constexpr std::uint32_t kMaxManifestDeltas = 1u << 16;
 
+constexpr std::size_t kBaseHeaderBytes = 4 + 2 + 8;
+constexpr std::size_t kDeltaHeaderBytes = 4 + 2 + 8 + 4;
+
 void put_u64(util::ByteWriter& w, std::uint64_t v) {
   w.u32(static_cast<std::uint32_t>(v >> 32));
   w.u32(static_cast<std::uint32_t>(v));
@@ -95,8 +98,10 @@ std::vector<DeltaFile> list_deltas(const std::string& dir) {
 
 // ---- manifest codec ---------------------------------------------------------
 
-std::vector<std::uint8_t> Manifest::encode() const {
+std::vector<std::uint8_t> Manifest::encode_record() const {
   util::ByteWriter w;
+  // Headroom for the record header, filled when the record is written.
+  for (std::size_t i = 0; i < util::kRecordHeaderBytes; ++i) w.u8(0);
   w.u32(kManifestMagic);
   w.u16(kManifestVersion);
   put_u64(w, frontier);
@@ -155,14 +160,15 @@ std::optional<Manifest> load_manifest_file(const std::string& path) {
 
 // ---- chain-file payload codecs ----------------------------------------------
 
-std::vector<std::uint8_t> encode_base_payload(std::uint64_t batches,
-                                              const PassiveDnsStore& store) {
-  util::ByteWriter w;
-  w.u32(kBaseMagic);
-  w.u16(kBaseVersion);
-  put_u64(w, batches);
-  w.bytes(save_snapshot(store));
-  return std::move(w).take();
+std::vector<std::uint8_t> encode_base_record(std::uint64_t batches,
+                                             const PassiveDnsStore& store) {
+  auto record =
+      save_snapshot(store, util::kRecordHeaderBytes + kBaseHeaderBytes);
+  std::uint8_t* p = record.data() + util::kRecordHeaderBytes;
+  util::store_be32(p, kBaseMagic);
+  util::store_be16(p + 4, kBaseVersion);
+  util::store_be64(p + 6, batches);
+  return record;
 }
 
 std::optional<LoadedBase> load_base_file(const std::string& path) {
@@ -179,16 +185,17 @@ std::optional<LoadedBase> load_base_file(const std::string& path) {
   return LoadedBase{std::move(*store), batches};
 }
 
-std::vector<std::uint8_t> encode_delta_payload(std::uint64_t frontier,
-                                               std::uint32_t shard,
-                                               const PassiveDnsStore& store) {
-  util::ByteWriter w;
-  w.u32(kDeltaMagic);
-  w.u16(kDeltaVersion);
-  put_u64(w, frontier);
-  w.u32(shard);
-  w.bytes(save_snapshot(store));
-  return std::move(w).take();
+std::vector<std::uint8_t> encode_delta_record(std::uint64_t frontier,
+                                              std::uint32_t shard,
+                                              const PassiveDnsStore& store) {
+  auto record =
+      save_snapshot(store, util::kRecordHeaderBytes + kDeltaHeaderBytes);
+  std::uint8_t* p = record.data() + util::kRecordHeaderBytes;
+  util::store_be32(p, kDeltaMagic);
+  util::store_be16(p + 4, kDeltaVersion);
+  util::store_be64(p + 6, frontier);
+  util::store_be32(p + 14, shard);
+  return record;
 }
 
 std::optional<PassiveDnsStore> load_delta_file(const std::string& path,

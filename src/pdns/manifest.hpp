@@ -2,7 +2,7 @@
 // incremental checkpoints.
 //
 // A durable directory holds three kinds of checkpoint artifacts, every one
-// an atomically committed, CRC32C-framed file (util::write_file_atomic):
+// an atomically committed, CRC32C-framed file (util::write_record_atomic):
 //
 //   base    "snapshot-<batches>.nxs"        full store image
 //             payload: magic "NXCP" u32 | version u16 | batches u64 |
@@ -29,8 +29,10 @@
 // whole and recovery falls back to the previous manifest — whose WAL floor
 // is still retained, so the same batches are recovered through a longer
 // replay instead of being lost.  All integers are big-endian; u64s are
-// written as two u32s (the ByteWriter convention shared by every codec in
-// the repo).
+// written high word first (the convention shared by every codec in the
+// repo).  Each encoder returns the whole record buffer — kRecordHeaderBytes
+// of headroom, then the payload — so a base or delta image is encoded once,
+// in the buffer that util::write_record_atomic frames and writes.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +82,16 @@ struct Manifest {
   std::uint64_t wal_floor_segment = 0;  ///< first segment that may hold seq > frontier
   std::vector<ManifestDelta> deltas;    ///< chain, ascending (frontier, shard)
 
-  std::vector<std::uint8_t> encode() const;
+  /// The manifest payload as a record buffer (see util::CheckedWriter::append_framed).
+  std::vector<std::uint8_t> encode_record() const;
   static std::optional<Manifest> decode(std::span<const std::uint8_t> payload);
 };
 
 // ---- chain-file payload codecs ----------------------------------------------
 
-/// Base checkpoint payload (the legacy "NXCP" format).
-std::vector<std::uint8_t> encode_base_payload(std::uint64_t batches,
-                                              const PassiveDnsStore& store);
+/// Base checkpoint record (the legacy "NXCP" format).
+std::vector<std::uint8_t> encode_base_record(std::uint64_t batches,
+                                             const PassiveDnsStore& store);
 struct LoadedBase {
   PassiveDnsStore store;
   std::uint64_t batches = 0;
@@ -96,10 +99,10 @@ struct LoadedBase {
 /// Validate framing, header, and the embedded v2 snapshot of a base file.
 std::optional<LoadedBase> load_base_file(const std::string& path);
 
-/// Delta checkpoint payload ("NXDL").
-std::vector<std::uint8_t> encode_delta_payload(std::uint64_t frontier,
-                                               std::uint32_t shard,
-                                               const PassiveDnsStore& store);
+/// Delta checkpoint record ("NXDL").
+std::vector<std::uint8_t> encode_delta_record(std::uint64_t frontier,
+                                              std::uint32_t shard,
+                                              const PassiveDnsStore& store);
 /// Validate and load a delta file; the header's (frontier, shard) must match
 /// the expected identity from the manifest (a renamed/cross-linked delta is
 /// corruption, not data).

@@ -73,6 +73,8 @@ class DailySeries {
     return entries_.insert(it, {day, 0})->second;
   }
 
+  void reserve(std::size_t days) { entries_.reserve(days); }
+
   const_iterator begin() const noexcept { return entries_.begin(); }
   const_iterator end() const noexcept { return entries_.end(); }
   std::size_t size() const noexcept { return entries_.size(); }
@@ -258,7 +260,8 @@ class PassiveDnsStore {
   // Snapshot (de)serialization rebuilds the private indexes directly.
   friend std::optional<PassiveDnsStore> load_snapshot(
       std::span<const std::uint8_t> bytes);
-  friend std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store);
+  friend std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store,
+                                                 std::size_t headroom);
 
   using TldMap = std::unordered_map<std::string, TldAggregate,
                                     TransparentStringHash, std::equal_to<>>;

@@ -1,5 +1,6 @@
 #include "pdns/wal.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -44,11 +45,12 @@ bool Wal::append_frame(std::span<const std::uint8_t> frame) {
     // still wait for the final sync().
     if (!rotate()) return false;
   }
-  util::ByteWriter payload;
-  payload.u32(static_cast<std::uint32_t>(next_seq_ >> 32));
-  payload.u32(static_cast<std::uint32_t>(next_seq_));
-  payload.bytes(frame);
-  if (!writer_->append_record(payload.view())) {
+  // The record is built in one reused buffer: header headroom, seq, frame.
+  record_.resize(util::kRecordHeaderBytes + 8 + frame.size());
+  util::store_be64(record_.data() + util::kRecordHeaderBytes, next_seq_);
+  std::copy(frame.begin(), frame.end(),
+            record_.begin() + util::kRecordHeaderBytes + 8);
+  if (!writer_->append_framed(record_)) {
     ok_ = false;
     return false;
   }
@@ -103,13 +105,12 @@ Wal::Replay Wal::replay(const std::string& dir) {
     // The segment's valid prefix: whole records, each a strict frame whose
     // seq is above every seq before it.  Damage ends this segment only.
     std::uint64_t offset = 0;
-    for (const auto& record : util::scan_records(*bytes).records) {
+    for (const auto record : util::scan_records(*bytes).records) {
       ++out.records_scanned;
-      util::ByteReader r(record);
-      const std::uint64_t hi = r.u32();
-      const std::uint64_t seq = (hi << 32) | r.u32();
-      const auto frame_bytes = std::span(record).subspan(r.ok() ? 8 : 0);
-      const auto view = r.ok() ? FrameView::parse(frame_bytes) : std::nullopt;
+      if (record.size() < 8) break;
+      const std::uint64_t seq = util::load_be64(record.data());
+      const auto frame_bytes = record.subspan(8);
+      const auto view = FrameView::parse(frame_bytes);
       if (!view || seq <= last_seq) break;
       last_seq = seq;
       out.batches.push_back(

@@ -130,6 +130,7 @@ class Wal {
   std::uint64_t next_seq_ = 1;
   util::CrashPoint* crash_ = nullptr;
   std::optional<util::CheckedWriter> writer_;
+  std::vector<std::uint8_t> record_;  // the record append_frame builds
   bool ok_ = true;
 };
 

@@ -13,6 +13,36 @@
 
 namespace nxd::util {
 
+// Big-endian fixed-width stores and loads through a raw pointer, for codecs
+// that size their buffer first and then fill it in one pass (the snapshot
+// and checked-record codecs).  The caller owns the bounds.
+inline void store_be16(std::uint8_t* p, std::uint16_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+inline void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
+  store_be32(p, static_cast<std::uint32_t>(v >> 32));
+  store_be32(p + 4, static_cast<std::uint32_t>(v));
+}
+
+inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint64_t>(load_be32(p)) << 32) | load_be32(p + 4);
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -91,10 +121,7 @@ class ByteReader {
 
   std::uint32_t u32() noexcept {
     if (!need(4)) return 0;
-    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    const std::uint32_t v = load_be32(data_.data() + pos_);
     pos_ += 4;
     return v;
   }

@@ -1,13 +1,14 @@
 #include "util/checked_io.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "util/bytes.hpp"
 #include "util/crc32c.hpp"
@@ -16,7 +17,62 @@
 namespace nxd::util {
 
 namespace {
+
 constexpr std::uint32_t kRecordMagic = 0x434b5231;  // "CKR1"
+
+struct RecordHeader {
+  std::uint32_t magic;
+  std::uint32_t len;
+  std::uint32_t crc;
+
+  explicit RecordHeader(const std::uint8_t* p) noexcept
+      : magic(load_be32(p)), len(load_be32(p + 4)), crc(load_be32(p + 8)) {}
+
+  /// Magic and length are plausible for a record with `available` bytes
+  /// after its header (the CRC is checked once the payload is at hand).
+  bool fits(std::uint64_t available) const noexcept {
+    return magic == kRecordMagic && len <= kMaxRecordBytes && len <= available;
+  }
+};
+
+/// An open read-only descriptor on a regular file, with its fstat size.
+class FileReader {
+ public:
+  explicit FileReader(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    struct stat st {};
+    if (fd_ >= 0 && ::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode)) {
+      size_ = static_cast<std::uint64_t>(st.st_size);
+      ok_ = true;
+    }
+  }
+  FileReader(const FileReader&) = delete;
+  FileReader& operator=(const FileReader&) = delete;
+  ~FileReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool ok() const noexcept { return ok_; }
+  std::uint64_t size() const noexcept { return size_; }
+
+  /// Read exactly `n` bytes into `dst`; false on an error or an early end.
+  bool read_exact(std::uint8_t* dst, std::size_t n) noexcept {
+    while (n > 0) {
+      const ssize_t got = ::read(fd_, dst, n);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      dst += got;
+      n -= static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+  std::uint64_t size_ = 0;
+  bool ok_ = false;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------- CrashPoint
@@ -90,7 +146,7 @@ std::optional<CheckedWriter> CheckedWriter::open(std::string path,
   return CheckedWriter(std::move(path), f, crash);
 }
 
-bool CheckedWriter::write_guarded(std::vector<std::uint8_t> bytes) {
+bool CheckedWriter::write_guarded(std::vector<std::uint8_t>& bytes) {
   if (!ok_ || file_ == nullptr) return false;
   std::size_t to_write = bytes.size();
   bool dies = false;
@@ -115,17 +171,17 @@ bool CheckedWriter::write_guarded(std::vector<std::uint8_t> bytes) {
   return true;
 }
 
-bool CheckedWriter::append_record(std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxRecordBytes) {
+bool CheckedWriter::append_framed(std::vector<std::uint8_t>& record) {
+  if (record.size() < kRecordHeaderBytes ||
+      record.size() - kRecordHeaderBytes > kMaxRecordBytes) {
     ok_ = false;
     return false;
   }
-  ByteWriter w;
-  w.u32(kRecordMagic);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32c(payload));
-  w.bytes(payload);
-  return write_guarded(std::move(w).take());
+  const auto payload = std::span(record).subspan(kRecordHeaderBytes);
+  store_be32(record.data(), kRecordMagic);
+  store_be32(record.data() + 4, static_cast<std::uint32_t>(payload.size()));
+  store_be32(record.data() + 8, crc32c(payload));
+  return write_guarded(record);
 }
 
 bool CheckedWriter::flush() {
@@ -165,48 +221,36 @@ bool CheckedWriter::close() {
 RecordScan scan_records(std::span<const std::uint8_t> bytes) {
   RecordScan out;
   out.total_bytes = bytes.size();
-  ByteReader r(bytes);
-  while (r.remaining() >= kRecordHeaderBytes) {
-    const std::size_t record_start = r.pos();
-    const std::uint32_t magic = r.u32();
-    const std::uint32_t len = r.u32();
-    const std::uint32_t crc = r.u32();
-    if (magic != kRecordMagic || len > kMaxRecordBytes || r.remaining() < len) {
-      r.seek(record_start);
-      break;
-    }
-    const auto payload = r.bytes(len);
-    if (crc32c(payload) != crc) {
-      r.seek(record_start);
-      break;
-    }
-    out.records.emplace_back(payload.begin(), payload.end());
+  std::size_t at = 0;
+  while (bytes.size() - at >= kRecordHeaderBytes) {
+    const RecordHeader header(bytes.data() + at);
+    if (!header.fits(bytes.size() - at - kRecordHeaderBytes)) break;
+    const auto payload = bytes.subspan(at + kRecordHeaderBytes, header.len);
+    if (crc32c(payload) != header.crc) break;
+    out.records.push_back(payload);
+    at += kRecordHeaderBytes + header.len;
   }
-  out.valid_bytes = r.pos();
+  out.valid_bytes = at;
   out.truncated_tail = out.valid_bytes != out.total_bytes;
   return out;
 }
 
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  char buf[64 * 1024];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    out.insert(out.end(), buf, buf + in.gcount());
-  }
+  FileReader in(path);
+  if (!in.ok()) return std::nullopt;
+  std::vector<std::uint8_t> out(in.size());
+  if (!in.read_exact(out.data(), out.size())) return std::nullopt;
   return out;
 }
 
 // ------------------------------------------------------------- atomic commit
 
-bool write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> payload,
-                       CrashPoint* crash) {
+bool write_record_atomic(const std::string& path,
+                         std::vector<std::uint8_t> record, CrashPoint* crash) {
   const std::string tmp = path + ".tmp";
   auto writer = CheckedWriter::open(tmp, crash);
   if (!writer) return false;
-  if (!writer->append_record(payload)) return false;
+  if (!writer->append_framed(record)) return false;
   if (!writer->close()) return false;
   const auto barrier =
       crash != nullptr ? crash->on_barrier() : CrashPoint::Barrier::Proceed;
@@ -218,11 +262,23 @@ bool write_file_atomic(const std::string& path,
 
 std::optional<std::vector<std::uint8_t>> read_file_checked(
     const std::string& path) {
-  const auto bytes = read_file(path);
-  if (!bytes) return std::nullopt;
-  auto scan = scan_records(*bytes);
-  if (scan.records.size() != 1 || scan.truncated_tail) return std::nullopt;
-  return std::move(scan.records.front());
+  FileReader in(path);
+  std::uint8_t head[kRecordHeaderBytes];
+  if (!in.ok() || in.size() < kRecordHeaderBytes ||
+      !in.read_exact(head, kRecordHeaderBytes)) {
+    return std::nullopt;
+  }
+  // Exactly one record and nothing after it: the length must account for
+  // every byte past the header.
+  const RecordHeader header(head);
+  const std::uint64_t available = in.size() - kRecordHeaderBytes;
+  if (!header.fits(available) || header.len != available) return std::nullopt;
+  std::vector<std::uint8_t> payload(header.len);
+  if (!in.read_exact(payload.data(), payload.size()) ||
+      crc32c(payload) != header.crc) {
+    return std::nullopt;
+  }
+  return payload;
 }
 
 bool remove_file(const std::string& path, CrashPoint* crash) {

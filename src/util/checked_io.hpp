@@ -11,6 +11,11 @@
 // partially admitted, which is what gives the WAL its all-or-nothing batch
 // semantics.
 //
+// One buffer per record: an encoder builds the payload after
+// kRecordHeaderBytes of headroom, and the writer fills the header in place,
+// so framing never copies a payload.  Readers hand out spans into the file
+// buffer instead of copying each record out.
+//
 // Crash model: the process can die at any *operation* boundary — a record
 // write, a flush, a file open, a rename, a truncation, or an unlink.  Every
 // boundary asks the CrashPoint (when armed) whether to proceed; a triggered
@@ -133,9 +138,11 @@ class CheckedWriter {
   const std::string& path() const noexcept { return path_; }
   std::uint64_t bytes_written() const noexcept { return bytes_; }
 
-  /// Frame `payload` and write it as one operation (buffered — not durable
-  /// until flush()).
-  bool append_record(std::span<const std::uint8_t> payload);
+  /// Write one record built in place: `record` is kRecordHeaderBytes of
+  /// headroom followed by the payload.  Fills the header and writes the
+  /// buffer as one operation (buffered — not durable until flush()).  A
+  /// BitFlip crash flips its bit in `record` itself.
+  bool append_framed(std::vector<std::uint8_t>& record);
 
   /// fflush + fsync — the durability barrier an ack rides on.
   bool flush();
@@ -153,7 +160,7 @@ class CheckedWriter {
   CheckedWriter(std::string path, std::FILE* file, CrashPoint* crash)
       : path_(std::move(path)), file_(file), crash_(crash) {}
 
-  bool write_guarded(std::vector<std::uint8_t> bytes);
+  bool write_guarded(std::vector<std::uint8_t>& bytes);
 
   std::string path_;
   std::unique_ptr<std::FILE, FileCloser> file_;
@@ -162,9 +169,10 @@ class CheckedWriter {
   bool ok_ = true;
 };
 
-/// Result of scanning a byte range for framed records.
+/// Result of scanning a byte range for framed records.  The record spans
+/// point into the scanned bytes and live as long as they do.
 struct RecordScan {
-  std::vector<std::vector<std::uint8_t>> records;  ///< valid prefix, in order
+  std::vector<std::span<const std::uint8_t>> records;  ///< valid prefix, in order
   std::uint64_t valid_bytes = 0;   ///< offset where the valid prefix ends
   std::uint64_t total_bytes = 0;   ///< input size
   bool truncated_tail = false;     ///< bytes past the valid prefix existed
@@ -172,20 +180,24 @@ struct RecordScan {
 
 RecordScan scan_records(std::span<const std::uint8_t> bytes);
 
-/// Read a whole file; nullopt when it cannot be opened.
+/// Read a whole regular file into a buffer sized from fstat; nullopt when
+/// it cannot be opened, is not a regular file, a read fails, or fewer bytes
+/// arrive than fstat reported.
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
 
-/// Atomic commit: write `payload` as a single framed record to `path.tmp`,
-/// flush, fsync, then rename over `path`.  Either the old file or the
-/// complete new one survives a crash — never a torn mixture.  (Under
+/// Atomic commit: write `record` (kRecordHeaderBytes of headroom, then the
+/// payload, as for CheckedWriter::append_framed) as the single record of
+/// `path.tmp`, flush, fsync, then rename over `path`.  Either the old file
+/// or the complete new one survives a crash — never a torn mixture.  (Under
 /// Mode::FsyncStall at the rename boundary the new file IS committed; the
 /// false return models the death before the caller could record success.)
-bool write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> payload,
-                       CrashPoint* crash = nullptr);
+bool write_record_atomic(const std::string& path,
+                         std::vector<std::uint8_t> record,
+                         CrashPoint* crash = nullptr);
 
-/// Read back a file written by write_file_atomic: exactly one valid record
-/// and nothing after it, else nullopt.
+/// Read back a file written by write_record_atomic: exactly one valid record
+/// and nothing after it, else nullopt.  The payload is read straight into
+/// the returned buffer.
 std::optional<std::vector<std::uint8_t>> read_file_checked(
     const std::string& path);
 

@@ -1,55 +1,55 @@
 #include "util/crc32c.hpp"
 
-#include <array>
+#include <cstring>
+
+#include "util/crc32c_portable.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <nmmintrin.h>
+#define NXD_CRC32C_SSE42 1
+#endif
 
 namespace nxd::util {
 
 namespace {
 
-// Reflected Castagnoli polynomial.
-constexpr std::uint32_t kPoly = 0x82f63b78u;
-
-struct Tables {
-  // t[0] is the classic byte table; t[1..3] extend it for slicing-by-4.
-  std::array<std::array<std::uint32_t, 256>, 4> t{};
-
-  constexpr Tables() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
-      }
-      t[0][i] = crc;
-    }
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      t[1][i] = (t[0][i] >> 8) ^ t[0][t[0][i] & 0xff];
-      t[2][i] = (t[1][i] >> 8) ^ t[0][t[1][i] & 0xff];
-      t[3][i] = (t[2][i] >> 8) ^ t[0][t[2][i] & 0xff];
-    }
+#ifdef NXD_CRC32C_SSE42
+// The SSE4.2 crc32 instruction computes CRC32C (the Castagnoli polynomial,
+// reflected) with neither the pre- nor the post-inversion, so the wrapper
+// supplies both, as the table path does.  Compiled for SSE4.2 on its own;
+// only called once the CPU has said it has the instruction.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::uint32_t crc, std::span<const std::uint8_t> data) noexcept {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    c = _mm_crc32_u64(c, word);
   }
-};
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
 
-constexpr Tables kTables{};
+bool cpu_has_sse42() noexcept {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+#endif
 
 }  // namespace
 
 std::uint32_t crc32c(std::uint32_t crc,
                      std::span<const std::uint8_t> data) noexcept {
-  const auto& t = kTables.t;
-  std::uint32_t c = ~crc;
-  std::size_t i = 0;
-  for (; i + 4 <= data.size(); i += 4) {
-    c ^= static_cast<std::uint32_t>(data[i]) |
-         (static_cast<std::uint32_t>(data[i + 1]) << 8) |
-         (static_cast<std::uint32_t>(data[i + 2]) << 16) |
-         (static_cast<std::uint32_t>(data[i + 3]) << 24);
-    c = t[3][c & 0xff] ^ t[2][(c >> 8) & 0xff] ^ t[1][(c >> 16) & 0xff] ^
-        t[0][c >> 24];
-  }
-  for (; i < data.size(); ++i) {
-    c = (c >> 8) ^ t[0][(c ^ data[i]) & 0xff];
-  }
-  return ~c;
+#ifdef NXD_CRC32C_SSE42
+  if (cpu_has_sse42()) return crc32c_sse42(crc, data);
+#endif
+  return crc32c_portable(crc, data);
 }
 
 }  // namespace nxd::util

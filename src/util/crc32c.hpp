@@ -5,7 +5,9 @@
 // vectors let the unit tests pin the polynomial so the on-disk framing can
 // never silently change.
 //
-// Software implementation (slicing-by-4), deterministic on every platform.
+// On x86-64 CPUs with SSE4.2 (checked once at run time) the checksum uses the
+// crc32 instruction; elsewhere it falls back to the portable slicing-by-4
+// tables in util/crc32c_portable.hpp.  Both give the same values.
 #pragma once
 
 #include <cstdint>

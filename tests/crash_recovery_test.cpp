@@ -64,6 +64,24 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> s) {
+  return {s.begin(), s.end()};
+}
+
+/// `payload` as a record buffer: kRecordHeaderBytes of headroom, then the
+/// payload (what the production encoders build in place).
+std::vector<std::uint8_t> record_of(std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> record(util::kRecordHeaderBytes);
+  record.insert(record.end(), payload.begin(), payload.end());
+  return record;
+}
+
+bool append_payload(util::CheckedWriter& writer,
+                    std::span<const std::uint8_t> payload) {
+  auto record = record_of(payload);
+  return writer.append_framed(record);
+}
+
 /// Seeded observation batches: a small zoo of domains, days, rcodes, and
 /// sensors, enough to exercise every snapshot section.
 std::vector<std::vector<pdns::Observation>> make_batches(std::uint64_t seed,
@@ -268,19 +286,19 @@ TEST(CheckedIo, WriterScanRoundTrip) {
   const std::string path = fresh_dir("ckio_rt") + "/records.log";
   auto writer = util::CheckedWriter::open(path);
   ASSERT_TRUE(writer.has_value());
-  ASSERT_TRUE(writer->append_record(bytes_of("alpha")));
-  ASSERT_TRUE(writer->append_record(bytes_of("")));
-  ASSERT_TRUE(writer->append_record(bytes_of("gamma-3")));
+  ASSERT_TRUE(append_payload(*writer, bytes_of("alpha")));
+  ASSERT_TRUE(append_payload(*writer, bytes_of("")));
+  ASSERT_TRUE(append_payload(*writer, bytes_of("gamma-3")));
   ASSERT_TRUE(writer->close());
-  EXPECT_FALSE(writer->append_record(bytes_of("after close")));
+  EXPECT_FALSE(append_payload(*writer, bytes_of("after close")));
 
   const auto bytes = util::read_file(path);
   ASSERT_TRUE(bytes.has_value());
   const auto scan = util::scan_records(*bytes);
   ASSERT_EQ(scan.records.size(), 3u);
-  EXPECT_EQ(scan.records[0], bytes_of("alpha"));
-  EXPECT_EQ(scan.records[1], bytes_of(""));
-  EXPECT_EQ(scan.records[2], bytes_of("gamma-3"));
+  EXPECT_EQ(bytes_of(scan.records[0]), bytes_of("alpha"));
+  EXPECT_EQ(bytes_of(scan.records[1]), bytes_of(""));
+  EXPECT_EQ(bytes_of(scan.records[2]), bytes_of("gamma-3"));
   EXPECT_FALSE(scan.truncated_tail);
   EXPECT_EQ(scan.valid_bytes, scan.total_bytes);
 }
@@ -291,7 +309,7 @@ TEST(CheckedIo, TruncationAtEveryOffsetAdmitsOnlyWholeRecords) {
   auto writer = util::CheckedWriter::open(path);
   ASSERT_TRUE(writer.has_value());
   for (const auto* payload : {"first", "second-rec", "x"}) {
-    ASSERT_TRUE(writer->append_record(bytes_of(payload)));
+    ASSERT_TRUE(append_payload(*writer, bytes_of(payload)));
     ASSERT_TRUE(writer->flush());
     boundaries.push_back(writer->bytes_written());
   }
@@ -320,7 +338,7 @@ TEST(CheckedIo, CorruptionAtEveryOffsetNeverAdmitsAMangledRecord) {
   ASSERT_TRUE(writer.has_value());
   const std::vector<std::vector<std::uint8_t>> payloads{
       bytes_of("payload-one"), bytes_of("payload-two-longer"), bytes_of("p3")};
-  for (const auto& p : payloads) ASSERT_TRUE(writer->append_record(p));
+  for (const auto& p : payloads) ASSERT_TRUE(append_payload(*writer, p));
   ASSERT_TRUE(writer->close());
   const auto clean = util::read_file(path);
   ASSERT_TRUE(clean.has_value());
@@ -333,7 +351,7 @@ TEST(CheckedIo, CorruptionAtEveryOffsetNeverAdmitsAMangledRecord) {
     // the record containing the flipped byte is dropped, not mangled.
     ASSERT_LT(scan.records.size(), payloads.size() + 1);
     for (std::size_t i = 0; i < scan.records.size(); ++i) {
-      EXPECT_EQ(scan.records[i], payloads[i]) << "offset=" << at;
+      EXPECT_EQ(bytes_of(scan.records[i]), payloads[i]) << "offset=" << at;
     }
     EXPECT_TRUE(scan.truncated_tail) << "offset=" << at;
   }
@@ -354,7 +372,7 @@ TEST(CheckedIo, OversizedLengthFieldIsCorruptionNotAnAllocation) {
 TEST(CheckedIo, ReadFileCheckedRejectsTrailingJunk) {
   const std::string dir = fresh_dir("ckio_atomic");
   const std::string path = dir + "/state.bin";
-  ASSERT_TRUE(util::write_file_atomic(path, bytes_of("committed")));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(bytes_of("committed"))));
   EXPECT_EQ(util::read_file_checked(path), bytes_of("committed"));
 
   std::ofstream(path, std::ios::binary | std::ios::app) << "junk";
@@ -368,9 +386,9 @@ TEST(CheckedIo, AtomicCommitCrashAtEveryOpKeepsOldOrNothing) {
   const auto new_payload = bytes_of("replacement state, longer than before");
 
   // Discovery: how many I/O boundaries does one commit have?
-  ASSERT_TRUE(util::write_file_atomic(path, old_payload));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(old_payload)));
   CrashPoint probe;
-  ASSERT_TRUE(util::write_file_atomic(path, new_payload, &probe));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(new_payload), &probe));
   const std::uint64_t total_ops = probe.ops_seen();
   ASSERT_GE(total_ops, 4u);  // open, record write, flush, rename
 
@@ -382,9 +400,9 @@ TEST(CheckedIo, AtomicCommitCrashAtEveryOpKeepsOldOrNothing) {
           CrashPoint::Mode::BitFlip, CrashPoint::Mode::ShortWrite,
           CrashPoint::Mode::Enospc}) {
       std::filesystem::remove(path + ".tmp");
-      ASSERT_TRUE(util::write_file_atomic(path, old_payload));
+      ASSERT_TRUE(util::write_record_atomic(path, record_of(old_payload)));
       CrashPoint crash(op, mode, /*seed=*/1000 + op);
-      EXPECT_FALSE(util::write_file_atomic(path, new_payload, &crash));
+      EXPECT_FALSE(util::write_record_atomic(path, record_of(new_payload), &crash));
       EXPECT_TRUE(crash.crashed());
       // The committed file is untouched: the temp never renames over it.
       EXPECT_EQ(util::read_file_checked(path), old_payload)
@@ -394,7 +412,7 @@ TEST(CheckedIo, AtomicCommitCrashAtEveryOpKeepsOldOrNothing) {
 
   // And an uninterrupted retry lands the new state.
   std::filesystem::remove(path + ".tmp");
-  ASSERT_TRUE(util::write_file_atomic(path, new_payload));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(new_payload)));
   EXPECT_EQ(util::read_file_checked(path), new_payload);
 }
 
@@ -409,17 +427,17 @@ TEST(CheckedIo, FsyncStallCommitsTheOpButReportsFailure) {
   const auto old_payload = bytes_of("old committed state");
   const auto new_payload = bytes_of("replacement state, longer than before");
 
-  ASSERT_TRUE(util::write_file_atomic(path, old_payload));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(old_payload)));
   CrashPoint probe;
-  ASSERT_TRUE(util::write_file_atomic(path, new_payload, &probe));
+  ASSERT_TRUE(util::write_record_atomic(path, record_of(new_payload), &probe));
   const std::uint64_t total_ops = probe.ops_seen();
 
   std::size_t landed_new = 0;
   for (std::uint64_t op = 0; op < total_ops; ++op) {
     std::filesystem::remove(path + ".tmp");
-    ASSERT_TRUE(util::write_file_atomic(path, old_payload));
+    ASSERT_TRUE(util::write_record_atomic(path, record_of(old_payload)));
     CrashPoint crash(op, CrashPoint::Mode::FsyncStall, /*seed=*/2000 + op);
-    EXPECT_FALSE(util::write_file_atomic(path, new_payload, &crash));
+    EXPECT_FALSE(util::write_record_atomic(path, record_of(new_payload), &crash));
     EXPECT_TRUE(crash.crashed());
     const auto readback = util::read_file_checked(path);
     ASSERT_TRUE(readback.has_value()) << "op=" << op;
@@ -520,7 +538,7 @@ TEST(Wal, ReplayStopsAtNonIncreasingSequence) {
     payload.u32(static_cast<std::uint32_t>(seqs[i] >> 32));
     payload.u32(static_cast<std::uint32_t>(seqs[i]));
     payload.bytes(pdns::encode_batch_frame(batches[i]));
-    ASSERT_TRUE(writer->append_record(payload.view()));
+    ASSERT_TRUE(append_payload(*writer, payload.view()));
   }
   ASSERT_TRUE(writer->close());
 

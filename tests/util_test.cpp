@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <span>
@@ -9,10 +11,13 @@
 #include <string_view>
 #include <vector>
 
+#include "crc32c_oracle.hpp"
 #include "damerau_oracle.hpp"
 #include "util/bytes.hpp"
+#include "util/checked_io.hpp"
 #include "util/civil_time.hpp"
 #include "util/crc32c.hpp"
+#include "util/crc32c_portable.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -484,6 +489,76 @@ TEST(Crc32c, EmptyInputAndSingleBitSensitivity) {
     data[0] = static_cast<std::uint8_t>(1u << bit);
     EXPECT_NE(crc32c(data), base) << "bit=" << bit;
   }
+}
+
+// Both CRC32C bodies against the bitwise reference: util::crc32c, which on
+// an SSE4.2 CPU runs the crc32 instruction, and the portable tables compiled
+// into this test from util/crc32c_portable.hpp, which it falls back to
+// elsewhere.  Every length 0..4096 at every start offset 0..7 covers the
+// 8-byte word loop, each tail length and unaligned starts.
+TEST(Crc32c, BothPathsMatchBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(2718);
+  std::vector<std::uint8_t> data(4096 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t want = oracle::crc32c_bitwise(0, {});
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto input = std::span(data).subspan(offset, len);
+      if (len > 0) want = oracle::crc32c_bitwise(want, input.subspan(len - 1));
+      ASSERT_EQ(crc32c(0, input), want) << "offset=" << offset << " len=" << len;
+      ASSERT_EQ(crc32c_portable(0, input), want)
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32c, StreamedSplitsEqualOneShotOnBothPaths) {
+  Rng rng(1618);
+  std::vector<std::uint8_t> data(1031);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  const auto whole = std::span<const std::uint8_t>(data);
+  const std::uint32_t want = oracle::crc32c_bitwise(0, whole);
+
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const auto a = whole.subspan(0, split);
+    const auto b = whole.subspan(split);
+    EXPECT_EQ(crc32c(crc32c(0, a), b), want) << "split=" << split;
+    EXPECT_EQ(crc32c_portable(crc32c_portable(0, a), b), want)
+        << "split=" << split;
+    // The paths continue each other's partial checksums.
+    EXPECT_EQ(crc32c_portable(crc32c(0, a), b), want) << "split=" << split;
+    EXPECT_EQ(crc32c(crc32c_portable(0, a), b), want) << "split=" << split;
+  }
+}
+
+// ------------------------------------------------------------- read_file
+
+TEST(ReadFile, ErrorIsNotAnEmptyFile) {
+  const std::string dir = ::testing::TempDir() + "nxd_util_read_file";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  // A path that opens but cannot be read as a file (read(2) gives EISDIR).
+  EXPECT_FALSE(read_file(dir).has_value());
+  EXPECT_FALSE(read_file_checked(dir).has_value());
+  EXPECT_FALSE(read_file(dir + "/missing").has_value());
+
+  // An empty regular file is a clean, engaged, empty read.
+  const std::string empty = dir + "/empty";
+  std::ofstream(empty, std::ios::binary).close();
+  const auto none = read_file(empty);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+
+  const std::string path = dir + "/bytes";
+  std::vector<std::uint8_t> want(200'000);
+  Rng rng(99);
+  for (auto& b : want) b = static_cast<std::uint8_t>(rng.next());
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(want.data()),
+             static_cast<std::streamsize>(want.size()));
+  EXPECT_EQ(read_file(path), want);
 }
 
 }  // namespace
