@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 
 #include "pdns/observation.hpp"
 #include "pdns/sampler.hpp"
@@ -135,6 +136,145 @@ TEST(Store, SensorBreakdown) {
   store.ingest(obs);
   EXPECT_EQ(store.sensor_volume().get("isp"), 2u);
   EXPECT_EQ(store.sensor_volume().get("academia"), 1u);
+}
+
+// ------------------------------------------------------------ DailySeries
+
+using ReferenceSeries = std::map<util::Day, std::uint32_t>;
+
+::testing::AssertionResult same_entries(const DailySeries& series,
+                                        const ReferenceSeries& ref) {
+  if (series.size() != ref.size() || series.empty() != ref.empty()) {
+    return ::testing::AssertionFailure()
+           << "size " << series.size() << " vs reference " << ref.size();
+  }
+  auto it = ref.begin();
+  std::size_t i = 0;
+  for (const auto& [day, count] : series) {
+    if (day != it->first || count != it->second) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": (" << day << ", " << count
+             << ") vs reference (" << it->first << ", " << it->second << ")";
+    }
+    ++it;
+    ++i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The series {base, base+1, ...} with count day-base+1 each: `n` entries.
+DailySeries series_of(std::size_t n, util::Day base = 100) {
+  DailySeries s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s[base + static_cast<util::Day>(i)] = static_cast<std::uint32_t>(i + 1);
+  }
+  return s;
+}
+
+TEST(DailySeries, MatchesMapReferenceOverSeededOperations) {
+  // Each round grows a fresh series next to a std::map through one day
+  // pattern: the chronological stream ingest sees, days out of order
+  // (absorb and arbitrary frames), and days at both ends of int64.  Rounds
+  // stay short, so sizes 0, 1 and 2 — around the first spill — recur often.
+  util::Rng rng(0xDA11);
+  constexpr util::Day kLow = INT64_MIN;
+  constexpr util::Day kHigh = INT64_MAX;
+  std::uint64_t operations = 0;
+  int round = 0;
+  while (operations < 1'200'000) {
+    DailySeries series;
+    ReferenceSeries ref;
+    const auto pattern = rng.bounded(4);
+    const auto length = rng.bounded(rng.bounded(8) == 0 ? 400 : 24);
+    if (rng.bounded(4) == 0) series.reserve(rng.bounded(6));
+    util::Day day = static_cast<util::Day>(rng.bounded(40'000));
+    for (std::uint64_t op = 0; op < length; ++op, ++operations) {
+      switch (pattern) {
+        case 0:  // chronological: repeat the day, or step forward
+          day += static_cast<util::Day>(rng.bounded(3) == 0 ? rng.bounded(5) : 0);
+          break;
+        case 1:  // out of order inside a small window
+          day = 20'000 + static_cast<util::Day>(rng.bounded(48));
+          break;
+        case 2:  // near INT64_MIN
+          day = kLow + static_cast<util::Day>(rng.bounded(6));
+          break;
+        default:  // near INT64_MAX, or either end
+          day = rng.bounded(2) == 0 ? kHigh - static_cast<util::Day>(rng.bounded(6))
+                                    : kLow + static_cast<util::Day>(rng.bounded(3));
+          break;
+      }
+      const auto add = static_cast<std::uint32_t>(1 + rng.bounded(3));
+      series[day] += add;
+      ref[day] += add;
+      if (rng.bounded(16) == 0) {
+        ASSERT_TRUE(same_entries(series, ref)) << "round " << round << " op " << op;
+      }
+    }
+    ASSERT_TRUE(same_entries(series, ref)) << "round " << round;
+    // A copy taken mid-life equals the original, then lives on its own.
+    DailySeries copy = series;
+    ASSERT_TRUE(copy == series) << "round " << round;
+    const util::Day extra = day == kHigh ? kLow : day + 1;
+    copy[extra] += 7;
+    ++operations;
+    ASSERT_TRUE(same_entries(series, ref)) << "round " << round;
+    ReferenceSeries copy_ref = ref;
+    copy_ref[extra] += 7;
+    ASSERT_TRUE(same_entries(copy, copy_ref)) << "round " << round;
+    EXPECT_FALSE(copy == series);
+    ++round;
+  }
+  EXPECT_GE(operations, 1'000'000u);
+}
+
+TEST(DailySeries, CopyMoveAndEqualityAcrossTheSpill) {
+  for (std::size_t n = 0; n <= 5; ++n) {
+    SCOPED_TRACE(n);
+    const DailySeries original = series_of(n);
+    EXPECT_EQ(original.size(), n);
+
+    DailySeries copy(original);
+    EXPECT_TRUE(copy == original);
+    for (std::size_t m = 0; m <= 5; ++m) {
+      DailySeries target = series_of(m, 7);
+      target = original;
+      EXPECT_TRUE(target == original) << "copy-assigned over size " << m;
+      DailySeries moved_into = series_of(m, 7);
+      DailySeries source = original;
+      moved_into = std::move(source);
+      EXPECT_TRUE(moved_into == original) << "move-assigned over size " << m;
+      source = series_of(m, 9);  // a moved-from series is reusable
+      EXPECT_TRUE(source == series_of(m, 9));
+    }
+
+    DailySeries source = original;
+    const DailySeries moved(std::move(source));
+    EXPECT_TRUE(moved == original);
+    EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    source[3] = 1;
+    EXPECT_EQ(source.size(), 1u);
+
+    DailySeries self = original;
+    const DailySeries& alias = self;
+    self = alias;
+    EXPECT_TRUE(self == original) << "self copy-assignment";
+
+    // Equality compares entries, not storage: a reserved series equals an
+    // unreserved one with the same entries.
+    DailySeries reserved;
+    reserved.reserve(8);
+    for (const auto& [day, count] : original) reserved[day] = count;
+    EXPECT_TRUE(reserved == original);
+    if (n > 0) {
+      DailySeries bumped = original;
+      ++bumped[100];
+      EXPECT_FALSE(bumped == original);
+      DailySeries shifted = series_of(n, 101);
+      EXPECT_FALSE(shifted == original);
+    }
+    EXPECT_FALSE(series_of(n + 1) == original);
+  }
 }
 
 // ------------------------------------------------------------ SieChannel
