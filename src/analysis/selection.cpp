@@ -20,7 +20,9 @@ std::optional<Candidate> DomainSelector::evaluate(
     return std::nullopt;
   }
 
-  // Criterion 1: peak calendar-month NX query volume.
+  // Criterion 1: peak calendar-month NX query volume.  No month exceeds
+  // nx_queries (see DomainAggregate::daily_nx), so test that first.
+  if (agg->nx_queries < criteria.min_monthly_queries) return std::nullopt;
   const std::uint64_t peak = pdns::peak_monthly_nx(agg->daily_nx);
   if (peak < criteria.min_monthly_queries) return std::nullopt;
 

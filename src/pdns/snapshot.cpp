@@ -157,14 +157,15 @@ std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store,
   for (std::size_t i = 0; i < order.size(); ++i) {
     const NameKey& key = order[i];
     // Name order is random in id order, so each domain's name, aggregate
-    // and day series are cache misses: fetch them a few domains ahead.
+    // and spilled day series are cache misses: fetch them a few domains
+    // ahead.  A one-day series sits inside the aggregate.
     if (i + 16 < order.size()) {
       __builtin_prefetch(&store.domains_[order[i + 16].id]);
       __builtin_prefetch(names.name_of(order[i + 16].id).data());
     }
     if (i + 8 < order.size()) {
       const auto& ahead = store.domains_[order[i + 8].id].daily_nx;
-      if (!ahead.empty()) __builtin_prefetch(&*ahead.begin());
+      if (ahead.size() > 1) __builtin_prefetch(ahead.begin());
     }
     const std::string_view name = names.name_of(key.id);
     const auto& agg = store.domains_[key.id];
@@ -271,10 +272,15 @@ std::optional<PassiveDnsStore> load_snapshot(
     agg.daily_nx.reserve(days);
     const std::uint8_t* q = r.bytes(days * kDayBytes).data();
     util::Day prev_day = INT64_MIN;
+    // The day counts may not sum above nx_queries: the selection scans rely
+    // on it to skip domains below their threshold.
+    std::uint64_t unclaimed = agg.nx_queries;
     for (std::uint32_t d = 0; d < days; ++d, q += kDayBytes) {
       const auto day = unbias(util::load_be64(q));
-      if (d > 0 && day <= prev_day) return std::nullopt;
-      agg.daily_nx[day] = util::load_be32(q + 8);
+      const std::uint32_t count = util::load_be32(q + 8);
+      if ((d > 0 && day <= prev_day) || count > unclaimed) return std::nullopt;
+      unclaimed -= count;
+      agg.daily_nx[day] = count;
       prev_day = day;
     }
   }

@@ -17,7 +17,8 @@
 //     util::Counter::top() order (count descending, then name)
 // Days/months are biased by +2^62 when stored (they can be negative).  The
 // monthly, tld, domain and per-domain daily entries are in strictly
-// ascending key order; names compare byte-wise as unsigned bytes.
+// ascending key order; names compare byte-wise as unsigned bytes.  A
+// domain's daily counts sum to at most its nx_queries.
 //
 // The writer sizes the image exactly, then fills it in one pass; the
 // loader reads names as views into the input and reserves from the section
@@ -41,8 +42,8 @@ std::vector<std::uint8_t> save_snapshot(const PassiveDnsStore& store,
 
 /// Rebuild a store from snapshot bytes; nullopt on corrupt/unsupported
 /// input, including a month, TLD, domain or day key that does not strictly
-/// follow the one before it.  The restored store compares equal on every
-/// query surface.
+/// follow the one before it, and a domain whose daily counts sum above its
+/// nx_queries.  The restored store compares equal on every query surface.
 std::optional<PassiveDnsStore> load_snapshot(
     std::span<const std::uint8_t> bytes);
 

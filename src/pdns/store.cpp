@@ -14,11 +14,46 @@ std::string_view tld_of_key(std::string_view key) {
   return dot == std::string_view::npos ? key : key.substr(dot + 1);
 }
 
-// Growing domains_ must move each aggregate (keeping its series buffer, which
-// cached day cells point into), never copy it.
+// Growing domains_ must move each aggregate, never copy it: a copy would
+// allocate a fresh array for every series that has spilled to the heap.
 static_assert(std::is_nothrow_move_constructible_v<DomainAggregate>);
+// The inline first entry costs no more than the std::vector header did.
+static_assert(sizeof(DailySeries) == 24);
 
 }  // namespace
+
+DailySeries::DailySeries(const DailySeries& other) : heap_(nullptr) {
+  if (other.size_ > 1) {
+    heap_ = std::allocator<value_type>().allocate(other.size_);
+    std::uninitialized_copy(other.begin(), other.end(), heap_);
+    capacity_ = other.size_;
+  } else if (other.size_ == 1) {
+    std::construct_at(&one_, *other.begin());
+  }
+  size_ = other.size_;
+}
+
+void DailySeries::grow(std::uint32_t capacity) {
+  value_type* const fresh = std::allocator<value_type>().allocate(capacity);
+  std::uninitialized_copy(begin(), end(), fresh);
+  release();
+  heap_ = fresh;
+  capacity_ = capacity;
+}
+
+std::uint32_t& DailySeries::insert(std::uint32_t at, util::Day day) {
+  if (size_ == std::max<std::uint32_t>(capacity_, 1)) grow(2 * size_);
+  value_type* const p = data();
+  if (at == size_) {
+    std::construct_at(p + size_, day, 0u);
+  } else {
+    std::construct_at(p + size_, p[size_ - 1]);
+    std::copy_backward(p + at, p + size_ - 1, p + size_);
+    p[at] = {day, 0};
+  }
+  ++size_;
+  return p[at].second;
+}
 
 std::uint64_t peak_monthly_nx(const DailySeries& daily_nx) {
   std::uint64_t peak = 0;
@@ -149,15 +184,7 @@ void PassiveDnsStore::ingest_keyed(std::string_view key, dns::RCode rcode,
     cached_month_ = month;
   }
   *cached_month_slot_ += 1;
-  if (config_.track_daily) {
-    if (slot.daily_day == day) {
-      ++*slot.daily_cell;
-    } else {
-      slot.daily_cell = &agg.daily_nx[day];
-      ++*slot.daily_cell;
-      slot.daily_day = day;
-    }
-  }
+  if (config_.track_daily) ++agg.daily_nx[day];
 
   if (slot.tld == nullptr) {
     // The TLD is only needed once per domain (first NX response); derive it
@@ -236,16 +263,10 @@ void PassiveDnsStore::absorb(const PassiveDnsStore& other) {
     }
   }
 
+  // The cached TLD, month and sensor cells stay valid: they point at map
+  // nodes, which never move.
   for (const auto& [sensor, count] : other.sensor_volume_.raw()) {
     sensor_volume_.add(sensor, count);
-  }
-
-  // The daily merges above may have reallocated series storage; the cached
-  // day cells can dangle.  The TLD pointers stay valid (map nodes never
-  // move), as do the month and sensor cells (node-stable maps).
-  for (IdCache& slot : caches_) {
-    slot.daily_day = INT64_MIN;
-    slot.daily_cell = nullptr;
   }
 }
 
@@ -269,8 +290,11 @@ std::vector<std::string> PassiveDnsStore::high_traffic_nxdomains(
     std::uint32_t threshold) const {
   std::vector<std::string> out;
   for (std::uint32_t id = 0; id < intern_.size(); ++id) {
-    const DailySeries& daily_nx = domains_[id].daily_nx;
-    if (!daily_nx.empty() && peak_monthly_nx(daily_nx) >= threshold) {
+    const DomainAggregate& agg = domains_[id];
+    // No month can exceed the series' sum, which is at most nx_queries (see
+    // DomainAggregate), so a domain below the threshold needs no scan.
+    if (agg.nx_queries < threshold || agg.daily_nx.empty()) continue;
+    if (peak_monthly_nx(agg.daily_nx) >= threshold) {
       out.emplace_back(intern_.name_of(id));
     }
   }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <utility>
 #include <optional>
 #include <span>
@@ -46,43 +47,98 @@ struct StoreConfig {
   bool track_daily = true;
 };
 
-/// Per-day NX-count series: a map<Day, u32> interface over a sorted vector.
-/// The ingest stream is chronological, so nearly every update lands on the
-/// last entry (O(1) bump) or appends a new day (amortized O(1)) — the
-/// node-based std::map this replaces cost ~780 ns per observation in pointer
-/// chases and was the single largest ingest expense.  Out-of-order days
-/// (absorb of overlapping stores, snapshot load) fall back to binary search
-/// + mid-vector insert; iteration is always in ascending day order, so
-/// snapshot bytes are unchanged.
+/// Per-day NX-count series: a map<Day, u32> interface over a sorted array.
+/// Most domains are seen on one day only, so the first entry lives inline,
+/// in the 24 bytes a std::vector header would take; the series spills to
+/// one heap array when a second day arrives.  A copy allocates only for a
+/// series of two or more days.  The ingest stream is chronological, so
+/// nearly every update lands on the last entry (O(1) bump) or appends a new
+/// day (amortized O(1)).  Out-of-order days (absorb of overlapping stores,
+/// arbitrary frames) fall back to binary search + mid-array insert;
+/// iteration is always in ascending day order, so snapshot bytes do not
+/// depend on the storage.
 class DailySeries {
  public:
   using value_type = std::pair<util::Day, std::uint32_t>;
-  using const_iterator = std::vector<value_type>::const_iterator;
+  using const_iterator = const value_type*;
+
+  DailySeries() noexcept : heap_(nullptr) {}
+  DailySeries(const DailySeries& other);
+  DailySeries(DailySeries&& other) noexcept : heap_(nullptr) { take(other); }
+  DailySeries& operator=(const DailySeries& other) {
+    if (this != &other) *this = DailySeries(other);
+    return *this;
+  }
+  DailySeries& operator=(DailySeries&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~DailySeries() { release(); }
 
   std::uint32_t& operator[](util::Day day) {
-    if (!entries_.empty()) {
-      if (entries_.back().first == day) return entries_.back().second;
-      if (entries_.back().first < day) return entries_.emplace_back(day, 0).second;
-    } else {
-      return entries_.emplace_back(day, 0).second;
-    }
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), day,
+    value_type* const first = data();
+    if (size_ == 0 || first[size_ - 1].first < day) return insert(size_, day);
+    if (first[size_ - 1].first == day) return first[size_ - 1].second;
+    value_type* const it = std::lower_bound(
+        first, first + size_, day,
         [](const value_type& e, util::Day d) { return e.first < d; });
-    if (it != entries_.end() && it->first == day) return it->second;
-    return entries_.insert(it, {day, 0})->second;
+    if (it->first == day) return it->second;
+    return insert(static_cast<std::uint32_t>(it - first), day);
   }
 
-  void reserve(std::size_t days) { entries_.reserve(days); }
+  /// Presize for `days` entries: allocates only when one will not fit inline.
+  void reserve(std::size_t days) {
+    if (days > std::max<std::uint32_t>(capacity_, 1)) {
+      grow(static_cast<std::uint32_t>(days));
+    }
+  }
 
-  const_iterator begin() const noexcept { return entries_.begin(); }
-  const_iterator end() const noexcept { return entries_.end(); }
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
-  bool operator==(const DailySeries&) const = default;
+  const_iterator begin() const noexcept { return data(); }
+  const_iterator end() const noexcept { return data() + size_; }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  bool operator==(const DailySeries& other) const noexcept {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
 
  private:
-  std::vector<value_type> entries_;  // ascending by day
+  value_type* data() noexcept { return capacity_ == 0 ? &one_ : heap_; }
+  const value_type* data() const noexcept {
+    return capacity_ == 0 ? &one_ : heap_;
+  }
+  /// Free the heap array, if any (leaves the members stale: take() or
+  /// destruction must follow).
+  void release() noexcept {
+    if (capacity_ != 0) std::allocator<value_type>().deallocate(heap_, capacity_);
+  }
+  /// Adopt `other`'s entries and leave it empty; this holds no heap array.
+  void take(DailySeries& other) noexcept {
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    if (capacity_ != 0) {
+      heap_ = other.heap_;
+    } else if (size_ != 0) {
+      std::construct_at(&one_, other.one_);
+    }
+    other.size_ = other.capacity_ = 0;
+  }
+  /// Move the entries to a heap array of `capacity` (> 1) entries.
+  void grow(std::uint32_t capacity);
+  /// Insert (day, 0) at index `at`, shifting the entries from `at` up.
+  std::uint32_t& insert(std::uint32_t at, util::Day day);
+
+  // capacity_ == 0: inline, one_ holds the entry when size_ == 1.
+  // capacity_ > 0: heap_ holds capacity_ slots, the first size_ in use.
+  // Either way the entries ascend by day.
+  union {
+    value_type one_;
+    value_type* heap_;
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = 0;
 };
 
 struct DomainAggregate {
@@ -92,6 +148,9 @@ struct DomainAggregate {
   std::uint64_t nx_queries = 0;
   std::uint64_t ok_queries = 0;
   // day -> NXDomain responses that day (present only when track_daily).
+  // Its counts sum to nx_queries under ingest and absorb, and to at most
+  // nx_queries in any store load_snapshot accepts: the selection scans
+  // skip a domain whose nx_queries is below their monthly threshold.
   DailySeries daily_nx;
 
   bool ever_nx() const noexcept { return first_nx_seen != INT64_MAX; }
@@ -167,7 +226,7 @@ class PassiveDnsStore {
 
   /// Copies reset the ingest pointer caches (they point into the source
   /// store); the caches refill lazily on the next ingest.  Moves keep them —
-  /// the pointers target map nodes and series buffers, which survive a move.
+  /// the pointers target map nodes, which survive a move.
   PassiveDnsStore(const PassiveDnsStore& other);
   PassiveDnsStore& operator=(const PassiveDnsStore& other);
   PassiveDnsStore(PassiveDnsStore&&) = default;
@@ -282,23 +341,19 @@ class PassiveDnsStore {
   IngestTotals totals_;
 
   // The domain index: registered-domain name -> dense id, and the id's
-  // aggregate (vector moves keep each series' buffer, so cached day cells
-  // survive growth).
+  // aggregate.
   InternTable intern_;
   std::vector<DomainAggregate> domains_;  // indexed by intern id
   TldMap tlds_;
   std::map<std::int64_t, std::uint64_t> monthly_nx_;
   util::Counter sensor_volume_;
 
-  // Ingest pointer caches, indexed by intern id and always sized to the index.
+  // Ingest pointer caches, indexed by intern id and always sized to the
+  // index.  No cache points into a domain's daily_nx: an inline entry moves
+  // whenever domains_ grows, and in a chronological stream the series'
+  // own last-entry test is already O(1).
   struct IdCache {
     TldAggregate* tld = nullptr;  // tlds_ node, cached on the first NX response
-    // Current-day cell of the domain's daily_nx.  Valid while daily_day
-    // matches: the only operation that can move the cell (an insert into
-    // that series) happens on a day change, which also misses this cache.
-    // absorb() mutates series outside the ingest path and resets these.
-    util::Day daily_day = INT64_MIN;
-    std::uint32_t* daily_cell = nullptr;
   };
   std::vector<IdCache> caches_;
   std::int64_t cached_month_ = INT64_MIN;

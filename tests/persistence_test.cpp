@@ -180,10 +180,12 @@ TEST(Snapshot, CorruptInputRejected) {
 
 // A hand-built v2 snapshot holding the given month, TLD and domain keys in
 // the order given.  Each domain saw one NXDomain response on each of its
-// days; the totals count those responses.
+// days; the totals and its nx_queries count those responses, while its
+// daily series records `day_count` for each day.
 struct HandDomain {
   std::string name;
   std::vector<util::Day> days;
+  std::uint32_t day_count = 1;
 };
 std::vector<std::uint8_t> hand_built_snapshot(
     const std::vector<std::int64_t>& months,
@@ -230,7 +232,7 @@ std::vector<std::uint8_t> hand_built_snapshot(
     w.u32(static_cast<std::uint32_t>(d.days.size()));
     for (const auto day : d.days) {
       u64(biased(day));
-      w.u32(1);
+      w.u32(d.day_count);
     }
   }
   w.u32(0);  // no sensors
@@ -279,6 +281,29 @@ TEST(Snapshot, RepeatedKeysRejected) {
   EXPECT_FALSE(pdns::load_snapshot(hand_built_snapshot(months, tlds, descending))
                    .has_value())
       << "out-of-order domains loaded";
+}
+
+TEST(Snapshot, DailyCountsAboveNxQueriesRejected) {
+  // Ingest and absorb keep a domain's day counts summing to its nx_queries,
+  // and the selection scans skip a domain whose nx_queries is below their
+  // threshold without reading its series.  That skip is exact only if no
+  // month can exceed nx_queries, so the loader refuses a sum above it.
+  const std::vector<std::int64_t> months = {100};
+  const std::vector<std::string> tlds = {"com"};
+  const std::vector<HandDomain> fewer = {{"a.com", {3040, 3041}, 0}};
+  const auto loaded = pdns::load_snapshot(hand_built_snapshot(months, tlds, fewer));
+  ASSERT_TRUE(loaded.has_value()) << "day counts below nx_queries must load";
+  EXPECT_EQ(loaded->domain("a.com")->nx_queries, 2u);
+
+  const std::vector<HandDomain> more = {{"a.com", {3040, 3041}, 2}};
+  EXPECT_FALSE(pdns::load_snapshot(hand_built_snapshot(months, tlds, more))
+                   .has_value())
+      << "day counts summing to 4 loaded under nx_queries 2";
+  const std::vector<HandDomain> one_day_over = {{"a.com", {3040}, 2},
+                                                {"b.com", {3041}}};
+  EXPECT_FALSE(pdns::load_snapshot(hand_built_snapshot(months, tlds, one_day_over))
+                   .has_value())
+      << "a single day count above nx_queries loaded";
 }
 
 // ---------------------------------------------------- snapshot writer oracle
