@@ -89,7 +89,7 @@ class DailySeries {
     return insert(static_cast<std::uint32_t>(it - first), day);
   }
 
-  /// Presize for `days` entries: allocates only when one will not fit inline.
+  /// Presize for `days` entries; one entry fits inline and allocates nothing.
   void reserve(std::size_t days) {
     if (days > std::max<std::uint32_t>(capacity_, 1)) {
       grow(static_cast<std::uint32_t>(days));
